@@ -2,29 +2,48 @@
 
 Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
-selection.  Edge tensors, by contrast, are built with gather_rows and are
-fully differentiable.
+selection.  Neighbor rows, by contrast, are gathered with gather_rows and
+are fully differentiable; every gather over one graph shares the graph's
+RowScatter, built once when the graph is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from meshseg.tensor import DimensionError, concat_channels, gather_rows, sub
+from meshseg.tensor import (
+    DimensionError,
+    RowScatter,
+    concat_channels,
+    gather_rows,
+    repeat_rows,
+    sub,
+)
 
 
 class GraphConfigError(ValueError):
     """Neighborhood size incompatible with the cell count."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnnGraph:
-    """M x K table of neighbor cell ids, nearest first."""
+    """M x K table of neighbor cell ids, nearest first; immutable.
+
+    `indices` is a read-only int64 copy of the table passed in, and
+    `scatter` its RowScatter, so the sort can never go stale.
+    """
 
     indices: np.ndarray  # (M, K) int64
     k: int
+    scatter: RowScatter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        indices = np.array(self.indices, dtype=np.int64)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "scatter", RowScatter(indices))
 
     @property
     def num_cells(self):
@@ -52,6 +71,10 @@ def build_knn_graph(features, k, include_self=False):
     The center itself is excluded unless include_self is set; distance ties
     break toward the lower cell index.
     """
+    return KnnGraph(indices=_knn_indices(features, k, include_self), k=k)
+
+
+def _knn_indices(features, k, include_self):
     features = np.asarray(features)
     m = features.shape[0]
     if k < 1 or k >= m:
@@ -77,7 +100,7 @@ def build_knn_graph(features, k, include_self=False):
         tied = np.nonzero(d[i] <= kth[i])[0]  # ascending index already
         tied = tied[np.argsort(d[i][tied], kind="stable")]
         idx[i] = tied[:k]
-    return KnnGraph(indices=idx.astype(np.int64), k=k)
+    return idx
 
 
 def build_block_knn_graph(features, block_size, k, include_self=False):
@@ -93,29 +116,27 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
         )
     blocks = []
     for start in range(0, total, block_size):
-        g = build_knn_graph(features[start:start + block_size], k, include_self)
-        blocks.append(g.indices + start)
+        blocks.append(_knn_indices(features[start:start + block_size], k,
+                                   include_self) + start)
     return KnnGraph(indices=np.concatenate(blocks, axis=0), k=k)
 
 
-def center_index_table(m, k):
-    """Index table mapping every (i, j) edge to its center cell i."""
-    return np.repeat(np.arange(m, dtype=np.int64)[:, None], k, axis=1)
-
-
-def gather_edge_features(features, graph):
-    """Tiled center features and gathered neighbor features, both (M, K, d)."""
+def gather_neighbors(features, graph):
+    """(M, K, d) neighbor rows of `features`, scattered back through graph.scatter."""
     m = features.data.shape[0]
     if graph.num_cells != m:
         raise DimensionError(
             f"graph over {graph.num_cells} cells applied to {m} feature rows"
         )
-    centers = gather_rows(features, center_index_table(m, graph.k))
-    neighbors = gather_rows(features, graph.indices)
-    return centers, neighbors
+    return gather_rows(features, graph.indices, graph.scatter)
 
 
 def edge_tensors(features, graph):
-    """Edge inputs for one layer: (center (+) neighbor, center - neighbor)."""
-    centers, neighbors = gather_edge_features(features, graph)
+    """Edge inputs for one layer: (center (+) neighbor, center - neighbor).
+
+    The layers never build these pairs (see tensor.edge_affine); they are
+    the reference the split edge path is checked against.
+    """
+    neighbors = gather_neighbors(features, graph)
+    centers = repeat_rows(features, graph.k)
     return concat_channels([centers, neighbors]), sub(centers, neighbors)

@@ -4,26 +4,25 @@ Both aggregation layers first calibrate each neighbor against its center
 through a shared MLP on the concatenated pair.  The attention layer then
 takes a convex combination of calibrated neighbors, with per-channel
 weights normalized over the neighborhood; the max-pool layer takes the
-channel-wise maximum instead.
+channel-wise maximum instead.  Neither layer builds the (M, K, 2d) pair:
+neighbor rows are gathered once per layer and each affine map over a pair
+is split into a per-cell centre half and a per-edge neighbour half.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from meshseg.knn import gather_edge_features
+from meshseg.knn import gather_neighbors
 from meshseg.tensor import (
     BatchNormState,
     Parameter,
     Tensor,
-    affine,
-    batch_norm,
-    concat_channels,
-    leaky_relu,
+    edge_affine,
     max_axis,
     mul,
+    shared_mlp,
     softmax_axis,
-    sub,
     sum_axis,
 )
 
@@ -37,25 +36,24 @@ def _init_affine(rng, in_dim, out_dim, dtype):
 
 
 class SharedMLP:
-    """Per-row affine + batch norm + LeakyReLU; rows never mix."""
+    """Per-row affine + batch norm + LeakyReLU as one tape node; rows never mix.
+
+    Called with `neighbors`, the rows are the (centre, neighbour) pairs of a
+    graph layer: input width in_dim is the two halves together.
+    """
 
     def __init__(self, name, in_dim, out_dim, rng, slope=0.2, bn=True,
-                 activation=True, dtype=np.float32):
+                 dtype=np.float32):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.slope = slope
-        self.activation = activation
         self.weight, self.bias = _init_affine(rng, in_dim, out_dim, dtype)
         self.bn = BatchNormState(out_dim, dtype=dtype) if bn else None
 
-    def __call__(self, x, train=False):
-        y = affine(x, self.weight, self.bias)
-        if self.bn is not None:
-            y = batch_norm(y, self.bn, train)
-        if self.activation:
-            y = leaky_relu(y, self.slope)
-        return y
+    def __call__(self, x, train=False, neighbors=None):
+        return shared_mlp(x, self.weight, self.bias, self.bn, train, self.slope,
+                          neighbors)
 
     def parameters(self):
         params = [Parameter(f"{self.name}.weight", self.weight),
@@ -77,41 +75,28 @@ class GraphAttentionLayer:
     softmax across the K neighbors turns the scores into convex weights.
     """
 
-    def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32,
-                 attention_hidden=None):
+    def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.calibrate = SharedMLP(f"{name}.calibrate", 2 * in_dim, out_dim, rng,
                                    slope=slope, dtype=dtype)
-        self.att_hidden = None
-        att_in = 2 * in_dim
-        if attention_hidden:
-            self.att_hidden = SharedMLP(f"{name}.att_hidden", att_in,
-                                        attention_hidden, rng, slope=slope,
-                                        bn=False, dtype=dtype)
-            att_in = attention_hidden
-        self.att_weight, self.att_bias = _init_affine(rng, att_in, out_dim, dtype)
+        self.att_weight, self.att_bias = _init_affine(rng, 2 * in_dim, out_dim, dtype)
         self.last_attention = None  # (M, K, out_dim) weights of the last forward
 
     def forward(self, features, graph, train=False):
-        centers, neighbors = gather_edge_features(features, graph)
-        calibrated = self.calibrate(concat_channels([centers, neighbors]), train)
-        score_in = concat_channels([sub(centers, neighbors), neighbors])
-        if self.att_hidden is not None:
-            score_in = self.att_hidden(score_in, train)
-        scores = affine(score_in, self.att_weight, self.att_bias)
+        neighbors = gather_neighbors(features, graph)
+        calibrated = self.calibrate(features, train, neighbors)
+        scores = edge_affine(features, neighbors, self.att_weight, self.att_bias,
+                             diff=True)
         weights = softmax_axis(scores, axis=1)
         self.last_attention = weights.data
         return sum_axis(mul(weights, calibrated), axis=1)
 
     def parameters(self):
-        params = self.calibrate.parameters()
-        if self.att_hidden is not None:
-            params += self.att_hidden.parameters()
-        params += [Parameter(f"{self.name}.att.weight", self.att_weight),
-                   Parameter(f"{self.name}.att.bias", self.att_bias)]
-        return params
+        return self.calibrate.parameters() + [
+            Parameter(f"{self.name}.att.weight", self.att_weight),
+            Parameter(f"{self.name}.att.bias", self.att_bias)]
 
     def bn_states(self):
         return self.calibrate.bn_states()
@@ -128,9 +113,8 @@ class GraphMaxPoolLayer:
                                    slope=slope, dtype=dtype)
 
     def forward(self, features, graph, train=False):
-        centers, neighbors = gather_edge_features(features, graph)
-        calibrated = self.calibrate(concat_channels([centers, neighbors]), train)
-        return max_axis(calibrated, axis=1)
+        neighbors = gather_neighbors(features, graph)
+        return max_axis(self.calibrate(features, train, neighbors), axis=1)
 
     def parameters(self):
         return self.calibrate.parameters()

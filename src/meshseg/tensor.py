@@ -1,10 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Covers exactly the operations the segmentation network needs: elementwise
-arithmetic, channel concatenation, per-row affine maps, LeakyReLU, axis
-reductions, row gathering with scatter-add backward, and batch
-normalization.  Two precisions are supported: float32 for training and
-float64 for gradient verification.
+Covers exactly the operations the segmentation network needs:
+
+- elementwise add/sub/mul, channel concatenation, per-row `affine`,
+  `leaky_relu`;
+- reductions: sum, mean, max, softmax and log softmax along an axis;
+- `gather_rows`, whose backward sums each source row's copies over a
+  `RowScatter` (one stable sort of the index table), and `repeat_rows`,
+  whose backward sums over the repeats;
+- `batch_norm` with running statistics;
+- the edge path of the graph layers: `edge_affine`, the affine map of
+  every (centre, neighbour) pair [x_i (+) n_ik] or [x_i - n_ik (+) n_ik]
+  without building the pair, and `shared_mlp`, affine -> batch norm ->
+  LeakyReLU as one node with a hand-written backward.
+
+The composed `affine`, `batch_norm` and `leaky_relu` ops are the reference
+`shared_mlp` is tested against.  Two precisions are supported: float32 for
+training and float64 for gradient verification.
 
 Tensors are immutable once created except for gradient accumulation.
 Backward runs over a tape in reverse topological order; only first-order
@@ -31,7 +43,7 @@ class EmptyReductionError(ValueError):
 
 
 class GatherIndexError(IndexError):
-    """gather_rows index outside [0, M)."""
+    """gather_rows index not an integer or outside [0, M)."""
 
 
 class StatisticsError(ValueError):
@@ -132,11 +144,18 @@ def _toposort(root):
     return order
 
 
-def _accumulate(tensor, grad):
+def _accumulate(tensor, grad, owned=False):
+    """Add `grad` into tensor.grad.
+
+    An op passes owned=True for a fresh C-contiguous array that nothing else
+    references; the first such gradient is taken over as tensor.grad.  Views
+    and arrays handed to several inputs are copied, so every .grad has one
+    owner and later gradients can be added in place.
+    """
     if tensor.grad is None:
-        tensor.grad = grad.copy()
+        tensor.grad = grad if owned else grad.copy()
     else:
-        tensor.grad = tensor.grad + grad
+        tensor.grad += grad
 
 
 def _as_tensor(x, like):
@@ -185,7 +204,7 @@ def sub(a, b):
         if a.requires_grad:
             _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, -g)
+            _accumulate(b, -g, owned=True)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -197,7 +216,7 @@ def mul(a, b):
 
         def backward_scalar(g):
             if a.requires_grad:
-                _accumulate(a, g * s)
+                _accumulate(a, g * s, owned=True)
 
         return _make(a.data * s, (a,), backward_scalar)
 
@@ -205,9 +224,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * b.data)
+            _accumulate(a, g * b.data, owned=True)
         if b.requires_grad:
-            _accumulate(b, g * a.data)
+            _accumulate(b, g * a.data, owned=True)
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -237,41 +256,112 @@ def concat_channels(tensors, axis=-1):
     return _make(np.concatenate([t.data for t in tensors], axis=-1), tensors, backward)
 
 
+def _matmul(a, b):
+    """a @ b over the last axis of `a`.
+
+    float64 is the verification mode: einsum accumulates each output row
+    independently in a fixed order, so results never depend on batch shape.
+    float32 keeps the fast BLAS path, which runs faster on a C-ordered `b`
+    (weights arrive transposed in backward).
+    """
+    if a.dtype == np.float64:
+        flat = np.einsum("ij,jk->ik", a.reshape(-1, a.shape[-1]), b, optimize=False)
+        return flat.reshape(*a.shape[:-1], b.shape[-1])
+    return a @ np.ascontiguousarray(b)
+
+
+def _check_weights(op, in_dim, w, b):
+    if w.data.ndim != 2 or w.data.shape[0] != in_dim:
+        raise DimensionError(
+            f"{op}: input width {in_dim} does not match weight {w.data.shape}"
+        )
+    if b.data.shape != (w.data.shape[1],):
+        raise DimensionError(
+            f"{op}: bias shape {b.data.shape} does not match weight {w.data.shape}"
+        )
+
+
+def _check_edges(op, x, nb):
+    """Widths of the centre rows x (M, d) and their neighbour rows nb (M, K, d')."""
+    if x.data.ndim != 2 or nb.data.ndim != 3 or nb.data.shape[0] != x.data.shape[0]:
+        raise DimensionError(
+            f"{op}: expected (M, d) centres and (M, K, d') neighbours, "
+            f"got {x.data.shape} and {nb.data.shape}"
+        )
+    return x.data.shape[1], nb.data.shape[2]
+
+
+def _edge_halves(w, d, diff):
+    """Centre and neighbour blocks of an edge weight, see edge_affine."""
+    top, bottom = w[:d], w[d:]
+    return top, (bottom - top if diff else bottom)
+
+
+def _linear(x, w, b, nb=None, diff=False):
+    """Forward of affine (nb None) and of edge_affine, on arrays."""
+    if nb is None:
+        return _matmul(x, w) + b
+    top, bottom = _edge_halves(w, x.shape[-1], diff)
+    return _matmul(nb, bottom) + (_matmul(x, top) + b)[:, None, :]
+
+
+def _linear_backward(g, x, w, b, nb=None, diff=False):
+    """Accumulate the gradients of _linear's tensor inputs; `g` is owned."""
+    gflat = g.reshape(-1, g.shape[-1])
+    if nb is None:
+        if x.requires_grad:
+            _accumulate(x, _matmul(g, w.data.T), owned=True)
+        if w.requires_grad:
+            xflat = x.data.reshape(-1, x.data.shape[-1])
+            _accumulate(w, _matmul(xflat.T, gflat), owned=True)
+    else:
+        top, bottom = _edge_halves(w.data, x.data.shape[1], diff)
+        g_centre = g.sum(axis=1)  # each centre row feeds all K of its edges
+        if x.requires_grad:
+            _accumulate(x, _matmul(g_centre, top.T), owned=True)
+        if nb.requires_grad:
+            _accumulate(nb, _matmul(g, bottom.T), owned=True)
+        if w.requires_grad:
+            g_bottom = _matmul(nb.data.reshape(-1, nb.data.shape[2]).T, gflat)
+            g_top = _matmul(x.data.T, g_centre)
+            if diff:
+                g_top -= g_bottom
+            _accumulate(w, np.concatenate([g_top, g_bottom]), owned=True)
+    if b.requires_grad:
+        _accumulate(b, (gflat if nb is None else g_centre).sum(axis=0), owned=True)
+
+
 def affine(x, w, b):
     """x @ w + b applied to the last axis; x is 2-D or 3-D, w is (in, out)."""
     if x.data.ndim not in (2, 3) or w.data.ndim != 2:
         raise DimensionError(
             f"affine: expected 2-D/3-D input and 2-D weight, got {x.data.shape} and {w.data.shape}"
         )
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise DimensionError(
-            f"affine: input width {x.data.shape} does not match weight {w.data.shape}"
-        )
-    if b.data.shape != (w.data.shape[1],):
-        raise DimensionError(
-            f"affine: bias shape {b.data.shape} does not match weight {w.data.shape}"
-        )
-    in_dim, out_dim = w.data.shape
-    # float64 is the verification mode: einsum accumulates each output row
-    # independently in a fixed order, so results never depend on batch shape.
-    # float32 keeps the fast BLAS path.
-    if x.data.dtype == np.float64:
-        def mm(a, bb):
-            return np.einsum("ij,jk->ik", a.reshape(-1, a.shape[-1]), bb,
-                             optimize=False).reshape(*a.shape[:-1], bb.shape[-1])
-    else:
-        def mm(a, bb):
-            return a @ bb
+    _check_weights("affine", x.data.shape[-1], w, b)
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, mm(g, w.data.T))
-        if w.requires_grad:
-            _accumulate(w, mm(x.data.reshape(-1, in_dim).T, g.reshape(-1, out_dim)))
-        if b.requires_grad:
-            _accumulate(b, g.reshape(-1, out_dim).sum(axis=0))
+        _linear_backward(g, x, w, b)
 
-    return _make(mm(x.data, w.data) + b.data, (x, w, b), backward)
+    return _make(_linear(x.data, w.data, b.data), (x, w, b), backward)
+
+
+def edge_affine(x, nb, w, b, diff=False):
+    """Affine map of every (centre, neighbour) pair, (M, K, out).
+
+    Row (i, k) of the input is [x_i (+) nb_ik], or [x_i - nb_ik (+) nb_ik]
+    with `diff`, for centres x (M, d) and neighbours nb (M, K, d).  The pair
+    is never built: the centre half x @ w[:d] is computed once per row of x
+    and broadcast over K, and only nb meets the neighbour half per edge.
+    """
+    d, d_nb = _check_edges("edge_affine", x, nb)
+    if diff and d != d_nb:
+        raise DimensionError(f"edge_affine: diff needs equal widths, got {d} and {d_nb}")
+    _check_weights("edge_affine", d + d_nb, w, b)
+
+    def backward(g):
+        _linear_backward(g, x, w, b, nb, diff)
+
+    return _make(_linear(x.data, w.data, b.data, nb.data, diff), (x, nb, w, b), backward)
 
 
 def leaky_relu(x, slope=0.2):
@@ -279,7 +369,8 @@ def leaky_relu(x, slope=0.2):
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * np.where(mask, x.dtype.type(1), x.dtype.type(slope)))
+            _accumulate(x, g * np.where(mask, x.dtype.type(1), x.dtype.type(slope)),
+                        owned=True)
 
     return _make(np.where(mask, x.data, x.dtype.type(slope) * x.data), (x,), backward)
 
@@ -313,7 +404,8 @@ def mean_axis(x, axis):
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape) / n)
+            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape) / n,
+                        owned=True)
 
     return _make(x.data.mean(axis=axis), (x,), backward)
 
@@ -329,7 +421,7 @@ def max_axis(x, axis):
             np.put_along_axis(
                 gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis
             )
-            _accumulate(x, gx)
+            _accumulate(x, gx, owned=True)
 
     return _make(np.max(x.data, axis=axis), (x,), backward)
 
@@ -342,7 +434,7 @@ def softmax_axis(x, axis):
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            _accumulate(x, y * (g - (g * y).sum(axis=axis, keepdims=True)), owned=True)
 
     return _make(y, (x,), backward)
 
@@ -355,7 +447,7 @@ def log_softmax_axis(x, axis):
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+            _accumulate(x, g - np.exp(ls) * g.sum(axis=axis, keepdims=True), owned=True)
 
     return _make(ls, (x,), backward)
 
@@ -374,13 +466,47 @@ def sum_all(x):
 # Gather / scatter
 # ---------------------------------------------------------------------------
 
-def gather_rows(src, idx):
-    """out[i, j, :] = src[idx[i, j], :]; backward scatter-adds into src rows."""
+class RowScatter:
+    """Stable sort of a gather index table, for summing gradients into rows.
+
+    Build it once per index table and share it between every gather over
+    that table: backward then sums each source row's gathered copies with
+    one np.add.reduceat over the sorted order instead of np.add.at.  Rows
+    that no index names stay zero.
+    """
+
+    __slots__ = ("order", "starts", "rows")
+
+    def __init__(self, idx):
+        flat = np.asarray(idx, dtype=np.int64).reshape(-1)
+        self.order = np.argsort(flat, kind="stable")
+        ordered = flat[self.order]
+        self.starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        self.rows = ordered[self.starts]  # distinct source rows, ascending
+
+    def add(self, g, n):
+        """(n, c) sums of g's (..., c) rows, each into the row it was gathered from."""
+        c = g.shape[-1]
+        out = np.zeros((n, c), dtype=g.dtype)
+        if self.rows.size:
+            out[self.rows] = np.add.reduceat(g.reshape(-1, c)[self.order],
+                                             self.starts, axis=0)
+        return out
+
+
+def gather_rows(src, idx, scatter=None):
+    """out[i, j, :] = src[idx[i, j], :]; backward scatter-adds into src rows.
+
+    `scatter` is a RowScatter of the same `idx` to reuse; without one,
+    backward builds its own.
+    """
     if src.data.ndim != 2:
         raise DimensionError(f"gather_rows: src must be 2-D, got {src.data.shape}")
     idx = np.asarray(idx)
     if idx.ndim != 2:
         raise DimensionError(f"gather_rows: idx must be 2-D, got {idx.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise GatherIndexError(f"gather_rows: idx dtype {idx.dtype} is not an integer type")
     n = src.data.shape[0]
     bad = (idx < 0) | (idx >= n)
     if bad.any():
@@ -391,11 +517,23 @@ def gather_rows(src, idx):
 
     def backward(g):
         if src.requires_grad:
-            gs = np.zeros_like(src.data)
-            np.add.at(gs, idx.reshape(-1), g.reshape(-1, g.shape[-1]))
-            _accumulate(src, gs)
+            plan = scatter if scatter is not None else RowScatter(idx)
+            _accumulate(src, plan.add(g, n), owned=True)
 
     return _make(src.data[idx], (src,), backward)
+
+
+def repeat_rows(x, k):
+    """(M, d) -> (M, k, d), each row repeated k times; backward sums over k."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"repeat_rows: x must be 2-D, got {x.data.shape}")
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g.sum(axis=1), owned=True)
+
+    m, d = x.data.shape
+    return _make(np.broadcast_to(x.data[:, None, :], (m, k, d)), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +561,44 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
+def _normalize(x, state, train):
+    """(xhat, inv_std): x normalized per channel over all leading axes.
+
+    Train mode uses the batch statistics and updates the running estimates;
+    eval mode uses the stored running statistics.
+    """
+    c = x.shape[-1]
+    if c != state.channels:
+        raise DimensionError(
+            f"batch_norm: {c} channels vs state with {state.channels}"
+        )
+    eps = x.dtype.type(state.eps)
+    if not train:
+        inv_std = 1.0 / np.sqrt(state.running_var + eps)
+        xhat = x - state.running_mean
+        xhat *= inv_std
+        return xhat, inv_std
+
+    n = x.size // c
+    if n < 2:
+        raise StatisticsError(f"batch_norm: train mode needs >= 2 rows, got {n}")
+    mean = x.reshape(-1, c).mean(axis=0)
+    xhat = x - mean
+    flat = xhat.reshape(-1, c)
+    var = np.einsum("ij,ij->j", flat, flat) / n  # biased
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    m = state.momentum
+    state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(
+        state.running_mean.dtype
+    )
+    unbiased = var * (n / (n - 1))
+    state.running_var = ((1 - m) * state.running_var + m * unbiased).astype(
+        state.running_var.dtype
+    )
+    return xhat, inv_std
+
+
 def batch_norm(x, state, train):
     """Normalize per channel over all leading axes.
 
@@ -430,63 +606,88 @@ def batch_norm(x, state, train):
     eval mode uses the stored running statistics and is side-effect free.
     """
     c = x.data.shape[-1]
-    if c != state.channels:
-        raise DimensionError(
-            f"batch_norm: {c} channels vs state with {state.channels}"
-        )
-    flat = x.data.reshape(-1, c)
-    n = flat.shape[0]
+    xhat, inv_std = _normalize(x.data, state, train)
     gamma, beta = state.gamma, state.beta
-    eps = x.dtype.type(state.eps)
 
-    if train:
-        if n < 2:
-            raise StatisticsError(f"batch_norm: train mode needs >= 2 rows, got {n}")
-        mean = flat.mean(axis=0)
-        var = flat.var(axis=0)  # biased
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean) * inv_std
-        m = state.momentum
-        state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(
-            state.running_mean.dtype
-        )
-        unbiased = var * (n / (n - 1))
-        state.running_var = ((1 - m) * state.running_var + m * unbiased).astype(
-            state.running_var.dtype
-        )
-
-        def backward(g):
-            gf = g.reshape(-1, c)
-            xh = xhat.reshape(-1, c)
-            if gamma.requires_grad:
-                _accumulate(gamma, (gf * xh).sum(axis=0))
-            if beta.requires_grad:
-                _accumulate(beta, gf.sum(axis=0))
-            if x.requires_grad:
-                # Gradient through the batch statistics themselves.
-                gxhat = gf * gamma.data
-                gx = (
-                    gxhat
-                    - gxhat.mean(axis=0)
-                    - xh * (gxhat * xh).mean(axis=0)
-                ) * inv_std
-                _accumulate(x, gx.reshape(x.data.shape))
-
-        return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
-
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    xhat = (x.data - state.running_mean) * inv_std
-
-    def backward_eval(g):
+    def backward(g):
         gf = g.reshape(-1, c)
+        xh = xhat.reshape(-1, c)
         if gamma.requires_grad:
-            _accumulate(gamma, (gf * xhat.reshape(-1, c)).sum(axis=0))
+            _accumulate(gamma, (gf * xh).sum(axis=0), owned=True)
         if beta.requires_grad:
-            _accumulate(beta, gf.sum(axis=0))
-        if x.requires_grad:
-            _accumulate(x, g * (gamma.data * inv_std))
+            _accumulate(beta, gf.sum(axis=0), owned=True)
+        if not x.requires_grad:
+            return
+        if train:
+            # Gradient through the batch statistics themselves.
+            gxhat = gf * gamma.data
+            gx = (gxhat - gxhat.mean(axis=0) - xh * (gxhat * xh).mean(axis=0)) * inv_std
+            _accumulate(x, gx.reshape(x.data.shape), owned=True)
+        else:
+            _accumulate(x, g * (gamma.data * inv_std), owned=True)
 
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward_eval)
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def _leaky_factor(negative, slope):
+    """LeakyReLU's derivative, slope where `negative` and 1 elsewhere.
+
+    Built with arithmetic rather than np.where, which branches per element
+    and runs several times slower on the random signs of activations.
+    """
+    factor = negative * slope
+    factor += ~negative
+    return factor
+
+
+def shared_mlp(x, w, b, state, train, slope=0.2, neighbors=None):
+    """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
+
+    `state` None skips batch norm.  With `neighbors` (M, K, d') the input of
+    edge (i, k) is [x_i (+) neighbors_ik] and the affine is split as in
+    edge_affine.  The node keeps only the normalized pre-activation and the
+    sign mask; its backward reuses the gamma/beta gradient sums for the
+    batch-statistics term.
+    """
+    if neighbors is None:
+        if x.data.ndim not in (2, 3):
+            raise DimensionError(f"shared_mlp: expected 2-D/3-D input, got {x.data.shape}")
+        in_dim = x.data.shape[-1]
+        nb_data, parents = None, [x, w, b]
+    else:
+        in_dim = sum(_check_edges("shared_mlp", x, neighbors))
+        nb_data, parents = neighbors.data, [x, w, b, neighbors]
+    _check_weights("shared_mlp", in_dim, w, b)
+    y = _linear(x.data, w.data, b.data, nb_data)
+    if state is not None:
+        gamma, beta = state.gamma, state.beta
+        xhat, inv_std = _normalize(y, state, train)
+        y = xhat * gamma.data
+        y += beta.data
+        parents += [gamma, beta]
+    negative = y < 0
+    slope = y.dtype.type(slope)
+    y *= _leaky_factor(negative, slope)
+
+    def backward(g):
+        gy = g * _leaky_factor(negative, slope)
+        if state is not None:
+            c = gy.shape[-1]
+            gflat = gy.reshape(-1, c)
+            g_gamma = np.einsum("ij,ij->j", gflat, xhat.reshape(-1, c))
+            g_beta = gflat.sum(axis=0)
+            if train:
+                n = gflat.shape[0]
+                gy -= xhat * (g_gamma / n)
+                gy -= g_beta / n
+            gy *= gamma.data * inv_std
+            if gamma.requires_grad:
+                _accumulate(gamma, g_gamma, owned=True)
+            if beta.requires_grad:
+                _accumulate(beta, g_beta, owned=True)
+        _linear_backward(gy, x, w, b, neighbors)
+
+    return _make(y, parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,20 @@ from meshseg.knn import (
     build_block_knn_graph,
     build_knn_graph,
     edge_tensors,
+    gather_neighbors,
 )
-from meshseg.tensor import Tensor, gradient_check, mul
+from meshseg.tensor import (
+    BatchNormState,
+    Tensor,
+    affine,
+    batch_norm,
+    concat_channels,
+    edge_affine,
+    gradient_check,
+    leaky_relu,
+    mul,
+    shared_mlp,
+)
 
 
 def brute_force_knn(features, k, include_self=False):
@@ -147,3 +161,136 @@ def test_edge_tensor_gradients_match_fd():
 
     err = gradient_check(f, [Tensor(raw, requires_grad=True, dtype=np.float64)])
     assert err <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# immutable graphs and the shared scatter sort
+# ---------------------------------------------------------------------------
+
+def test_graph_is_frozen_and_indices_read_only():
+    table = np.array([[1, 2], [0, 2], [0, 1]])
+    graph = KnnGraph(indices=table, k=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.indices = table
+    with pytest.raises(ValueError):
+        graph.indices[0, 0] = 2
+    table[0, 0] = 0  # the graph holds its own copy
+    assert graph.indices[0].tolist() == [1, 2]
+    assert graph.indices.dtype == np.int64
+
+
+def test_permuted_neighbors_returns_new_graph_with_own_scatter():
+    rng = np.random.default_rng(5)
+    graph = build_knn_graph(rng.normal(size=(20, 3)), k=4)
+    before = graph.indices.copy()
+    permuted = graph.permuted_neighbors(np.random.default_rng(6))
+    assert permuted is not graph and permuted.scatter is not graph.scatter
+    assert np.array_equal(graph.indices, before)
+    assert np.array_equal(np.sort(permuted.indices, axis=1), np.sort(before, axis=1))
+
+
+def test_scatter_matches_add_at_with_unreferenced_cells():
+    # a random 12-D block graph leaves some cells out of every neighborhood;
+    # their gradient rows must stay zero rather than take a neighbor's sum
+    rng = np.random.default_rng(50)
+    feats = rng.normal(size=(4 * 300, 12))
+    graph = build_block_knn_graph(feats, block_size=300, k=12)
+    unreferenced = np.setdiff1d(np.arange(1200), graph.indices)
+    assert unreferenced.size > 0
+
+    src = Tensor(feats, requires_grad=True, dtype=np.float64)
+    upstream = rng.normal(size=(1200, 12, 12))
+    mul(gather_neighbors(src, graph), Tensor(upstream, dtype=np.float64)).sum().backward()
+    want = np.zeros_like(feats)
+    np.add.at(want, graph.indices.reshape(-1), upstream.reshape(-1, 12))
+    assert np.abs(src.grad - want).max() <= 1e-12
+    assert np.all(src.grad[unreferenced] == 0)
+
+
+# ---------------------------------------------------------------------------
+# split edge path against the edge tensors
+# ---------------------------------------------------------------------------
+
+def edge_case(seed, m=12, d=3, k=4, out=5):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(m, d))
+    graph = build_knn_graph(raw, k)
+    w = rng.normal(size=(2 * d, out))
+    b = rng.normal(size=out)
+    upstream = Tensor(rng.normal(size=(m, k, out)), dtype=np.float64)
+    return raw, graph, w, b, upstream
+
+
+def t64(a):
+    return Tensor(np.array(a, dtype=np.float64), requires_grad=True)
+
+
+@pytest.mark.parametrize("diff", [False, True])
+def test_edge_affine_matches_edge_tensors_then_affine(diff):
+    raw, graph, w, b, upstream = edge_case(60)
+    x, wt, bt = t64(raw), t64(w), t64(b)
+    x2, wt2, bt2 = t64(raw), t64(w), t64(b)
+
+    split = edge_affine(x, gather_neighbors(x, graph), wt, bt, diff=diff)
+    concat, delta = edge_tensors(x2, graph)
+    # the attention score input: (center - neighbor) (+) neighbor
+    pair = concat_channels([delta, gather_neighbors(x2, graph)]) if diff else concat
+    ref = affine(pair, wt2, bt2)
+    assert np.abs(split.data - ref.data).max() <= 1e-10
+    mul(split, upstream).sum().backward()
+    mul(ref, upstream).sum().backward()
+    for got, want in ((x, x2), (wt, wt2), (bt, bt2)):
+        assert np.abs(got.grad - want.grad).max() <= 1e-10
+
+
+@pytest.mark.parametrize("diff", [False, True])
+def test_edge_affine_gradient_matches_fd(diff):
+    raw, graph, w, b, upstream = edge_case(61, m=8, k=3)
+
+    def f(x, wt, bt):
+        return mul(edge_affine(x, gather_neighbors(x, graph), wt, bt, diff), upstream).sum()
+
+    assert gradient_check(f, [t64(raw), t64(w), t64(b)]) <= 1e-6
+
+
+def edge_state(out, seed):
+    rng = np.random.default_rng(seed)
+    state = BatchNormState(out, dtype=np.float64)
+    state.gamma.data = rng.uniform(0.5, 1.5, size=out)
+    state.beta.data = rng.normal(size=out) * 0.3
+    state.running_mean = rng.normal(size=out) * 0.2
+    state.running_var = rng.uniform(0.5, 2.0, size=out)
+    return state
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_edge_shared_mlp_matches_composed_ops_on_edge_tensors(train):
+    raw, graph, w, b, upstream = edge_case(62)
+    x, wt, bt, state = t64(raw), t64(w), t64(b), edge_state(5, 63)
+    x2, wt2, bt2, state2 = t64(raw), t64(w), t64(b), edge_state(5, 63)
+
+    fused = shared_mlp(x, wt, bt, state, train, neighbors=gather_neighbors(x, graph))
+    concat, _ = edge_tensors(x2, graph)
+    ref = leaky_relu(batch_norm(affine(concat, wt2, bt2), state2, train), 0.2)
+    assert np.abs(fused.data - ref.data).max() <= 1e-10
+    mul(fused, upstream).sum().backward()
+    mul(ref, upstream).sum().backward()
+    for got, want in ((x, x2), (wt, wt2), (bt, bt2), (state.gamma, state2.gamma),
+                      (state.beta, state2.beta)):
+        assert np.abs(got.grad - want.grad).max() <= 1e-10
+    assert np.abs(state.running_mean - state2.running_mean).max() <= 1e-10
+    assert np.abs(state.running_var - state2.running_var).max() <= 1e-10
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_edge_shared_mlp_gradient_matches_fd(train):
+    raw, graph, w, b, upstream = edge_case(64, m=8, k=3)
+    state = edge_state(5, 65)
+
+    def f(x, wt, bt, gamma, beta):
+        state.gamma, state.beta = gamma, beta
+        out = shared_mlp(x, wt, bt, state, train, neighbors=gather_neighbors(x, graph))
+        return mul(out, upstream).sum()
+
+    inputs = [t64(raw), t64(w), t64(b), t64(state.gamma.data), t64(state.beta.data)]
+    assert gradient_check(f, inputs) <= 1e-6

@@ -109,6 +109,41 @@ def test_both_streams_share_one_graph_per_layer(monkeypatch):
     assert len(calls) == 3  # one graph per layer, consumed by both streams
 
 
+def test_both_streams_share_one_scatter_sort_per_layer(monkeypatch):
+    import meshseg.layers as layers_mod
+
+    seen = []
+    real = layers_mod.gather_neighbors
+
+    def recording(features, graph):
+        seen.append(graph.scatter)
+        return real(features, graph)
+
+    monkeypatch.setattr(layers_mod, "gather_neighbors", recording)
+    model = build_variant(tiny_config())
+    model.forward(random_features(30, seed=12))
+    assert len(seen) == 6  # c1 n1 c2 n2 c3 n3
+    for c_sort, n_sort in zip(seen[0::2], seen[1::2]):
+        assert c_sort is n_sort
+    assert len({id(s) for s in seen}) == 3
+
+
+def test_gradients_have_one_owner_after_desk_step():
+    from meshseg.verify import desk_model_config
+
+    model = build_variant(desk_model_config())
+    feats = [random_features(40, seed=s) for s in (20, 21)]
+    labels = np.random.default_rng(22).integers(0, 8, size=80)
+    cross_entropy(model.forward(feats, train=True), labels, reduction="mean").backward()
+    grads = [p.tensor.grad for p in model.parameters()]
+    for g in grads:
+        assert g.dtype == np.float32
+        assert g.flags.writeable and g.flags.c_contiguous
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_stream_independence_dataflow():
     # no normal-stream tensor may be an ancestor of the fused coord features
     model = build_variant(tiny_config())

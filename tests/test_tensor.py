@@ -19,6 +19,7 @@ from meshseg.tensor import (
     max_axis,
     mean_axis,
     mul,
+    shared_mlp,
     softmax_axis,
     sub,
     sum_axis,
@@ -169,6 +170,21 @@ def test_gather_rows_out_of_range_names_position():
     with pytest.raises(GatherIndexError) as exc:
         gather_rows(src, idx)
     assert "5" in str(exc.value) and "(1, 1)" in str(exc.value)
+
+
+def test_gather_rows_rejects_float_index():
+    src = t64(np.zeros((3, 2)))
+    with pytest.raises(GatherIndexError) as exc:
+        gather_rows(src, np.array([[0.0, 1.0], [2.0, 0.0]]))
+    assert "float64" in str(exc.value)
+
+
+def test_gather_rows_rejects_bool_index():
+    # a bool table is within [0, M) and would otherwise index as a mask
+    src = t64(np.zeros((3, 2)))
+    with pytest.raises(GatherIndexError) as exc:
+        gather_rows(src, np.array([[True, False], [False, True]]))
+    assert "bool" in str(exc.value)
 
 
 def test_gather_rows_gradient_matches_fd():
@@ -324,3 +340,120 @@ def test_sub_and_scalar_mul():
     assert out.data.tolist() == [4.0, 6.0]
     assert a.grad.tolist() == [2.0, 2.0]
     assert b.grad.tolist() == [-2.0, -2.0]
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership
+# ---------------------------------------------------------------------------
+
+def assert_one_owner(tensors):
+    grads = [t.grad for t in tensors]
+    for g in grads:
+        assert g.flags.writeable and g.flags.c_contiguous
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_add_gives_each_input_its_own_gradient():
+    a, b = t64([[1.0, 2.0]]), t64([[3.0, 4.0]])
+    out = mul(a + b, t64([[1.0, 2.0]], grad=False))
+    out.sum().backward()
+    assert_one_owner([a, b, out])
+    a.grad[0, 0] = 9.0  # later in-place accumulation must not leak into b
+    assert b.grad.tolist() == [[1.0, 2.0]]
+
+
+def test_concat_channels_gradients_are_owned_copies():
+    a, b = t64([[1.0], [2.0]]), t64([[3.0, 4.0], [5.0, 6.0]])
+    out = concat_channels([a, b])
+    mul(out, t64(np.arange(6.0).reshape(2, 3), grad=False)).sum().backward()
+    assert_one_owner([a, b, out])
+    assert a.grad.tolist() == [[0.0], [3.0]]
+
+
+def test_sum_axis_gradient_is_writeable_not_a_broadcast():
+    x = t64(np.ones((2, 3)))
+    out = sum_axis(x, axis=1)
+    mul(out, t64([2.0, 5.0], grad=False)).sum().backward()
+    assert_one_owner([x, out])
+    assert x.grad.tolist() == [[2.0] * 3, [5.0] * 3]
+
+
+def test_repeated_input_accumulates_in_place_correctly():
+    x = t64([1.0, 2.0])
+    (x + x).sum().backward()
+    assert x.grad.tolist() == [2.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# one-node shared MLP against the composed ops
+# ---------------------------------------------------------------------------
+
+def composed_mlp(x, w, b, state, train):
+    return leaky_relu(batch_norm(affine(x, w, b), state, train), 0.2)
+
+
+def mlp_inputs(shape, out_dim, seed):
+    rng = np.random.default_rng(seed)
+    x = t64(rng.normal(size=shape))
+    w = t64(rng.normal(size=(shape[-1], out_dim)))
+    b = t64(rng.normal(size=out_dim))
+    state = BatchNormState(out_dim, dtype=np.float64)
+    state.gamma.data = rng.uniform(0.5, 1.5, size=out_dim)
+    state.beta.data = rng.normal(size=out_dim) * 0.3
+    state.running_mean = rng.normal(size=out_dim) * 0.2
+    state.running_var = rng.uniform(0.5, 2.0, size=out_dim)
+    return x, w, b, state
+
+
+def clone(x, w, b, state):
+    twin = BatchNormState(state.channels, dtype=np.float64)
+    twin.gamma, twin.beta = t64(state.gamma.data.copy()), t64(state.beta.data.copy())
+    twin.running_mean = state.running_mean.copy()
+    twin.running_var = state.running_var.copy()
+    return t64(x.data.copy()), t64(w.data.copy()), t64(b.data.copy()), twin
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("shape", [(9, 4), (5, 3, 4)])
+def test_shared_mlp_matches_composed_ops(train, shape):
+    x, w, b, state = mlp_inputs(shape, 3, seed=40)
+    x2, w2, b2, state2 = clone(x, w, b, state)
+    upstream = t64(np.random.default_rng(41).normal(size=shape[:-1] + (3,)), grad=False)
+
+    fused = shared_mlp(x, w, b, state, train)
+    ref = composed_mlp(x2, w2, b2, state2, train)
+    assert np.abs(fused.data - ref.data).max() <= 1e-10
+    mul(fused, upstream).sum().backward()
+    mul(ref, upstream).sum().backward()
+    for got, want in ((x, x2), (w, w2), (b, b2), (state.gamma, state2.gamma),
+                      (state.beta, state2.beta)):
+        assert np.abs(got.grad - want.grad).max() <= 1e-10
+    assert np.abs(state.running_mean - state2.running_mean).max() <= 1e-10
+    assert np.abs(state.running_var - state2.running_var).max() <= 1e-10
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_shared_mlp_gradient_matches_fd(train):
+    x, w, b, state = mlp_inputs((10, 3), 4, seed=42)
+    upstream = t64(np.random.default_rng(43).normal(size=(10, 4)), grad=False)
+
+    def f(x_, w_, b_, gamma, beta):
+        state.gamma, state.beta = gamma, beta
+        return mul(shared_mlp(x_, w_, b_, state, train), upstream).sum()
+
+    err = gradient_check(f, [x, w, b, state.gamma, state.beta])
+    assert err <= 1e-6
+
+
+def test_shared_mlp_without_batch_norm_is_affine_then_leaky_relu():
+    x, w, b, _ = mlp_inputs((6, 3), 2, seed=44)
+    out = shared_mlp(x, w, b, None, train=True)
+    assert np.array_equal(out.data, leaky_relu(affine(x, w, b), 0.2).data)
+
+
+def test_shared_mlp_train_needs_two_rows():
+    x, w, b, state = mlp_inputs((1, 3), 2, seed=45)
+    with pytest.raises(StatisticsError):
+        shared_mlp(x, w, b, state, train=True)
