@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from meshseg.knn import build_knn_graph, edge_tensors
+from meshseg.knn import build_knn_graph, edge_tensors, gather_neighbors
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.tensor import Tensor
 
@@ -23,8 +23,10 @@ print("edge tensors: concat", concat.data.shape, "diff", diff.data.shape)
 att = GraphAttentionLayer("att", in_dim=4, out_dim=6, rng=np.random.default_rng(0))
 out = att.forward(Tensor(features), graph)
 print("attention output:", out.data.shape)
+x = Tensor(features)
+weights = att.weights(x, gather_neighbors(x, graph))
 print("per-channel weight sums for cell 0:",
-      np.round(att.last_attention[0].sum(axis=0), 6), "(each is 1)")
+      np.round(weights.data[0].sum(axis=0), 6), "(each is 1)")
 
 # max-pool layer: channel-wise maximum over the same calibrated neighbors,
 # the boundary-sensitive aggregation of the normal stream

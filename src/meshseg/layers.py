@@ -42,29 +42,26 @@ class SharedMLP:
     graph layer: input width in_dim is the two halves together.
     """
 
-    def __init__(self, name, in_dim, out_dim, rng, slope=0.2, bn=True,
-                 dtype=np.float32):
+    def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.slope = slope
         self.weight, self.bias = _init_affine(rng, in_dim, out_dim, dtype)
-        self.bn = BatchNormState(out_dim, dtype=dtype) if bn else None
+        self.bn = BatchNormState(out_dim, dtype=dtype)
 
     def __call__(self, x, train=False, neighbors=None):
         return shared_mlp(x, self.weight, self.bias, self.bn, train, self.slope,
                           neighbors)
 
     def parameters(self):
-        params = [Parameter(f"{self.name}.weight", self.weight),
-                  Parameter(f"{self.name}.bias", self.bias)]
-        if self.bn is not None:
-            params += [Parameter(f"{self.name}.bn.gamma", self.bn.gamma),
-                       Parameter(f"{self.name}.bn.beta", self.bn.beta)]
-        return params
+        return [Parameter(f"{self.name}.weight", self.weight),
+                Parameter(f"{self.name}.bias", self.bias),
+                Parameter(f"{self.name}.bn.gamma", self.bn.gamma),
+                Parameter(f"{self.name}.bn.beta", self.bn.beta)]
 
     def bn_states(self):
-        return {f"{self.name}.bn": self.bn} if self.bn is not None else {}
+        return {f"{self.name}.bn": self.bn}
 
 
 class GraphAttentionLayer:
@@ -82,16 +79,17 @@ class GraphAttentionLayer:
         self.calibrate = SharedMLP(f"{name}.calibrate", 2 * in_dim, out_dim, rng,
                                    slope=slope, dtype=dtype)
         self.att_weight, self.att_bias = _init_affine(rng, 2 * in_dim, out_dim, dtype)
-        self.last_attention = None  # (M, K, out_dim) weights of the last forward
+
+    def weights(self, features, neighbors):
+        """(M, K, out_dim) attention weights; each channel sums to 1 over K."""
+        scores = edge_affine(features, neighbors, self.att_weight, self.att_bias,
+                             diff=True)
+        return softmax_axis(scores, axis=1)
 
     def forward(self, features, graph, train=False):
         neighbors = gather_neighbors(features, graph)
         calibrated = self.calibrate(features, train, neighbors)
-        scores = edge_affine(features, neighbors, self.att_weight, self.att_bias,
-                             diff=True)
-        weights = softmax_axis(scores, axis=1)
-        self.last_attention = weights.data
-        return sum_axis(mul(weights, calibrated), axis=1)
+        return sum_axis(mul(self.weights(features, neighbors), calibrated), axis=1)
 
     def parameters(self):
         return self.calibrate.parameters() + [
@@ -123,10 +121,5 @@ class GraphMaxPoolLayer:
         return self.calibrate.bn_states()
 
 
-def make_aggregation_layer(kind, name, in_dim, out_dim, rng, slope=0.2,
-                           dtype=np.float32):
-    if kind == "attention":
-        return GraphAttentionLayer(name, in_dim, out_dim, rng, slope, dtype)
-    if kind == "maxpool":
-        return GraphMaxPoolLayer(name, in_dim, out_dim, rng, slope, dtype)
-    raise ValueError(f"unknown aggregation kind: {kind!r}")
+# aggregation name (the config's c_stream_agg / n_stream_agg) -> layer class
+AGGREGATIONS = {"attention": GraphAttentionLayer, "maxpool": GraphMaxPoolLayer}

@@ -1,23 +1,27 @@
 """The two-stream segmentation network, its ablation variants, and loss.
 
-The coordinate stream aggregates with graph attention, the normal stream
-with graph max-pooling, and the normal stream reuses the coordinate
-stream's per-layer KNN graphs.  Multi-scale outputs of each stream are
-skip-concatenated, lifted by a fusion MLP, and a shared prediction head
-maps the fused features to per-cell class logits.
+The network is described by data: `STREAM_LAYOUTS` lists, for each
+`streams` setting, the streams that exist, the feature columns each one
+reads and the config field naming its aggregation.  By default the
+coordinate stream aggregates with graph attention, the normal stream with
+graph max-pooling, and every stream uses the first stream's per-layer KNN
+graph.  Multi-scale outputs of each stream are skip-concatenated, lifted by
+a fusion MLP, and a shared prediction head maps the fused features to
+per-cell class logits.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from meshseg.knn import build_block_knn_graph
-from meshseg.layers import SharedMLP, make_aggregation_layer, _init_affine
+from meshseg.layers import AGGREGATIONS, SharedMLP, _init_affine
 from meshseg.mesh import CellFeatureMatrix
 from meshseg.tensor import (
     DimensionError,
@@ -29,8 +33,17 @@ from meshseg.tensor import (
     mul,
 )
 
-COORD_BLOCK = 12
-NORMAL_BLOCK = 12
+FEATURE_WIDTH = 24  # 12 coordinate columns, then 12 normal columns
+
+# streams setting -> its streams, each (layer-name prefix, input columns,
+# config field naming the stream's aggregation).
+STREAM_LAYOUTS = {
+    "both": (("c", slice(0, 12), "c_stream_agg"), ("n", slice(12, 24), "n_stream_agg")),
+    "coords_only": (("c", slice(0, 12), "c_stream_agg"),),
+    "normals_only": (("n", slice(12, 24), "n_stream_agg"),),
+    "single_concat": (("c", slice(0, 24), "c_stream_agg"),),
+}
+AGGREGATION_FIELDS = ("c_stream_agg", "n_stream_agg")
 
 CHECKPOINT_MAGIC = b"TSGC"
 CHECKPOINT_VERSION = 1
@@ -60,7 +73,7 @@ class ModelConfig:
     leaky_slope: float = 0.2
     c_stream_agg: str = "attention"
     n_stream_agg: str = "maxpool"
-    streams: str = "both"  # both | coords_only | normals_only | single_concat
+    streams: str = "both"  # a STREAM_LAYOUTS key
     fusion_level: str = "high"  # high | low
     include_self: bool = False
     seed: int = 0
@@ -76,24 +89,23 @@ class ModelConfig:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if not self.stream_widths:
             raise ConfigError("stream_widths must name at least one layer")
-        for agg, label in ((self.c_stream_agg, "c_stream_agg"),
-                           (self.n_stream_agg, "n_stream_agg")):
-            if agg not in ("attention", "maxpool"):
-                raise ConfigError(f"{label} must be attention or maxpool, got {agg!r}")
-        if self.streams not in ("both", "coords_only", "normals_only", "single_concat"):
+        if self.streams not in STREAM_LAYOUTS:
             raise ConfigError(f"unknown streams setting: {self.streams!r}")
         if self.fusion_level not in ("high", "low"):
             raise ConfigError(f"unknown fusion_level: {self.fusion_level!r}")
-        if self.fusion_level == "low" and self.streams != "both":
-            raise ConfigError("low fusion requires both streams")
-        # An aggregation override for a stream that does not exist is a
-        # contradiction rather than a silent no-op.
-        if self.streams == "coords_only" and self.n_stream_agg != "maxpool":
-            raise ConfigError("coords_only contradicts an n_stream_agg override")
-        if self.streams in ("normals_only",) and self.c_stream_agg != "attention":
-            raise ConfigError("normals_only contradicts a c_stream_agg override")
-        if self.streams == "single_concat" and self.n_stream_agg != "maxpool":
-            raise ConfigError("single_concat contradicts an n_stream_agg override")
+        layout = STREAM_LAYOUTS[self.streams]
+        if self.fusion_level == "low" and len(layout) < 2:
+            raise ConfigError("low fusion requires two streams")
+        used = {field for _, _, field in layout}
+        for field in AGGREGATION_FIELDS:
+            agg = getattr(self, field)
+            if agg not in AGGREGATIONS:
+                raise ConfigError(
+                    f"{field} must be {' or '.join(AGGREGATIONS)}, got {agg!r}")
+            # An aggregation override for a stream that does not exist is a
+            # contradiction rather than a silent no-op.
+            if field not in used and agg != getattr(ModelConfig, field):
+                raise ConfigError(f"{self.streams} contradicts a {field} override")
         return self
 
     def to_json(self):
@@ -108,23 +120,13 @@ class ModelConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw).validate()
 
-    def layer_input_dims(self):
-        """Input width of every aggregation layer, honoring the fusion level."""
-        if self.streams == "single_concat":
-            first = COORD_BLOCK + NORMAL_BLOCK
-        else:
-            first = COORD_BLOCK
-        dims = [first]
-        for width in self.stream_widths[:-1]:
-            if self.fusion_level == "low":
-                dims.append(2 * width)  # concat of both streams' previous output
-            else:
-                dims.append(width)
-        return dims
-
 
 class TwoStreamNet:
-    """Full network; use build_variant() to construct from a config."""
+    """Full network; use build_variant() to construct from a config.
+
+    `streams` holds one (input columns, aggregation layers, fusion MLP)
+    triple per stream of the config's layout.
+    """
 
     def __init__(self, config, dtype=np.float32):
         config.validate()
@@ -132,32 +134,26 @@ class TwoStreamNet:
         self.dtype = dtype
         rng = np.random.default_rng(config.seed)
         slope = config.leaky_slope
-        in_dims = config.layer_input_dims()
+        layout = STREAM_LAYOUTS[config.streams]
         widths = config.stream_widths
-        skip_width = sum(widths)
+        # with low fusion every layer after the first reads all streams' outputs
+        grow = len(layout) if config.fusion_level == "low" else 1
 
-        self.c_layers = []
-        self.n_layers = []
-        if config.streams in ("both", "coords_only", "single_concat"):
-            agg = config.c_stream_agg
-            for i, (d_in, d_out) in enumerate(zip(in_dims, widths), start=1):
-                self.c_layers.append(make_aggregation_layer(
-                    agg, f"c{i}", d_in, d_out, rng, slope, dtype))
-        if config.streams in ("both", "normals_only"):
-            agg = config.n_stream_agg
-            for i, (d_in, d_out) in enumerate(zip(in_dims, widths), start=1):
-                self.n_layers.append(make_aggregation_layer(
-                    agg, f"n{i}", d_in, d_out, rng, slope, dtype))
+        stacks = []
+        for prefix, cols, field in layout:
+            make = AGGREGATIONS[getattr(config, field)]
+            d_in, stack = cols.stop - cols.start, []
+            for i, width in enumerate(widths, start=1):
+                stack.append(make(f"{prefix}{i}", d_in, width, rng, slope, dtype))
+                d_in = grow * width
+            stacks.append(stack)
+        # fusions draw from the RNG after every stream's layers
+        self.streams = tuple(
+            (cols, stack, SharedMLP(f"fuse_{prefix}", sum(widths), config.fusion_width,
+                                    rng, slope=slope, dtype=dtype))
+            for (prefix, cols, _), stack in zip(layout, stacks))
 
-        self.fuse_c = self.fuse_n = None
-        if self.c_layers:
-            self.fuse_c = SharedMLP("fuse_c", skip_width, config.fusion_width,
-                                    rng, slope=slope, dtype=dtype)
-        if self.n_layers:
-            self.fuse_n = SharedMLP("fuse_n", skip_width, config.fusion_width,
-                                    rng, slope=slope, dtype=dtype)
-
-        head_in = config.fusion_width * (2 if (self.fuse_c and self.fuse_n) else 1)
+        head_in = config.fusion_width * len(self.streams)
         self.head = []
         for i, width in enumerate(config.head_widths, start=1):
             self.head.append(SharedMLP(f"head{i}", head_in, width, rng,
@@ -172,27 +168,23 @@ class TwoStreamNet:
 
     # -- registry ----------------------------------------------------------
 
+    def _blocks(self):
+        """Every layer and MLP in parameter order: stream layers, fusions, head."""
+        layers = [layer for _, stack, _ in self.streams for layer in stack]
+        return layers + [fuse for _, _, fuse in self.streams] + self.head
+
     def parameters(self):
-        params = []
-        for layer in (*self.c_layers, *self.n_layers):
-            params += layer.parameters()
-        for block in (self.fuse_c, self.fuse_n, *self.head):
-            if block is not None:
-                params += block.parameters()
-        params += [Parameter("out.weight", self.out_weight),
-                   Parameter("out.bias", self.out_bias)]
-        return params
+        params = [p for block in self._blocks() for p in block.parameters()]
+        return params + [Parameter("out.weight", self.out_weight),
+                         Parameter("out.bias", self.out_bias)]
 
     def param_dict(self):
         return {p.name: p for p in self.parameters()}
 
     def bn_states(self):
         states = {}
-        for layer in (*self.c_layers, *self.n_layers):
-            states.update(layer.bn_states())
-        for block in (self.fuse_c, self.fuse_n, *self.head):
-            if block is not None:
-                states.update(block.bn_states())
+        for block in self._blocks():
+            states.update(block.bn_states())
         return states
 
     def zero_grad(self):
@@ -222,68 +214,42 @@ class TwoStreamNet:
             raise ConfigError(
                 f"mesh with {m} cells cannot support k={self.config.k_neighbors}"
             )
-        width = COORD_BLOCK + NORMAL_BLOCK
         for b in blocks:
-            if b.ndim != 2 or b.shape[1] != width:
-                raise DimensionError(f"expected (M, {width}) features, got {b.shape}")
+            if b.ndim != 2 or b.shape[1] != FEATURE_WIDTH:
+                raise DimensionError(
+                    f"expected (M, {FEATURE_WIDTH}) features, got {b.shape}")
         x = np.concatenate(blocks, axis=0).astype(self.dtype)
         if not np.isfinite(x).all():
             raise DataError("non-finite feature values")
         return x, m
-
-    def _graph(self, source, m):
-        return build_block_knn_graph(source.data, m, self.config.k_neighbors,
-                                     self.config.include_self)
 
     def forward(self, features, train=False, return_parts=False):
         """Per-cell logits, (total cells) x C.
 
         `features` is one M x 24 matrix (or CellFeatureMatrix) or a list of
         equally sized ones; a batch is stacked along rows with KNN graphs
-        kept inside each mesh.
+        kept inside each mesh.  `return_parts` adds a dict of intermediate
+        tensors: `F_<layer>` per aggregation layer, `F_<prefix>` per fused
+        stream, `head_in` and `logits`.
         """
         x, m = self._as_batch(features)
         cfg = self.config
-        coords = Tensor(x[:, :COORD_BLOCK])
-        normals = Tensor(x[:, COORD_BLOCK:])
         parts = {}
+        feats = [Tensor(x[:, cols]) for cols, _, _ in self.streams]
+        for depth, layers in enumerate(zip(*(stack for _, stack, _ in self.streams))):
+            if depth and cfg.fusion_level == "low":
+                feats = [concat_channels(feats)] * len(feats)
+            graph = build_block_knn_graph(feats[0].data, m, cfg.k_neighbors,
+                                          cfg.include_self)
+            feats = [layer.forward(f, graph, train) for layer, f in zip(layers, feats)]
+            parts.update((f"F_{layer.name}", f) for layer, f in zip(layers, feats))
 
-        if cfg.streams == "both":
-            c_in, n_in = coords, normals
-            c_taps, n_taps = [], []
-            for i, (cl, nl) in enumerate(zip(self.c_layers, self.n_layers), start=1):
-                graph = self._graph(c_in, m)
-                fc = cl.forward(c_in, graph, train)
-                fn = nl.forward(n_in, graph, train)
-                c_taps.append(fc)
-                n_taps.append(fn)
-                parts[f"F_c{i}"], parts[f"F_n{i}"] = fc, fn
-                if cfg.fusion_level == "low" and i < len(self.c_layers):
-                    # both streams consume the concatenated pair next layer
-                    c_in = n_in = concat_channels([fc, fn])
-                else:
-                    c_in, n_in = fc, fn
-            fused_c = self.fuse_c(concat_channels(c_taps), train)
-            fused_n = self.fuse_n(concat_channels(n_taps), train)
-            parts["F_c"], parts["F_n"] = fused_c, fused_n
-            h = concat_channels([fused_c, fused_n])
-        else:
-            if cfg.streams == "coords_only":
-                s_in, layers, fuse = coords, self.c_layers, self.fuse_c
-            elif cfg.streams == "normals_only":
-                s_in, layers, fuse = normals, self.n_layers, self.fuse_n
-            else:  # single_concat
-                s_in, layers, fuse = concat_channels([coords, normals]), \
-                    self.c_layers, self.fuse_c
-            taps = []
-            for i, layer in enumerate(layers, start=1):
-                graph = self._graph(s_in, m)
-                s_in = layer.forward(s_in, graph, train)
-                taps.append(s_in)
-                parts[f"F_s{i}"] = s_in
-            fused = fuse(concat_channels(taps), train)
-            parts["F_s"] = fused
-            h = fused
+        fused = []
+        for _, stack, fuse in self.streams:
+            taps = [parts[f"F_{layer.name}"] for layer in stack]
+            fused.append(fuse(concat_channels(taps), train))
+            parts["F_" + fuse.name.removeprefix("fuse_")] = fused[-1]
+        h = fused[0] if len(fused) == 1 else concat_channels(fused)
 
         parts["head_in"] = h
         for block in self.head:
@@ -308,7 +274,6 @@ def build_variant(config, dtype=np.float32):
 # Ablation vocabulary: variant name -> config overrides relative to defaults.
 VARIANT_OVERRIDES = {
     "full": {},
-    "att-max": {},  # aggregation spelling of the default network
     "coords-only": {"streams": "coords_only"},
     "normals-only": {"streams": "normals_only"},
     "single-stream": {"streams": "single_concat"},
@@ -392,40 +357,55 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelConfig, {name: float32 array})."""
+    """Read a checkpoint; returns (ModelConfig, {name: float32 array}).
+
+    Every length is checked before it is read, so a truncated or corrupt
+    file raises CheckpointError naming the path.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(
-            f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
+            f"{path}: bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
     off = 4
-    (version,) = struct.unpack_from("<H", data, off)
-    off += 2
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(data):
+            raise CheckpointError(
+                f"{path}: truncated: {what} needs {n} bytes at offset {off}, "
+                f"file has {len(data)}"
+            )
+        off += n
+        return data[off - n:off]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    (version,) = unpack("<H", "version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    config = ModelConfig.from_json(data[off:off + cfg_len].decode())
-    off += cfg_len
-    (n_records,) = struct.unpack_from("<I", data, off)
-    off += 4
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    (cfg_len,) = unpack("<I", "config length")
+    cfg_text = take(cfg_len, "config")
+    try:
+        config = ModelConfig.from_json(cfg_text.decode())
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"{path}: unreadable config: {exc}") from None
+    (n_records,) = unpack("<I", "record count")
     arrays = {}
-    for _ in range(n_records):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += 4 * count
-        arrays[name] = arr.copy()
+    for r in range(n_records):
+        (name_len,) = unpack("<H", f"record {r} name length")
+        try:
+            name = take(name_len, f"record {r} name").decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: record {r} name: {exc}") from None
+        (ndim,) = unpack("<B", f"{name} rank")
+        shape = unpack(f"<{ndim}I", f"{name} shape")
+        raw = take(4 * math.prod(shape), f"{name} values")
+        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if off != len(data):
-        raise CheckpointError(f"{len(data) - off} trailing bytes in checkpoint")
+        raise CheckpointError(f"{path}: {len(data) - off} trailing bytes in checkpoint")
     return config, arrays
 
 

@@ -4,7 +4,7 @@ Covers exactly the operations the segmentation network needs:
 
 - elementwise add/sub/mul, channel concatenation, per-row `affine`,
   `leaky_relu`;
-- reductions: sum, mean, max, softmax and log softmax along an axis;
+- reductions: sum, max, softmax and log softmax along an axis;
 - `gather_rows`, whose backward sums each source row's copies over a
   `RowScatter` (one stable sort of the index table), and `repeat_rows`,
   whose backward sums over the repeats;
@@ -12,7 +12,8 @@ Covers exactly the operations the segmentation network needs:
 - the edge path of the graph layers: `edge_affine`, the affine map of
   every (centre, neighbour) pair [x_i (+) n_ik] or [x_i - n_ik (+) n_ik]
   without building the pair, and `shared_mlp`, affine -> batch norm ->
-  LeakyReLU as one node with a hand-written backward.
+  LeakyReLU as one node with a hand-written backward (it always
+  normalizes).
 
 The composed `affine`, `batch_norm` and `leaky_relu` ops are the reference
 `shared_mlp` is tested against.  Two precisions are supported: float32 for
@@ -81,9 +82,6 @@ class Tensor:
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req})"
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -398,25 +396,16 @@ def sum_axis(x, axis):
     return _make(x.data.sum(axis=axis), (x,), backward)
 
 
-def mean_axis(x, axis):
-    axis = _check_axis(x, axis, "mean_axis")
-    n = x.data.shape[axis]
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape) / n,
-                        owned=True)
-
-    return _make(x.data.mean(axis=axis), (x,), backward)
-
-
 def max_axis(x, axis):
-    """Maximum along an axis; backward routes to the argmax (lowest index on ties)."""
+    """Maximum along an axis; backward routes to the argmax (lowest index on ties).
+
+    The argmax is found in backward, so eval-mode forwards never pay for it.
+    """
     axis = _check_axis(x, axis, "max_axis")
-    arg = np.argmax(x.data, axis=axis)
 
     def backward(g):
         if x.requires_grad:
+            arg = np.argmax(x.data, axis=axis)
             gx = np.zeros_like(x.data)
             np.put_along_axis(
                 gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis
@@ -643,11 +632,11 @@ def _leaky_factor(negative, slope):
 def shared_mlp(x, w, b, state, train, slope=0.2, neighbors=None):
     """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
 
-    `state` None skips batch norm.  With `neighbors` (M, K, d') the input of
-    edge (i, k) is [x_i (+) neighbors_ik] and the affine is split as in
-    edge_affine.  The node keeps only the normalized pre-activation and the
-    sign mask; its backward reuses the gamma/beta gradient sums for the
-    batch-statistics term.
+    With `neighbors` (M, K, d') the input of edge (i, k) is
+    [x_i (+) neighbors_ik] and the affine is split as in edge_affine.  The
+    node keeps only the normalized pre-activation and the sign mask; its
+    backward reuses the gamma/beta gradient sums for the batch-statistics
+    term.
     """
     if neighbors is None:
         if x.data.ndim not in (2, 3):
@@ -658,36 +647,32 @@ def shared_mlp(x, w, b, state, train, slope=0.2, neighbors=None):
         in_dim = sum(_check_edges("shared_mlp", x, neighbors))
         nb_data, parents = neighbors.data, [x, w, b, neighbors]
     _check_weights("shared_mlp", in_dim, w, b)
-    y = _linear(x.data, w.data, b.data, nb_data)
-    if state is not None:
-        gamma, beta = state.gamma, state.beta
-        xhat, inv_std = _normalize(y, state, train)
-        y = xhat * gamma.data
-        y += beta.data
-        parents += [gamma, beta]
+    gamma, beta = state.gamma, state.beta
+    xhat, inv_std = _normalize(_linear(x.data, w.data, b.data, nb_data), state, train)
+    y = xhat * gamma.data
+    y += beta.data
     negative = y < 0
     slope = y.dtype.type(slope)
     y *= _leaky_factor(negative, slope)
 
     def backward(g):
         gy = g * _leaky_factor(negative, slope)
-        if state is not None:
-            c = gy.shape[-1]
-            gflat = gy.reshape(-1, c)
-            g_gamma = np.einsum("ij,ij->j", gflat, xhat.reshape(-1, c))
-            g_beta = gflat.sum(axis=0)
-            if train:
-                n = gflat.shape[0]
-                gy -= xhat * (g_gamma / n)
-                gy -= g_beta / n
-            gy *= gamma.data * inv_std
-            if gamma.requires_grad:
-                _accumulate(gamma, g_gamma, owned=True)
-            if beta.requires_grad:
-                _accumulate(beta, g_beta, owned=True)
+        c = gy.shape[-1]
+        gflat = gy.reshape(-1, c)
+        g_gamma = np.einsum("ij,ij->j", gflat, xhat.reshape(-1, c))
+        g_beta = gflat.sum(axis=0)
+        if train:
+            n = gflat.shape[0]
+            gy -= xhat * (g_gamma / n)
+            gy -= g_beta / n
+        gy *= gamma.data * inv_std
+        if gamma.requires_grad:
+            _accumulate(gamma, g_gamma, owned=True)
+        if beta.requires_grad:
+            _accumulate(beta, g_beta, owned=True)
         _linear_backward(gy, x, w, b, neighbors)
 
-    return _make(y, parents, backward)
+    return _make(y, parents + [gamma, beta], backward)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from meshseg.cli import main
 from meshseg.mesh import DEFAULT_PALETTE, classes_from_colors, load_labels, load_mesh
-from meshseg.model import load_checkpoint
+from meshseg.model import ModelConfig, build_variant, load_checkpoint, save_checkpoint
 
 
 TINY = [
@@ -118,6 +118,21 @@ def test_predict_corrupt_checkpoint(tmp_path, dataset, capsys):
                  "--out-ply", str(tmp_path / "x.ply")])
     assert code == 1
     assert "TSGC" in capsys.readouterr().err
+
+
+def test_predict_truncated_checkpoint(tmp_path, dataset, capsys):
+    ckpt = tmp_path / "cut.ckpt"
+    save_checkpoint(build_variant(ModelConfig(num_classes=3, k_neighbors=4,
+                                              stream_widths=(4, 8), fusion_width=16,
+                                              head_widths=(16, 8))), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:-3])
+    code = main(["predict", "--checkpoint", str(ckpt),
+                 "--mesh", str(dataset / "test" / "arch_000.obj"),
+                 "--out-ply", str(tmp_path / "x.ply")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_resume_matches_uninterrupted(dataset, tmp_path):

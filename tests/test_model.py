@@ -5,6 +5,7 @@ from meshseg.model import (
     CheckpointError,
     ConfigError,
     DataError,
+    VARIANT_OVERRIDES,
     ModelConfig,
     build_variant,
     cross_entropy,
@@ -169,10 +170,11 @@ def test_stream_independence_dataflow():
     assert seen2 & n_param_ids
 
 
-def test_fusion_composition_matches_scripted_pipeline():
+@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
+def test_fusion_composition_matches_scripted_pipeline(variant):
     # Eq-style composition oracle: recompute fusion + head from the stored
     # per-layer stream outputs with plain numpy and compare to the logits.
-    model = build_variant(tiny_config())
+    model = build_variant(variant_config(tiny_config(), variant))
     feats = random_features(28, seed=8)
     logits, parts = model.forward(feats, return_parts=True)
 
@@ -183,11 +185,14 @@ def test_fusion_composition_matches_scripted_pipeline():
                 block.bn.running_var + block.bn.eps) + block.bn.beta.data
         return np.where(y >= 0, y, 0.2 * y)
 
-    fc = shared_mlp_eval(model.fuse_c, np.concatenate(
-        [parts["F_c1"].data, parts["F_c2"].data, parts["F_c3"].data], axis=1))
-    fn = shared_mlp_eval(model.fuse_n, np.concatenate(
-        [parts["F_n1"].data, parts["F_n2"].data, parts["F_n3"].data], axis=1))
-    h = np.concatenate([fc, fn], axis=1)
+    fused = []
+    for _, stack, fuse in model.streams:
+        prefix = fuse.name.removeprefix("fuse_")
+        taps = [parts[f"F_{prefix}{i}"].data for i in (1, 2, 3)]
+        assert [layer.name for layer in stack] == [f"{prefix}{i}" for i in (1, 2, 3)]
+        fused.append(shared_mlp_eval(fuse, np.concatenate(taps, axis=1)))
+        assert np.allclose(fused[-1], parts[f"F_{prefix}"].data, atol=1e-6)
+    h = np.concatenate(fused, axis=1)
     for block in model.head:
         h = shared_mlp_eval(block, h)
     expected = h @ model.out_weight.data + model.out_bias.data
@@ -219,6 +224,48 @@ def test_variant_vocabulary():
     assert "coords-only" in str(exc.value)
 
 
+def test_att_max_alias_is_gone():
+    with pytest.raises(ConfigError) as exc:
+        variant_config(tiny_config(), "att-max")
+    for name in VARIANT_OVERRIDES:
+        assert name in str(exc.value)
+
+
+def _attention_names(layer):
+    return [f"{layer}.calibrate.weight", f"{layer}.calibrate.bias",
+            f"{layer}.calibrate.bn.gamma", f"{layer}.calibrate.bn.beta",
+            f"{layer}.att.weight", f"{layer}.att.bias"]
+
+
+def _maxpool_names(layer):
+    return [f"{layer}.calibrate.weight", f"{layer}.calibrate.bias",
+            f"{layer}.calibrate.bn.gamma", f"{layer}.calibrate.bn.beta"]
+
+
+def _mlp_names(block):
+    return [f"{block}.weight", f"{block}.bias", f"{block}.bn.gamma", f"{block}.bn.beta"]
+
+
+_HEAD_AND_OUT = _mlp_names("head1") + _mlp_names("head2") + ["out.weight", "out.bias"]
+_TWO_STREAM_NAMES = (_attention_names("c1") + _attention_names("c2") + _attention_names("c3")
+                     + _maxpool_names("n1") + _maxpool_names("n2") + _maxpool_names("n3")
+                     + _mlp_names("fuse_c") + _mlp_names("fuse_n") + _HEAD_AND_OUT)
+
+
+@pytest.mark.parametrize("variant, names", [
+    ("full", _TWO_STREAM_NAMES),
+    ("low-fusion", _TWO_STREAM_NAMES),
+    ("normals-only", _maxpool_names("n1") + _maxpool_names("n2") + _maxpool_names("n3")
+     + _mlp_names("fuse_n") + _HEAD_AND_OUT),
+    ("single-stream", _attention_names("c1") + _attention_names("c2")
+     + _attention_names("c3") + _mlp_names("fuse_c") + _HEAD_AND_OUT),
+])
+def test_checkpoint_parameter_layout_is_pinned(variant, names):
+    # parameter names and their order are the checkpoint's record layout
+    model = build_variant(variant_config(tiny_config(), variant))
+    assert [p.name for p in model.parameters()] == names
+
+
 def test_single_stream_uses_halved_head_and_runs():
     model = build_variant(tiny_config(streams="single_concat"))
     assert model.head[0].in_dim == model.config.fusion_width
@@ -234,9 +281,10 @@ def test_coords_only_has_fewer_parameters():
 
 def test_low_fusion_layer_widths():
     model = build_variant(tiny_config(fusion_level="low", stream_widths=(64, 128, 256)))
-    assert model.c_layers[1].in_dim == 2 * 64
-    assert model.n_layers[1].in_dim == 2 * 64
-    assert model.c_layers[2].in_dim == 2 * 128
+    c_layers, n_layers = (stack for _, stack, _ in model.streams)
+    assert c_layers[1].in_dim == 2 * 64
+    assert n_layers[1].in_dim == 2 * 64
+    assert c_layers[2].in_dim == 2 * 128
     out = model.forward(random_features(30, seed=6))
     assert out.data.shape == (30, 5)
 
@@ -248,6 +296,11 @@ def test_contradictory_flags_rejected():
         tiny_config(streams="coords_only", n_stream_agg="attention")
     with pytest.raises(ConfigError):
         tiny_config(streams="coords_only", fusion_level="low")
+    with pytest.raises(ConfigError):
+        tiny_config(streams="single_concat", n_stream_agg="attention")
+    # overriding the aggregation of a stream that exists is no contradiction
+    assert tiny_config(streams="coords_only", c_stream_agg="maxpool").c_stream_agg == "maxpool"
+    assert tiny_config(streams="normals_only", n_stream_agg="attention").n_stream_agg == "attention"
 
 
 def test_deterministic_initialization():
@@ -364,6 +417,29 @@ def test_checkpoint_bad_magic(tmp_path):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert "TSGC" in str(exc.value)
+
+
+def _corrupt_config(data):
+    return data[:10] + b"X" + data[11:]  # first byte of the config JSON
+
+
+_CHECKPOINT_DAMAGE = {
+    "cut-header": lambda data: data[:5],
+    "cut-config": lambda data: data[:10 + int.from_bytes(data[6:10], "little") // 2],
+    "cut-record": lambda data: data[:len(data) // 2],
+    "3-bytes-short": lambda data: data[:-3],
+    "corrupt-config": _corrupt_config,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_CHECKPOINT_DAMAGE))
+def test_damaged_checkpoint_raises_checkpoint_error(tmp_path, damage):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(build_variant(tiny_config()), path)
+    path.write_bytes(_CHECKPOINT_DAMAGE[damage](path.read_bytes()))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
 
 
 def test_config_json_round_trip():
