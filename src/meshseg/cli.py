@@ -41,7 +41,7 @@ from meshseg.model import (
 )
 from meshseg.synth import ArchSpec, GenerationError, make_dataset, read_manifest
 from meshseg.tensor import DimensionError, UsageError
-from meshseg.training import Adam, TrainConfig, TrainingError, load_optimizer_state
+from meshseg.training import TrainConfig, TrainingError
 
 USAGE_ERRORS = (ConfigKeyError, ConfigError, GraphConfigError, UsageError)
 DATA_ERRORS = (DataError, MeshFormatError, CheckpointError, TrainingError,
@@ -86,16 +86,11 @@ def cmd_train(args):
     model_cfg, train_cfg = _resolve_configs(args)
     meshes = _load_split(args.manifest, args.split)
 
-    start_epoch = 0
-    adam = None
     if args.resume:
-        model = load_model(args.resume)
+        model, adam, start_epoch = training.resume(args.resume, train_cfg)
         model_cfg = model.config
-        adam = Adam(model.parameters(), train_cfg.beta1, train_cfg.beta2,
-                    train_cfg.eps)
-        start_epoch = load_optimizer_state(adam, args.resume + ".opt.npz")
     else:
-        model = build_variant(model_cfg)
+        model, adam, start_epoch = build_variant(model_cfg), None, 0
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
@@ -109,8 +104,8 @@ def cmd_train(args):
         records, adam = training.train(model, meshes, train_cfg,
                                        checkpoint_path=ckpt, log_fh=log_fh,
                                        adam=adam, start_epoch=start_epoch)
-    if not records:  # zero-epoch run still leaves a usable checkpoint
-        save_checkpoint(model, ckpt)
+    if not records:  # zero-epoch run still leaves a resumable checkpoint
+        save_checkpoint(model, ckpt, adam)
     last = records[-1] if records else None
     tail = f"; final loss {last.mean_loss:.4f}, train OA {last.train_oa:.4f}" \
         if last else ""

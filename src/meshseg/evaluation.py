@@ -31,11 +31,6 @@ class ConfusionMatrix:
     def total(self):
         return int(self.counts.sum())
 
-    def merge(self, other):
-        if other.num_classes != self.num_classes:
-            raise DataError("cannot merge confusion matrices of different sizes")
-        return ConfusionMatrix(self.num_classes, self.counts + other.counts)
-
 
 def accumulate(cm, pred, truth):
     """Add one mesh worth of per-cell predictions; accumulation is additive."""
@@ -86,11 +81,11 @@ def metrics(cm):
     )
 
 
-def format_report(result, class_names=None):
+def format_report(result):
     """Tab-separated table: one row per class, then OA and mIoU summary lines."""
     lines = ["class\tname\tiou"]
     for i, iou in enumerate(result.per_class_iou):
-        name = class_names[i] if class_names else (f"tooth_{i}" if i else "background")
+        name = f"tooth_{i}" if i else "background"
         value = "undefined" if np.isnan(iou) else f"{iou:.4f}"
         lines.append(f"{i}\t{name}\t{value}")
     lines.append(f"OA\t\t{result.oa:.4f}")

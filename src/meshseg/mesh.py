@@ -111,49 +111,78 @@ class CellFeatureMatrix:
 def load_mesh(path, labels_path=None):
     """Read an ascii obj or ply mesh; only triangular faces are accepted.
 
-    Faces keep file order so that sibling label files stay aligned.
+    Faces keep file order so that sibling label files stay aligned.  Any
+    malformed content raises MeshFormatError naming the file and, where
+    there is one, the line.
     """
     path = str(path)
     if path.endswith(".obj"):
-        mesh = _load_obj(path)
+        reader = _load_obj
     elif path.endswith(".ply"):
-        mesh = _load_ply(path)
+        reader = _load_ply
     else:
         raise MeshFormatError(f"unsupported mesh extension: {path}")
+    try:
+        mesh = reader(path)
+    except OverflowError:
+        raise MeshFormatError(f"{path}: a vertex index does not fit int64") from None
+    if mesh.num_cells == 0:
+        raise MeshFormatError(f"{path}: mesh has no faces")
     if labels_path is not None:
         mesh.labels = load_labels(labels_path)
-    return mesh.validate()
+    try:
+        return mesh.validate()
+    except MeshFormatError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from None
+
+
+def _text_lines(path):
+    try:
+        with open(path) as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not a text file ({exc.reason} at byte "
+                              f"{exc.start})") from None
 
 
 def _load_obj(path):
     verts, faces = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            key = parts[0]
-            if key == "v":
-                if len(parts) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: malformed vertex")
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        key = parts[0]
+        if key == "v":
+            if len(parts) < 4:
+                raise MeshFormatError(f"{path}:{lineno}: malformed vertex")
+            try:
                 xyz = [float(p) for p in parts[1:4]]
-                if not all(np.isfinite(xyz)):
-                    raise MeshFormatError(f"{path}:{lineno}: non-finite coordinate")
-                verts.append(xyz)
-            elif key == "f":
-                idx = parts[1:]
-                if len(idx) != 3:
-                    raise MeshFormatError(
-                        f"{path}:{lineno}: face with {len(idx)} vertices; only triangles supported"
-                    )
+            except ValueError:
+                raise MeshFormatError(
+                    f"{path}:{lineno}: malformed vertex {raw!r}") from None
+            if not all(np.isfinite(xyz)):
+                raise MeshFormatError(f"{path}:{lineno}: non-finite coordinate")
+            verts.append(xyz)
+        elif key == "f":
+            idx = parts[1:]
+            if len(idx) != 3:
+                raise MeshFormatError(
+                    f"{path}:{lineno}: face with {len(idx)} vertices; only triangles supported"
+                )
+            try:
                 faces.append([int(tok.split("/")[0]) - 1 for tok in idx])
+            except ValueError:
+                raise MeshFormatError(
+                    f"{path}:{lineno}: malformed face {raw!r}") from None
     return TriangleMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
                         np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
+HEADER_FIELDS = {"format": 2, "element": 3, "property": 2}  # fewest words per line
+
+
 def _load_ply(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _text_lines(path)
     if not lines or lines[0].strip() != "ply":
         raise MeshFormatError(f"{path}: missing ply magic")
 
@@ -165,6 +194,9 @@ def _load_ply(path):
         parts = line.split()
         if not parts:
             continue
+        if len(parts) < HEADER_FIELDS.get(parts[0], 1) or (
+                parts[0] == "element" and not parts[2].isdecimal()):
+            raise MeshFormatError(f"{path}:{i}: malformed header line {line!r}")
         if parts[0] == "format":
             if parts[1] != "ascii":
                 raise MeshFormatError(f"{path}:{i}: only ascii ply supported")
@@ -184,6 +216,10 @@ def _load_ply(path):
             break
     if body_start is None:
         raise MeshFormatError(f"{path}: unterminated ply header")
+    if len(lines) < body_start + n_vert + n_face:
+        raise MeshFormatError(
+            f"{path}:{len(lines)}: file ends after {len(lines) - body_start} body lines; "
+            f"the header declares {n_vert} vertices and {n_face} faces")
 
     try:
         xi, yi, zi = (vert_props.index(k) for k in ("x", "y", "z"))
@@ -192,28 +228,38 @@ def _load_ply(path):
 
     verts = np.empty((n_vert, 3), dtype=np.float64)
     for v in range(n_vert):
-        parts = lines[body_start + v].split()
-        verts[v] = [float(parts[xi]), float(parts[yi]), float(parts[zi])]
+        lineno = body_start + v + 1
+        parts = lines[lineno - 1].split()
+        try:
+            verts[v] = [float(parts[xi]), float(parts[yi]), float(parts[zi])]
+        except (ValueError, IndexError):
+            raise MeshFormatError(
+                f"{path}:{lineno}: malformed vertex {lines[lineno - 1]!r}") from None
     if not np.isfinite(verts).all():
         raise MeshFormatError(f"{path}: non-finite vertex coordinate")
 
     has_color = {"red", "green", "blue"} <= set(face_props)
     scalar_props = [p for p in face_props if p not in ("vertex_index", "vertex_indices")]
+    off = {p: 4 + k for k, p in enumerate(scalar_props)}
     faces = np.empty((n_face, 3), dtype=np.int64)
     colors = np.empty((n_face, 3), dtype=np.uint8) if has_color else None
     for f in range(n_face):
         lineno = body_start + n_vert + f + 1
         parts = lines[lineno - 1].split()
-        count = int(parts[0])
+        try:
+            count = int(parts[0])
+            if count == 3:
+                faces[f] = [int(parts[1]), int(parts[2]), int(parts[3])]
+                if has_color:
+                    colors[f] = [int(parts[off["red"]]), int(parts[off["green"]]),
+                                 int(parts[off["blue"]])]
+        except (ValueError, IndexError, OverflowError):
+            raise MeshFormatError(
+                f"{path}:{lineno}: malformed face {lines[lineno - 1]!r}") from None
         if count != 3:
             raise MeshFormatError(
                 f"{path}:{lineno}: face with {count} vertices; only triangles supported"
             )
-        faces[f] = [int(parts[1]), int(parts[2]), int(parts[3])]
-        if has_color:
-            tail = parts[4:]
-            off = {p: k for k, p in enumerate(scalar_props)}
-            colors[f] = [int(tail[off["red"]]), int(tail[off["green"]]), int(tail[off["blue"]])]
     return TriangleMesh(verts, faces, face_colors=colors)
 
 
@@ -228,8 +274,18 @@ def save_obj(mesh, path):
 
 
 def load_labels(path):
-    with open(path) as fh:
-        return np.array([int(line) for line in fh.read().split()], dtype=np.int64)
+    """One integer class id per cell, whitespace separated, in face order."""
+    labels = []
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        try:
+            labels += [int(tok) for tok in line.split()]
+        except ValueError:
+            raise MeshFormatError(
+                f"{path}:{lineno}: malformed label line {line!r}") from None
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise MeshFormatError(f"{path}: a label does not fit int64") from None
 
 
 def save_labels(labels, path):

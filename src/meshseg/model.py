@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -47,6 +48,8 @@ AGGREGATION_FIELDS = ("c_stream_agg", "n_stream_agg")
 
 CHECKPOINT_MAGIC = b"TSGC"
 CHECKPOINT_VERSION = 1
+OPTIMIZER_PREFIX = "optimizer."
+COUNTER_LIMIT = 2 ** 24  # float32 holds every integer below this exactly
 
 
 class ConfigError(ValueError):
@@ -89,6 +92,8 @@ class ModelConfig:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if not self.stream_widths:
             raise ConfigError("stream_widths must name at least one layer")
+        if min(*self.stream_widths, self.fusion_width, *self.head_widths) < 1:
+            raise ConfigError("every layer width must be >= 1")
         if self.streams not in STREAM_LAYOUTS:
             raise ConfigError(f"unknown streams setting: {self.streams!r}")
         if self.fusion_level not in ("high", "low"):
@@ -326,25 +331,59 @@ def cross_entropy(logits, labels, reduction="sum"):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _state_records(model):
-    records = [(p.name, p.tensor.data) for p in model.parameters()]
+def _record_table(model, adam=None):
+    """(record name, owner, attribute) of every array a checkpoint holds, in
+    file order; an owner is an object or, for Adam's moments, a dict.
+
+    Model records come first, so a checkpoint without `adam` is exactly the
+    inference checkpoint.  Optimizer records are `optimizer.counters`
+    ([Adam step, epochs finished]) and one `optimizer.m.<param>` and
+    `optimizer.v.<param>` moment per parameter.
+    """
+    table = [(p.name, p.tensor, "data") for p in model.parameters()]
     for name, st in model.bn_states().items():
-        records.append((f"{name}.running_mean", st.running_mean))
-        records.append((f"{name}.running_var", st.running_var))
-    return records
+        table += [(f"{name}.running_mean", st, "running_mean"),
+                  (f"{name}.running_var", st, "running_var")]
+    if adam is not None:
+        table.append((OPTIMIZER_PREFIX + "counters", adam.state, "counters"))
+        for moment in ("m", "v"):
+            table += [(f"{OPTIMIZER_PREFIX}{moment}.{p.name}",
+                       getattr(adam.state, moment), p.name) for p in adam.parameters]
+    return table
 
 
-def save_checkpoint(model, path):
-    """Versioned binary container: config plus every named array, float32 LE."""
+def _get(owner, attr):
+    return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+
+def _set(owner, attr, value):
+    if isinstance(owner, dict):
+        owner[attr] = value
+    else:
+        setattr(owner, attr, value)
+
+
+def save_checkpoint(model, path, adam=None):
+    """Versioned binary container: config plus every named array, float32 LE.
+
+    With `adam` the file also holds the optimizer state training resumes
+    from.  The file is written to `<path>.tmp` and then renamed over `path`,
+    so an interrupted write never leaves a damaged checkpoint behind.
+    """
+    if adam is not None and max(adam.state.counters) >= COUNTER_LIMIT:
+        raise CheckpointError(
+            f"{path}: optimizer counters {adam.state.counters.tolist()} reach "
+            f"{COUNTER_LIMIT}, beyond exact float32 integers")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     cfg = model.config.to_json().encode()
     buf.write(struct.pack("<I", len(cfg)))
     buf.write(cfg)
-    records = _state_records(model)
+    records = _record_table(model, adam)
     buf.write(struct.pack("<I", len(records)))
-    for name, arr in records:
+    for name, owner, attr in records:
+        arr = _get(owner, attr)
         enc = name.encode()
         buf.write(struct.pack("<H", len(enc)))
         buf.write(enc)
@@ -352,8 +391,10 @@ def save_checkpoint(model, path):
         for d in arr.shape:
             buf.write(struct.pack("<I", d))
         buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(buf.getvalue())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):
@@ -403,36 +444,53 @@ def load_checkpoint(path):
         (ndim,) = unpack("<B", f"{name} rank")
         shape = unpack(f"<{ndim}I", f"{name} shape")
         raw = take(4 * math.prod(shape), f"{name} values")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:  # numpy refuses some empty shapes: too many or too large dims
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {name}: shape {shape}: {exc}") from None
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes in checkpoint")
     return config, arrays
+
+
+def restore_state(path, arrays, model, adam=None):
+    """Copy checkpoint arrays into `model` and, if given, `adam`.
+
+    Every record the pair needs must be present with its exact shape, and
+    no other record may appear, except that optimizer records are skipped
+    when no `adam` is given.  `path` only names the file in errors.
+    """
+    table = _record_table(model, adam)
+    if adam is not None and OPTIMIZER_PREFIX + "counters" not in arrays:
+        raise CheckpointError(
+            f"{path}: no optimizer state; an inference-only checkpoint cannot "
+            f"resume training")
+    names = {name for name, _, _ in table}
+    missing = sorted(names - set(arrays))
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint missing arrays: {missing[:3]} ...")
+    for name in arrays:
+        if name not in names and (adam is not None or
+                                  not name.startswith(OPTIMIZER_PREFIX)):
+            raise CheckpointError(f"{path}: unexpected array {name!r} in checkpoint")
+    for name, owner, attr in table:
+        want = _get(owner, attr).shape
+        if arrays[name].shape != want:
+            raise CheckpointError(
+                f"{path}: {name}: checkpoint shape {arrays[name].shape} vs model {want}")
+    if adam is not None:
+        counters = arrays[OPTIMIZER_PREFIX + "counters"]
+        if not np.array_equal(counters, np.clip(np.floor(counters), 0, COUNTER_LIMIT - 1)):
+            raise CheckpointError(
+                f"{path}: optimizer.counters {counters.tolist()} are not step and "
+                f"epoch counts")
+    for name, owner, attr in table:
+        _set(owner, attr, arrays[name].astype(_get(owner, attr).dtype))
 
 
 def load_model(path, dtype=np.float32):
     """Rebuild a model from a checkpoint, restoring parameters and BN stats."""
     config, arrays = load_checkpoint(path)
     model = build_variant(config, dtype=dtype)
-    params = model.param_dict()
-    states = model.bn_states()
-    expected = {name for name, _ in _state_records(model)}
-    missing = expected - set(arrays)
-    if missing:
-        raise CheckpointError(f"checkpoint missing arrays: {sorted(missing)[:3]} ...")
-    for name, arr in arrays.items():
-        if name.endswith(".running_mean") or name.endswith(".running_var"):
-            state = states.get(name.rsplit(".", 1)[0])
-            if state is None:
-                raise CheckpointError(f"no batch-norm state for {name}")
-            target = name.rsplit(".", 1)[1]
-            setattr(state, target, arr.astype(dtype))
-        elif name in params:
-            t = params[name].tensor
-            if t.data.shape != arr.shape:
-                raise CheckpointError(
-                    f"{name}: checkpoint shape {arr.shape} vs model {t.data.shape}"
-                )
-            t.data = arr.astype(dtype)
-        else:
-            raise CheckpointError(f"unexpected array {name!r} in checkpoint")
+    restore_state(path, arrays, model)
     return model

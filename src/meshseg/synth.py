@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from meshseg.mesh import TriangleMesh, save_labels, save_obj
+from meshseg.model import DataError
 
 
 class GenerationError(ValueError):
@@ -185,7 +186,8 @@ def _derived_seed(seed, split_id, index):
 def make_dataset(spec, n_train, n_test, out_dir, seed):
     """Write train/test obj + .labels pairs and a manifest; fully seeded."""
     if n_train < 1 or n_test < 1:
-        raise ValueError("n_train and n_test must be >= 1")
+        raise GenerationError(
+            f"n_train and n_test must be >= 1, got {n_train} and {n_test}")
     out_dir = str(out_dir)
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     if os.path.exists(manifest_path):
@@ -214,13 +216,22 @@ def read_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            mesh_path, labels_path, split, seed = line.split("\t")
+            row = line.split("\t")
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields "
+                                f"(mesh, labels, split, seed), got {len(row)}")
+            mesh_path, labels_path, split, seed = row
+            try:
+                seed = int(seed)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: seed {seed!r} is not an integer") from None
             entries.append(ManifestEntry(
                 os.path.join(base, mesh_path), os.path.join(base, labels_path),
-                split, int(seed),
+                split, seed,
             ))
     return entries

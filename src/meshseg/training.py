@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from meshseg.mesh import build_cell_features, cell_centroid_mean, transform_mesh
-from meshseg.model import cross_entropy
+from meshseg.model import (
+    build_variant,
+    cross_entropy,
+    load_checkpoint,
+    restore_state,
+    save_checkpoint,
+)
 
 
 class TrainingError(RuntimeError):
@@ -34,7 +40,6 @@ class TrainConfig:
     rotation_range: float = math.pi / 6
     augment: bool = True
     fixed_augmentation: bool = False  # one pre-generated copy per mesh instead
-    checkpoint_every: int = 0  # epochs between checkpoints; 0 = end only
     seed: int = 0
 
 
@@ -48,6 +53,16 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
+    epoch: int = 0  # epochs finished, i.e. the epoch training resumes at
+
+    @property
+    def counters(self):
+        """[step, epoch]: the checkpoint's `optimizer.counters` record."""
+        return np.array([self.step, self.epoch], dtype=np.float32)
+
+    @counters.setter
+    def counters(self, values):
+        self.step, self.epoch = (int(v) for v in values)
 
 
 class Adam:
@@ -77,22 +92,17 @@ class Adam:
             p.tensor.grad = None
 
 
-def save_optimizer_state(adam, epoch, path):
-    arrays = {"__step__": np.array(adam.state.step), "__epoch__": np.array(epoch)}
-    for name in adam.state.m:
-        arrays[f"m:{name}"] = adam.state.m[name]
-        arrays[f"v:{name}"] = adam.state.v[name]
-    np.savez(path, **arrays)
+def resume(path, train_cfg):
+    """(model, adam, next_epoch) restored from a checkpoint `train` wrote.
 
-
-def load_optimizer_state(adam, path):
-    """Restore moments and step counter; returns the epoch to resume from."""
-    with np.load(path) as data:
-        adam.state.step = int(data["__step__"])
-        for name in adam.state.m:
-            adam.state.m[name] = data[f"m:{name}"]
-            adam.state.v[name] = data[f"v:{name}"]
-        return int(data["__epoch__"]) + 1
+    `train_cfg` is the TrainConfig to continue with; it supplies Adam's
+    hyperparameters, while the model config comes from the checkpoint.
+    """
+    model_cfg, arrays = load_checkpoint(path)
+    model = build_variant(model_cfg)
+    adam = Adam(model.parameters(), train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+    restore_state(path, arrays, model, adam)
+    return model, adam, adam.state.epoch
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +186,11 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
           adam=None, start_epoch=0):
     """Mini-batch training; returns (per-epoch records, adam).
 
-    `meshes` must carry labels and share one cell count.  When resuming,
-    pass the restored `adam` and `start_epoch`; the per-epoch RNG streams
-    make the continuation identical to an uninterrupted run.
+    `meshes` must carry labels and share one cell count.  With
+    `checkpoint_path`, model and optimizer state are written there after
+    every epoch.  When resuming, pass the `adam` and `start_epoch` that
+    `resume` returns; the per-epoch RNG streams make the continuation
+    identical to an uninterrupted run.
     """
     if not meshes:
         raise TrainingError("empty training set")
@@ -240,14 +252,9 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
         if log_fh is not None:
             log_fh.write(format_log_row(rec) + "\n")
             log_fh.flush()
+        adam.state.epoch = epoch + 1
         if checkpoint_path is not None:
-            last = epoch == config.epochs - 1
-            cadence = config.checkpoint_every
-            if last or (cadence and (epoch + 1) % cadence == 0):
-                from meshseg.model import save_checkpoint
-
-                save_checkpoint(model, checkpoint_path)
-                save_optimizer_state(adam, epoch, str(checkpoint_path) + ".opt.npz")
+            save_checkpoint(model, checkpoint_path, adam)
 
     return records, adam
 

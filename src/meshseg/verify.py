@@ -30,10 +30,9 @@ from meshseg.model import (
 from meshseg.synth import ArchSpec, _derived_seed, generate
 from meshseg.tensor import Tensor, gradient_check
 from meshseg.training import (
-    Adam,
     TrainConfig,
     augment_mesh,
-    load_optimizer_state,
+    resume,
     rotation_y,
     train,
 )
@@ -447,9 +446,7 @@ def check_determinism_and_persistence(tmp_dir="/tmp"):
         ckpt = os.path.join(td, "mid.ckpt")
         _, _ = train(resumed, meshes, replace(tcfg, epochs=2),
                      checkpoint_path=ckpt)
-        restored = load_model(ckpt)
-        adam = Adam(restored.parameters(), tcfg.beta1, tcfg.beta2, tcfg.eps)
-        start = load_optimizer_state(adam, ckpt + ".opt.npz")
+        restored, adam, start = resume(ckpt, tcfg)
         train(restored, meshes, tcfg, adam=adam, start_epoch=start)
         resume_ok = all(
             np.array_equal(a.tensor.data, b.tensor.data)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -148,6 +153,84 @@ def test_resume_matches_uninterrupted(dataset, tmp_path):
     assert set(a) == set(b)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+def test_resume_from_inference_checkpoint_fails_cleanly(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "plain.ckpt"
+    save_checkpoint(build_variant(ModelConfig(num_classes=3, k_neighbors=4,
+                                              stream_widths=(4, 8), fusion_width=16,
+                                              head_widths=(16, 8))), ckpt)
+    code = main(["train", "--manifest", str(dataset / "manifest.tsv"),
+                 "--out", str(tmp_path / "run"), "--resume", str(ckpt), *TINY])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(ckpt) in err[0]
+
+
+def test_train_checkpoint_holds_adam_counters(trained):
+    config, arrays = load_checkpoint(trained / "model.ckpt")
+    assert arrays["optimizer.counters"].tolist() == [4.0, 2.0]  # 2 batches x 2 epochs
+    assert not list(trained.glob("*.tmp"))
+
+
+VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+TRIANGLE_OBJ = VERTICES + "f 1 2 3\n"
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
+              "property float y\nproperty float z\nelement face 1\n"
+              "property list uchar int vertex_indices\nend_header\n")
+PREDICT = ["predict", "--checkpoint", "{ckpt}", "--mesh", "{dir}/m.{ext}",
+           "--out-ply", "{dir}/out.ply"]
+EVAL = ["eval", "--checkpoint", "{ckpt}", "--manifest", "{dir}/manifest.tsv"]
+ONE_ROW = "m.obj\tm.labels\ttest\t0\n"
+
+# case -> (files to write, command line, location the error must name)
+BAD_INPUTS = {
+    "obj-face-index": ({"m.obj": VERTICES + "f 1 2 x\n"}, PREDICT, "m.obj:4"),
+    "obj-face-index-beyond-int64": ({"m.obj": VERTICES + "f 1 2 99999999999999999999\n"},
+                                    PREDICT, "m.obj"),
+    "obj-vertex-coordinate": ({"m.obj": "v 0 0 zz\n" + TRIANGLE_OBJ}, PREDICT, "m.obj:1"),
+    "obj-without-faces": ({"m.obj": VERTICES}, PREDICT, "m.obj"),
+    "ply-body-short": ({"m.ply": PLY_HEADER.format(n=3) + "0 0 0\n1 0 0\n"},
+                       PREDICT, "m.ply:11"),
+    "ply-vertex-count": ({"m.ply": PLY_HEADER.format(n="abc") + "0 0 0\n"},
+                         PREDICT, "m.ply:3"),
+    "labels-not-integer": ({"m.obj": TRIANGLE_OBJ, "m.labels": "0\nx\n",
+                            "manifest.tsv": ONE_ROW}, EVAL, "m.labels:2"),
+    "labels-beyond-int64": ({"m.obj": TRIANGLE_OBJ, "m.labels": "99999999999999999999\n",
+                             "manifest.tsv": ONE_ROW}, EVAL, "m.labels"),
+    "manifest-short-row": ({"manifest.tsv": "# header\nm.obj\tm.labels\ttest\n"},
+                           EVAL, "manifest.tsv:2"),
+    "synth-no-training-meshes": ({}, ["synth", "--out", "{dir}", "--n-train", "0"],
+                                 "n_train"),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(build_variant(ModelConfig(num_classes=3, k_neighbors=4,
+                                              stream_widths=(4, 8), fusion_width=16,
+                                              head_widths=(16, 8))), path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, tiny_checkpoint, tmp_path):
+    files, argv, location = BAD_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    ext = "ply" if "m.ply" in files else "obj"
+    argv = [a.format(ckpt=tiny_checkpoint, dir=tmp_path, ext=ext) for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "meshseg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    err = proc.stderr.strip().splitlines()
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
+    assert location in err[0]
 
 
 def test_ablate_two_variants(dataset, tmp_path):

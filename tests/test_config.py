@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -6,10 +7,14 @@ from meshseg.config import (
     ConfigKeyError,
     apply_overrides,
     format_config,
+    parse_config_file,
     parse_config_text,
 )
 from meshseg.model import ModelConfig
 from meshseg.training import TrainConfig
+from meshseg.verify import desk_model_config, desk_train_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_parse_basic_settings():
@@ -66,3 +71,8 @@ def test_format_round_trips():
     mc2, tc2 = parse_config_text(text)
     assert mc2 == mc
     assert tc2 == tc
+
+
+def test_desk_cfg_is_the_acceptance_setup():
+    assert parse_config_file(CONFIGS / "desk.cfg") == (desk_model_config(),
+                                                        desk_train_config())

@@ -423,12 +423,26 @@ def _corrupt_config(data):
     return data[:10] + b"X" + data[11:]  # first byte of the config JSON
 
 
+def _empty_shape(ndim, first_dim):
+    def damage(data):
+        # the first record's rank byte follows its length-prefixed name; an
+        # empty shape (last dim 0) needs no value bytes
+        at = 10 + int.from_bytes(data[6:10], "little") + 4
+        at += 2 + int.from_bytes(data[at:at + 2], "little")
+        dims = [first_dim] * (ndim - 1) + [0]
+        return (data[:at] + bytes([ndim]) + b"".join(d.to_bytes(4, "little") for d in dims)
+                + data[at + 1:])
+    return damage
+
+
 _CHECKPOINT_DAMAGE = {
     "cut-header": lambda data: data[:5],
     "cut-config": lambda data: data[:10 + int.from_bytes(data[6:10], "little") // 2],
     "cut-record": lambda data: data[:len(data) // 2],
     "3-bytes-short": lambda data: data[:-3],
     "corrupt-config": _corrupt_config,
+    "empty-huge-rank": _empty_shape(200, 1),
+    "empty-huge-dims": _empty_shape(8, 2 ** 31),
 }
 
 
@@ -440,6 +454,13 @@ def test_damaged_checkpoint_raises_checkpoint_error(tmp_path, damage):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)
+
+
+def test_zero_layer_width_rejected():
+    for field in ("stream_widths", "fusion_width", "head_widths"):
+        width = (4, 0) if field != "fusion_width" else 0
+        with pytest.raises(ConfigError):
+            tiny_config(**{field: width}).validate()
 
 
 def test_config_json_round_trip():

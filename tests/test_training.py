@@ -2,9 +2,19 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import meshseg.training as training_mod
 from meshseg.mesh import build_cell_features
-from meshseg.model import ModelConfig, build_variant, load_model
+from meshseg.model import (
+    CheckpointError,
+    ModelConfig,
+    build_variant,
+    load_checkpoint,
+    load_model,
+    save_checkpoint,
+)
 from meshseg.synth import ArchSpec, generate
 from meshseg.tensor import Parameter, Tensor
 from meshseg.training import (
@@ -12,11 +22,10 @@ from meshseg.training import (
     TrainConfig,
     TrainingError,
     augment_mesh,
-    load_optimizer_state,
     lr_at_epoch,
     parse_log,
+    resume,
     rotation_y,
-    save_optimizer_state,
     train,
 )
 
@@ -69,20 +78,19 @@ def test_adam_missing_gradient_names_parameter():
     assert "stream.weight" in str(exc.value)
 
 
-def test_optimizer_state_round_trip(tmp_path):
-    t = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-    adam = Adam([Parameter("w", t)])
-    for step in range(3):
-        t.grad = np.array([0.5, -0.25]) * (step + 1)
-        adam.step(1e-3)
-    path = tmp_path / "opt.npz"
-    save_optimizer_state(adam, epoch=4, path=path)
-    adam2 = Adam([Parameter("w", t)])
-    resume_epoch = load_optimizer_state(adam2, path)
-    assert resume_epoch == 5
-    assert adam2.state.step == adam.state.step
-    assert np.array_equal(adam2.state.m["w"], adam.state.m["w"])
-    assert np.array_equal(adam2.state.v["w"], adam.state.v["w"])
+def test_adam_moments_round_trip_through_checkpoint(tmp_path):
+    model = small_model(seed=3)
+    path = tmp_path / "run.ckpt"
+    _, adam = train(model, small_meshes(), quick_config(epochs=3), checkpoint_path=path)
+    restored, adam2, next_epoch = resume(path, quick_config())
+    assert next_epoch == 3
+    assert adam2.state.step == adam.state.step == 3
+    for p in model.parameters():
+        assert np.array_equal(adam2.state.m[p.name], adam.state.m[p.name]), p.name
+        assert np.array_equal(adam2.state.v[p.name], adam.state.v[p.name]), p.name
+    for a, b in zip(model.parameters(), restored.parameters()):
+        assert np.array_equal(a.tensor.data, b.tensor.data), a.name
+    assert load_checkpoint(path)[1].keys() >= {"optimizer.counters"}
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +202,48 @@ def test_resume_equals_uninterrupted(tmp_path):
     resumed = small_model(seed=9)
     ckpt = tmp_path / "mid.ckpt"
     cfg_half = quick_config(epochs=2, augment=True)
-    _, adam = train(resumed, meshes, cfg_half, checkpoint_path=ckpt)
+    train(resumed, meshes, cfg_half, checkpoint_path=ckpt)
 
-    restored = load_model(ckpt)
-    adam2 = Adam(restored.parameters(), cfg.beta1, cfg.beta2, cfg.eps)
-    start = load_optimizer_state(adam2, str(ckpt) + ".opt.npz")
+    restored, adam2, start = resume(ckpt, cfg)
     assert start == 2
     train(restored, meshes, cfg, adam=adam2, start_epoch=start)
 
     for pa, pb in zip(straight.parameters(), restored.parameters()):
         assert np.array_equal(pa.tensor.data, pb.tensor.data), pa.name
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stop_after", [0, 1, 2])
+def test_interrupted_run_resumes_bit_exactly(tmp_path, monkeypatch, stop_after):
+    meshes = small_meshes()
+    cfg = quick_config(epochs=4, augment=True)
+    straight, ckpt = small_model(seed=9), tmp_path / "run.ckpt"
+    train(straight, meshes, cfg, checkpoint_path=tmp_path / "straight.ckpt")
+
+    real_save, saved = training_mod.save_checkpoint, []
+
+    def save_then_die(model, path, adam):
+        real_save(model, path, adam)
+        saved.append(adam.state.epoch)
+        if len(saved) == stop_after + 1:
+            raise Interrupted
+
+    monkeypatch.setattr(training_mod, "save_checkpoint", save_then_die)
+    with pytest.raises(Interrupted):
+        train(small_model(seed=9), meshes, cfg, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    assert saved == list(range(1, stop_after + 2))  # one write per finished epoch
+
+    restored, adam, start = resume(ckpt, cfg)
+    assert start == stop_after + 1
+    train(restored, meshes, cfg, checkpoint_path=ckpt, adam=adam, start_epoch=start)
+    for pa, pb in zip(straight.parameters(), restored.parameters()):
+        assert np.array_equal(pa.tensor.data, pb.tensor.data), pa.name
+    assert ckpt.read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt", "straight.ckpt"]
 
 
 def test_heterogeneous_cell_counts_rejected():
@@ -254,3 +294,87 @@ def test_fixed_augmentation_doubles_dataset():
     # originals are centered copies; augmented ones differ
     assert not np.allclose(prepared[0].vertices, prepared[2].vertices)
     assert np.array_equal(prepared[0].labels, prepared[2].labels)
+
+
+# ---------------------------------------------------------------------------
+# training checkpoints
+# ---------------------------------------------------------------------------
+
+def resume_fails(path, fragment):
+    with pytest.raises(CheckpointError) as exc:
+        resume(path, quick_config())
+    assert str(path) in str(exc.value) and fragment in str(exc.value)
+
+
+def test_resume_rejects_inference_only_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    resume_fails(path, "no optimizer state")
+
+
+def test_resume_rejects_missing_moment(tmp_path):
+    model, path = small_model(), tmp_path / "run.ckpt"
+    save_checkpoint(model, path, Adam(model.parameters()[:-1]))  # no out.bias moments
+    resume_fails(path, "optimizer.m.out.bias")
+
+
+def test_resume_rejects_moment_of_wrong_shape(tmp_path):
+    model, path = small_model(), tmp_path / "run.ckpt"
+    adam = Adam(model.parameters())
+    weight = adam.state.m["c1.calibrate.weight"]
+    adam.state.m["c1.calibrate.weight"] = np.zeros((weight.shape[0], weight.shape[0]),
+                                                   dtype=weight.dtype)
+    save_checkpoint(model, path, adam)
+    resume_fails(path, "optimizer.m.c1.calibrate.weight")
+
+
+def test_running_statistic_of_wrong_shape_rejected(tmp_path):
+    model, path = small_model(), tmp_path / "run.ckpt"
+    model.bn_states()["c1.calibrate.bn"].running_mean = np.zeros(1, dtype=np.float32)
+    save_checkpoint(model, path, Adam(model.parameters()))
+    with pytest.raises(CheckpointError) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+    resume_fails(path, "c1.calibrate.bn.running_mean")
+
+
+def test_load_model_skips_optimizer_records(tmp_path):
+    model, path = small_model(), tmp_path / "run.ckpt"
+    _, adam = train(model, small_meshes(), quick_config(epochs=1), checkpoint_path=path)
+    plain = tmp_path / "plain.ckpt"
+    save_checkpoint(model, plain)
+    save_checkpoint(load_model(path), tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == plain.read_bytes()
+
+
+def test_save_refuses_counters_float32_cannot_hold(tmp_path):
+    model = small_model()
+    adam = Adam(model.parameters())
+    adam.state.step = 2 ** 24
+    with pytest.raises(CheckpointError):
+        save_checkpoint(model, tmp_path / "run.ckpt", adam)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def training_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "run.ckpt"
+    train(small_model(), small_meshes(), quick_config(epochs=2), checkpoint_path=path)
+    return path.read_bytes(), path.with_name("damaged.ckpt")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_damaged_training_checkpoint_fails_typed(training_checkpoint, data):
+    good, path = training_checkpoint
+    at = data.draw(st.integers(0, len(good) - 1), label="offset")
+    flip = data.draw(st.integers(0, 255), label="xor (0 truncates)")
+    damaged = bytearray(good[:at] if flip == 0 else good)
+    if flip:
+        damaged[at] ^= flip
+    path.write_bytes(bytes(damaged))
+    for load in (load_model, lambda p: resume(p, quick_config())):
+        try:
+            load(path)
+        except CheckpointError as exc:  # anything else fails the test
+            assert str(path) in str(exc)
