@@ -4,8 +4,8 @@
 import numpy as np
 
 from meshseg.tensor import (
-    Tensor, affine, batch_norm, BatchNormState, gather_rows, gradient_check,
-    leaky_relu, mul, softmax_axis,
+    BatchNormState, RowScatter, Tensor, gather_rows, gradient_check, mul,
+    shared_mlp, softmax_axis,
 )
 
 # A tensor is a numpy array plus a tape node.  Ops build the graph; a
@@ -19,25 +19,30 @@ print("d/dx sum(x^2) at [1,2]  ->", x.grad, "(expect [2, 4])")
 s = softmax_axis(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64), axis=0)
 print("softmax([1,2,3])        ->", np.round(s.data, 5))
 
-# gather_rows materializes neighbor features; backward scatter-adds
+# gather_rows materializes neighbor features; backward scatter-adds through
+# the index table's RowScatter, one sort shared by every gather over it
 src = Tensor(np.array([[10.0], [20.0], [30.0]]), requires_grad=True,
              dtype=np.float64)
-picked = gather_rows(src, np.array([[1], [2], [0]]))
+idx = np.array([[1], [2], [0]])
+picked = gather_rows(src, idx, RowScatter(idx))
 picked.sum().backward()
 print("gather [[1],[2],[0]]    ->", picked.data.reshape(-1),
       "| scattered grads:", src.grad.reshape(-1))
 
 # the same harness the acceptance suite uses: max relative error between
-# analytic gradients and central differences (step 1e-5, float64)
+# analytic gradients and central differences (step 1e-5, float64), here on
+# the per-row MLP every layer runs: affine -> batch norm -> LeakyReLU as one
+# node with a hand-written backward
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
 b = Tensor(np.zeros(4), requires_grad=True, dtype=np.float64)
 state = BatchNormState(4, dtype=np.float64)
 inp = Tensor(rng.normal(size=(6, 3)), requires_grad=True, dtype=np.float64)
 
-def f(inp_, w_, b_):
-    h = leaky_relu(batch_norm(affine(inp_, w_, b_), state, train=True), 0.2)
+def f(inp_, w_, b_, gamma, beta):
+    state.gamma, state.beta = gamma, beta
+    h = shared_mlp(inp_, w_, b_, state, train=True)
     return mul(h, h).sum()
 
-err = gradient_check(f, [inp, w, b])
-print(f"affine+bn+leaky_relu    -> max relative gradient error {err:.2e}")
+err = gradient_check(f, [inp, w, b, state.gamma, state.beta])
+print(f"shared_mlp (train mode) -> max relative gradient error {err:.2e}")

@@ -9,7 +9,7 @@ pipeline can be exercised at desk scale.
 
 from meshseg.tensor import Tensor, Parameter, gradient_check
 from meshseg.mesh import TriangleMesh, CellFeatureMatrix, load_mesh, build_cell_features
-from meshseg.knn import KnnGraph, build_knn_graph, edge_tensors
+from meshseg.knn import KnnGraph, build_knn_graph
 from meshseg.model import ModelConfig, TwoStreamNet, build_variant, cross_entropy
 from meshseg.training import TrainConfig, Adam, train
 from meshseg.evaluation import ConfusionMatrix, metrics
@@ -25,7 +25,6 @@ __all__ = [
     "build_cell_features",
     "KnnGraph",
     "build_knn_graph",
-    "edge_tensors",
     "ModelConfig",
     "TwoStreamNet",
     "build_variant",

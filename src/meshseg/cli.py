@@ -60,6 +60,15 @@ def _load_split(manifest_path, split):
     return [load_mesh(e.mesh_path, labels_path=e.labels_path) for e in entries]
 
 
+def _log_rows_before(log_path, epoch):
+    """Lines of an existing training log whose epoch field is below `epoch`."""
+    if not os.path.exists(log_path):
+        return []
+    with open(log_path) as fh:
+        rows = [(line.split("\t", 1)[0], line) for line in fh.read().splitlines()]
+    return [line + "\n" for e, line in rows if e.isdecimal() and int(e) < epoch]
+
+
 def _resolve_configs(args):
     model_cfg, train_cfg = ModelConfig(), TrainConfig()
     if getattr(args, "config", None):
@@ -97,10 +106,12 @@ def cmd_train(args):
     log_path = os.path.join(args.out, "train_log.tsv")
     with open(os.path.join(args.out, "resolved.cfg"), "w") as fh:
         fh.write(format_config(model_cfg, train_cfg))
-    mode = "a" if args.resume and os.path.exists(log_path) else "w"
-    with open(log_path, mode) as log_fh:
-        if mode == "w":
-            log_fh.write(training.LOG_HEADER + "\n")
+    # A run cut between an epoch's log row and its checkpoint reruns that
+    # epoch, so on resume only the rows of epochs the checkpoint holds stay.
+    kept = _log_rows_before(log_path, start_epoch) if args.resume else []
+    with open(log_path, "w") as log_fh:
+        log_fh.write(training.LOG_HEADER + "\n")
+        log_fh.writelines(kept)
         records, adam = training.train(model, meshes, train_cfg,
                                        checkpoint_path=ckpt, log_fh=log_fh,
                                        adam=adam, start_epoch=start_epoch)

@@ -1,4 +1,4 @@
-"""Exact k-nearest-neighbor graphs in feature space and edge tensor assembly.
+"""Exact k-nearest-neighbor graphs in feature space and the neighbor gather.
 
 Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from meshseg.tensor import (
-    DimensionError,
-    RowScatter,
-    concat_channels,
-    gather_rows,
-    repeat_rows,
-    sub,
-)
+from meshseg.tensor import DimensionError, RowScatter, gather_rows
 
 
 class GraphConfigError(ValueError):
@@ -32,15 +25,17 @@ class KnnGraph:
     """M x K table of neighbor cell ids, nearest first; immutable.
 
     `indices` is a read-only int64 copy of the table passed in, and
-    `scatter` its RowScatter, so the sort can never go stale.
+    `scatter` its RowScatter, so the sort can never go stale.  K is the
+    table's width.
     """
 
     indices: np.ndarray  # (M, K) int64
-    k: int
     scatter: RowScatter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indices = np.array(self.indices, dtype=np.int64)
+        if indices.ndim != 2:
+            raise DimensionError(f"neighbor table must be (M, K), got {indices.shape}")
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "scatter", RowScatter(indices))
@@ -49,12 +44,16 @@ class KnnGraph:
     def num_cells(self):
         return self.indices.shape[0]
 
+    @property
+    def k(self):
+        return self.indices.shape[1]
+
     def permuted_neighbors(self, rng):
         """Same graph with each row's neighbor order shuffled (for tests)."""
         idx = self.indices.copy()
         for row in idx:
             rng.shuffle(row)
-        return KnnGraph(indices=idx, k=self.k)
+        return KnnGraph(idx)
 
 
 def _pairwise_sq_dists(features):
@@ -71,7 +70,7 @@ def build_knn_graph(features, k, include_self=False):
     The center itself is excluded unless include_self is set; distance ties
     break toward the lower cell index.
     """
-    return KnnGraph(indices=_knn_indices(features, k, include_self), k=k)
+    return KnnGraph(_knn_indices(features, k, include_self))
 
 
 def _knn_indices(features, k, include_self):
@@ -118,7 +117,7 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
     for start in range(0, total, block_size):
         blocks.append(_knn_indices(features[start:start + block_size], k,
                                    include_self) + start)
-    return KnnGraph(indices=np.concatenate(blocks, axis=0), k=k)
+    return KnnGraph(np.concatenate(blocks, axis=0))
 
 
 def gather_neighbors(features, graph):
@@ -130,13 +129,3 @@ def gather_neighbors(features, graph):
         )
     return gather_rows(features, graph.indices, graph.scatter)
 
-
-def edge_tensors(features, graph):
-    """Edge inputs for one layer: (center (+) neighbor, center - neighbor).
-
-    The layers never build these pairs (see tensor.edge_affine); they are
-    the reference the split edge path is checked against.
-    """
-    neighbors = gather_neighbors(features, graph)
-    centers = repeat_rows(features, graph.k)
-    return concat_channels([centers, neighbors]), sub(centers, neighbors)

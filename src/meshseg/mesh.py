@@ -2,13 +2,13 @@
 
 Cells are triangular faces; cell index equals face order in the source
 file so label files (one integer per line) stay aligned through load,
-subsampling, and export.
+rigid transforms and export.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class TriangleMesh:
     vertices: np.ndarray  # (V, 3) float64
     faces: np.ndarray  # (M, 3) int64
     labels: np.ndarray | None = None  # (M,) int64
-    face_colors: np.ndarray | None = field(default=None, repr=False)  # (M, 3) uint8
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -187,7 +186,7 @@ def _load_ply(path):
         raise MeshFormatError(f"{path}: missing ply magic")
 
     n_vert = n_face = 0
-    vert_props, face_props = [], []
+    vert_props = []
     current = None
     body_start = None
     for i, line in enumerate(lines[1:], start=2):
@@ -209,8 +208,6 @@ def _load_ply(path):
         elif parts[0] == "property":
             if current == "vertex":
                 vert_props.append(parts[-1])
-            elif current == "face":
-                face_props.append(parts[-1])
         elif parts[0] == "end_header":
             body_start = i
             break
@@ -238,11 +235,7 @@ def _load_ply(path):
     if not np.isfinite(verts).all():
         raise MeshFormatError(f"{path}: non-finite vertex coordinate")
 
-    has_color = {"red", "green", "blue"} <= set(face_props)
-    scalar_props = [p for p in face_props if p not in ("vertex_index", "vertex_indices")]
-    off = {p: 4 + k for k, p in enumerate(scalar_props)}
     faces = np.empty((n_face, 3), dtype=np.int64)
-    colors = np.empty((n_face, 3), dtype=np.uint8) if has_color else None
     for f in range(n_face):
         lineno = body_start + n_vert + f + 1
         parts = lines[lineno - 1].split()
@@ -250,9 +243,6 @@ def _load_ply(path):
             count = int(parts[0])
             if count == 3:
                 faces[f] = [int(parts[1]), int(parts[2]), int(parts[3])]
-                if has_color:
-                    colors[f] = [int(parts[off["red"]]), int(parts[off["green"]]),
-                                 int(parts[off["blue"]])]
         except (ValueError, IndexError, OverflowError):
             raise MeshFormatError(
                 f"{path}:{lineno}: malformed face {lines[lineno - 1]!r}") from None
@@ -260,7 +250,7 @@ def _load_ply(path):
             raise MeshFormatError(
                 f"{path}:{lineno}: face with {count} vertices; only triangles supported"
             )
-    return TriangleMesh(verts, faces, face_colors=colors)
+    return TriangleMesh(verts, faces)
 
 
 def save_obj(mesh, path):
@@ -323,18 +313,6 @@ def export_colored_mesh(mesh, per_cell_class, palette, path):
             fh.write(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}\n")
 
 
-def classes_from_colors(face_colors, palette):
-    """Invert a palette: per-face colors back to class ids (exact match)."""
-    lookup = {tuple(int(x) for x in c): i for i, c in enumerate(palette)}
-    out = np.empty(len(face_colors), dtype=np.int64)
-    for i, c in enumerate(face_colors):
-        key = (int(c[0]), int(c[1]), int(c[2]))
-        if key not in lookup:
-            raise LabelRangeError(f"face {i} color {key} not in palette")
-        out[i] = lookup[key]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Normals and features
 # ---------------------------------------------------------------------------
@@ -391,26 +369,6 @@ def build_cell_features(mesh, center=True):
         axis=1,
     )
     return CellFeatureMatrix(coords=coords, normals=normals)
-
-
-def subsample_cells(mesh, target_m, seed):
-    """Uniform random face subset (labels carried), vertices re-indexed."""
-    m = mesh.num_cells
-    if target_m <= 0:
-        raise ValueError(f"target_m must be positive, got {target_m}")
-    if target_m > m:
-        raise ValueError(f"target_m {target_m} exceeds cell count {m}")
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(m, size=target_m, replace=False))
-    faces = mesh.faces[keep]
-    used = np.unique(faces)
-    remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriangleMesh(
-        vertices=mesh.vertices[used],
-        faces=remap[faces],
-        labels=None if mesh.labels is None else mesh.labels[keep],
-    )
 
 
 def transform_mesh(mesh, rotation=None, translation=None, pivot=None):

@@ -216,7 +216,7 @@ class TwoStreamNet:
             )
         m = sizes.pop()
         if m <= self.config.k_neighbors:
-            raise ConfigError(
+            raise DataError(
                 f"mesh with {m} cells cannot support k={self.config.k_neighbors}"
             )
         for b in blocks:

@@ -1,23 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Covers exactly the operations the segmentation network needs:
+Covers exactly the operations the segmentation network runs:
 
-- elementwise add/sub/mul, channel concatenation, per-row `affine`,
-  `leaky_relu`;
+- elementwise `mul`, channel concatenation and the per-row `affine`;
 - reductions: sum, max, softmax and log softmax along an axis;
 - `gather_rows`, whose backward sums each source row's copies over a
-  `RowScatter` (one stable sort of the index table), and `repeat_rows`,
-  whose backward sums over the repeats;
-- `batch_norm` with running statistics;
+  `RowScatter` (one stable sort of the index table);
 - the edge path of the graph layers: `edge_affine`, the affine map of
   every (centre, neighbour) pair [x_i (+) n_ik] or [x_i - n_ik (+) n_ik]
-  without building the pair, and `shared_mlp`, affine -> batch norm ->
-  LeakyReLU as one node with a hand-written backward (it always
-  normalizes).
+  without building the pair, and `shared_mlp`, affine -> batch norm
+  (`BatchNormState`, with running statistics) -> LeakyReLU as one node
+  with a hand-written backward.
 
-The composed `affine`, `batch_norm` and `leaky_relu` ops are the reference
-`shared_mlp` is tested against.  Two precisions are supported: float32 for
-training and float64 for gradient verification.
+Two precisions are supported: float32 for training and float64 for
+gradient verification.
 
 Tensors are immutable once created except for gradient accumulation.
 Backward runs over a tape in reverse topological order; only first-order
@@ -104,20 +100,11 @@ class Tensor:
                 node._backward(node.grad)
 
     # Operator sugar; the named functions below are the actual ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self):
         return sum_all(self)
@@ -156,12 +143,6 @@ def _accumulate(tensor, grad, owned=False):
         tensor.grad += grad
 
 
-def _as_tensor(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _make(data, parents, backward):
     """Wrap an op result; the tape is only extended when a parent needs grad."""
     track = any(p.requires_grad for p in parents)
@@ -180,32 +161,6 @@ def _check_same_shape(a, b, op):
 # ---------------------------------------------------------------------------
 # Elementwise and linear ops
 # ---------------------------------------------------------------------------
-
-def add(a, b):
-    b = _as_tensor(b, a)
-    _check_same_shape(a, b, "add")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
-def sub(a, b):
-    b = _as_tensor(b, a)
-    _check_same_shape(a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g, owned=True)
-
-    return _make(a.data - b.data, (a, b), backward)
-
 
 def mul(a, b):
     """Elementwise product; `b` may be a python scalar."""
@@ -362,17 +317,6 @@ def edge_affine(x, nb, w, b, diff=False):
     return _make(_linear(x.data, w.data, b.data, nb.data, diff), (x, nb, w, b), backward)
 
 
-def leaky_relu(x, slope=0.2):
-    mask = x.data >= 0
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * np.where(mask, x.dtype.type(1), x.dtype.type(slope)),
-                        owned=True)
-
-    return _make(np.where(mask, x.data, x.dtype.type(slope) * x.data), (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -473,7 +417,7 @@ class RowScatter:
         self.starts = np.flatnonzero(np.diff(ordered, prepend=-1))
         self.rows = ordered[self.starts]  # distinct source rows, ascending
 
-    def add(self, g, n):
+    def sum_rows(self, g, n):
         """(n, c) sums of g's (..., c) rows, each into the row it was gathered from."""
         c = g.shape[-1]
         out = np.zeros((n, c), dtype=g.dtype)
@@ -483,11 +427,11 @@ class RowScatter:
         return out
 
 
-def gather_rows(src, idx, scatter=None):
+def gather_rows(src, idx, scatter):
     """out[i, j, :] = src[idx[i, j], :]; backward scatter-adds into src rows.
 
-    `scatter` is a RowScatter of the same `idx` to reuse; without one,
-    backward builds its own.
+    `scatter` is the RowScatter of the same `idx`, shared by every gather
+    over that table.
     """
     if src.data.ndim != 2:
         raise DimensionError(f"gather_rows: src must be 2-D, got {src.data.shape}")
@@ -506,23 +450,9 @@ def gather_rows(src, idx, scatter=None):
 
     def backward(g):
         if src.requires_grad:
-            plan = scatter if scatter is not None else RowScatter(idx)
-            _accumulate(src, plan.add(g, n), owned=True)
+            _accumulate(src, scatter.sum_rows(g, n), owned=True)
 
     return _make(src.data[idx], (src,), backward)
-
-
-def repeat_rows(x, k):
-    """(M, d) -> (M, k, d), each row repeated k times; backward sums over k."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"repeat_rows: x must be 2-D, got {x.data.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g.sum(axis=1), owned=True)
-
-    m, d = x.data.shape
-    return _make(np.broadcast_to(x.data[:, None, :], (m, k, d)), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -586,36 +516,6 @@ def _normalize(x, state, train):
         state.running_var.dtype
     )
     return xhat, inv_std
-
-
-def batch_norm(x, state, train):
-    """Normalize per channel over all leading axes.
-
-    Train mode uses batch statistics and updates the running estimates;
-    eval mode uses the stored running statistics and is side-effect free.
-    """
-    c = x.data.shape[-1]
-    xhat, inv_std = _normalize(x.data, state, train)
-    gamma, beta = state.gamma, state.beta
-
-    def backward(g):
-        gf = g.reshape(-1, c)
-        xh = xhat.reshape(-1, c)
-        if gamma.requires_grad:
-            _accumulate(gamma, (gf * xh).sum(axis=0), owned=True)
-        if beta.requires_grad:
-            _accumulate(beta, gf.sum(axis=0), owned=True)
-        if not x.requires_grad:
-            return
-        if train:
-            # Gradient through the batch statistics themselves.
-            gxhat = gf * gamma.data
-            gx = (gxhat - gxhat.mean(axis=0) - xh * (gxhat * xh).mean(axis=0)) * inv_std
-            _accumulate(x, gx.reshape(x.data.shape), owned=True)
-        else:
-            _accumulate(x, g * (gamma.data * inv_std), owned=True)
-
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def _leaky_factor(negative, slope):

@@ -39,7 +39,6 @@ class TrainConfig:
     translation_range: float = 10.0
     rotation_range: float = math.pi / 6
     augment: bool = True
-    fixed_augmentation: bool = False  # one pre-generated copy per mesh instead
     seed: int = 0
 
 
@@ -169,17 +168,8 @@ def _epoch_rng(seed, epoch):
 
 
 def prepare_training_meshes(meshes, config):
-    """Center each mesh; with fixed augmentation, append one jittered copy."""
-    centered = [
-        transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes
-    ]
-    if config.fixed_augmentation:
-        rng = np.random.default_rng([config.seed, 0xF1D0])  # own stream, not an epoch's
-        centered += [
-            augment_mesh(m, rng, config.translation_range, config.rotation_range)
-            for m in centered
-        ]
-    return centered
+    """Centred copies of the meshes, in input order; `config` is not read."""
+    return [transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes]
 
 
 def train(model, meshes, config, checkpoint_path=None, log_fh=None,
@@ -222,7 +212,7 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
             feats, labels = [], []
             for mi in batch_ids:
                 mesh = dataset[mi]
-                if config.augment and not config.fixed_augmentation:
+                if config.augment:
                     mesh = augment_mesh(mesh, rng, config.translation_range,
                                         config.rotation_range)
                 feats.append(build_cell_features(mesh, center=False).as_array())

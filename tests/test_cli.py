@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meshseg import training
 from meshseg.cli import main
-from meshseg.mesh import DEFAULT_PALETTE, classes_from_colors, load_labels, load_mesh
+from meshseg.mesh import DEFAULT_PALETTE, load_labels, load_mesh
 from meshseg.model import ModelConfig, build_variant, load_checkpoint, save_checkpoint
 
 
@@ -101,9 +102,11 @@ def test_predict_round_trip(trained, dataset, tmp_path):
     assert code == 0
     mesh = load_mesh(out_ply)
     labels = load_labels(out_labels)
-    assert mesh.face_colors is not None
-    recovered = classes_from_colors(mesh.face_colors, DEFAULT_PALETTE[:3])
-    assert np.array_equal(recovered, labels)
+    assert np.array_equal(mesh.faces, load_mesh(mesh_path).faces)
+    face_lines = out_ply.read_text().splitlines()[-mesh.num_cells:]
+    palette = DEFAULT_PALETTE[:3]  # one colour per class of the 3-class model
+    assert [line.split()[4:] for line in face_lines] == \
+        [[str(c) for c in palette[k]] for k in labels]
 
 
 def test_predict_same_inputs_identical(trained, dataset, tmp_path):
@@ -155,6 +158,38 @@ def test_resume_matches_uninterrupted(dataset, tmp_path):
         assert np.array_equal(a[name], b[name]), name
 
 
+def test_resume_after_crash_logs_each_epoch_once(dataset, tmp_path, monkeypatch):
+    # the run dies in epoch 1's checkpoint write, after epoch 1's log row
+    manifest, out = str(dataset / "manifest.tsv"), tmp_path / "run"
+    three = [s if s != "train.epochs=2" else "train.epochs=3" for s in TINY]
+    save, calls = training.save_checkpoint, []
+
+    def crash_on_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("killed")
+        save(*args)
+
+    monkeypatch.setattr(training, "save_checkpoint", crash_on_second)
+    with pytest.raises(RuntimeError):
+        main(["train", "--manifest", manifest, "--out", str(out), *three])
+    monkeypatch.setattr(training, "save_checkpoint", save)
+    assert main(["train", "--manifest", manifest, "--out", str(out),
+                 "--resume", str(out / "model.ckpt"), *three]) == 0
+    assert [r.epoch for r in training.parse_log(out / "train_log.tsv")] == [0, 1, 2]
+    assert (out / "train_log.tsv").read_text().startswith(training.LOG_HEADER + "\n")
+
+
+def test_removed_fixed_augmentation_key_is_a_usage_error(dataset, tmp_path, capsys):
+    cfg = tmp_path / "resolved.cfg"
+    cfg.write_text("train.augment = true\ntrain.fixed_augmentation = true\n")
+    code = main(["train", "--manifest", str(dataset / "manifest.tsv"),
+                 "--out", str(tmp_path / "run"), "--config", str(cfg), *TINY])
+    assert code == 2
+    assert "'fixed_augmentation'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_resume_from_inference_checkpoint_fails_cleanly(dataset, tmp_path, capsys):
     ckpt = tmp_path / "plain.ckpt"
     save_checkpoint(build_variant(ModelConfig(num_classes=3, k_neighbors=4,
@@ -202,6 +237,7 @@ BAD_INPUTS = {
                            EVAL, "manifest.tsv:2"),
     "synth-no-training-meshes": ({}, ["synth", "--out", "{dir}", "--n-train", "0"],
                                  "n_train"),
+    "mesh-fewer-cells-than-k": ({"m.obj": TRIANGLE_OBJ}, PREDICT, "k=4"),
 }
 
 

@@ -8,21 +8,21 @@ from meshseg.knn import (
     KnnGraph,
     build_block_knn_graph,
     build_knn_graph,
-    edge_tensors,
     gather_neighbors,
 )
 from meshseg.tensor import (
     BatchNormState,
+    DimensionError,
     Tensor,
     affine,
-    batch_norm,
     concat_channels,
     edge_affine,
     gradient_check,
-    leaky_relu,
     mul,
     shared_mlp,
+    sum_all,
 )
+from reference import batch_norm, edge_tensors, leaky_relu
 
 
 def brute_force_knn(features, k, include_self=False):
@@ -117,12 +117,12 @@ def test_block_knn_stays_inside_blocks():
 
 
 # ---------------------------------------------------------------------------
-# edge tensors
+# edge tensors (the composed reference in tests/reference.py)
 # ---------------------------------------------------------------------------
 
 def test_edge_tensor_hand_values():
     feats = Tensor(np.array([[1.0], [4.0]]), dtype=np.float64)
-    graph = KnnGraph(indices=np.array([[1], [0]]), k=1)
+    graph = KnnGraph(indices=np.array([[1], [0]]))
     concat, diff = edge_tensors(feats, graph)
     assert concat.data[0, 0].tolist() == [1.0, 4.0]
     assert diff.data[0, 0].tolist() == [-3.0]
@@ -157,7 +157,7 @@ def test_edge_tensor_gradients_match_fd():
 
     def f(feats):
         concat, diff = edge_tensors(feats, graph)
-        return (mul(concat, w1).sum() + mul(diff, w2).sum())
+        return sum_all(concat_channels([mul(concat, w1), mul(diff, w2)]))
 
     err = gradient_check(f, [Tensor(raw, requires_grad=True, dtype=np.float64)])
     assert err <= 1e-4
@@ -169,7 +169,7 @@ def test_edge_tensor_gradients_match_fd():
 
 def test_graph_is_frozen_and_indices_read_only():
     table = np.array([[1, 2], [0, 2], [0, 1]])
-    graph = KnnGraph(indices=table, k=2)
+    graph = KnnGraph(indices=table)
     with pytest.raises(dataclasses.FrozenInstanceError):
         graph.indices = table
     with pytest.raises(ValueError):
@@ -177,6 +177,15 @@ def test_graph_is_frozen_and_indices_read_only():
     table[0, 0] = 0  # the graph holds its own copy
     assert graph.indices[0].tolist() == [1, 2]
     assert graph.indices.dtype == np.int64
+
+
+def test_k_is_the_table_width():
+    assert KnnGraph(np.zeros((3, 2), dtype=np.int64)).k == 2
+    assert build_block_knn_graph(np.arange(8.0)[:, None], 4, k=3).k == 3
+    with pytest.raises(TypeError):
+        KnnGraph(indices=np.zeros((3, 2), dtype=np.int64), k=3)
+    with pytest.raises(DimensionError):
+        KnnGraph(np.zeros(3, dtype=np.int64))
 
 
 def test_permuted_neighbors_returns_new_graph_with_own_scatter():

@@ -8,14 +8,12 @@ from meshseg.mesh import (
     MeshFormatError,
     TriangleMesh,
     build_cell_features,
-    classes_from_colors,
     compute_normals,
     export_colored_mesh,
     load_labels,
     load_mesh,
     save_labels,
     save_obj,
-    subsample_cells,
     transform_mesh,
 )
 
@@ -213,44 +211,6 @@ def test_rotation_equivariance_about_centroid():
 
 
 # ---------------------------------------------------------------------------
-# subsampling
-# ---------------------------------------------------------------------------
-
-def test_subsample_full_is_identity_up_to_reindex():
-    mesh = tetrahedron()
-    mesh.labels = np.array([0, 1, 2, 3])
-    sub = subsample_cells(mesh, 4, seed=0)
-    assert sub.num_cells == 4
-    assert np.array_equal(sub.labels, mesh.labels)
-    assert np.allclose(sub.vertices[sub.faces], mesh.vertices[mesh.faces])
-
-
-def test_subsample_deterministic():
-    rng = np.random.default_rng(2)
-    mesh = TriangleMesh(rng.normal(size=(40, 3)),
-                        np.array([[i, i + 1, i + 2] for i in range(38)]),
-                        labels=rng.integers(0, 3, size=38))
-    a = subsample_cells(mesh, 19, seed=7)
-    b = subsample_cells(mesh, 19, seed=7)
-    assert np.array_equal(a.faces, b.faces)
-    assert np.array_equal(a.labels, b.labels)
-    with pytest.raises(ValueError):
-        subsample_cells(mesh, 0, seed=1)
-
-
-def test_subsample_preserves_label_histogram():
-    m = 12000
-    rng = np.random.default_rng(4)
-    mesh = TriangleMesh(rng.normal(size=(m + 2, 3)),
-                        np.array([[i, i + 1, i + 2] for i in range(m)]),
-                        labels=rng.integers(0, 5, size=m))
-    sub = subsample_cells(mesh, m // 2, seed=3)
-    full_hist = np.bincount(mesh.labels, minlength=5) / m
-    sub_hist = np.bincount(sub.labels, minlength=5) / (m // 2)
-    assert np.all(np.abs(full_hist - sub_hist) <= 0.05)
-
-
-# ---------------------------------------------------------------------------
 # colored export
 # ---------------------------------------------------------------------------
 
@@ -269,10 +229,11 @@ def test_export_reimport_recovers_labels(tmp_path):
     p = tmp_path / "colored.ply"
     export_colored_mesh(mesh, classes, DEFAULT_PALETTE, p)
     back = load_mesh(p)
-    assert back.face_colors is not None
-    assert np.array_equal(classes_from_colors(back.face_colors, DEFAULT_PALETTE),
-                          classes)
     assert np.array_equal(back.faces, mesh.faces)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    face_lines = p.read_text().splitlines()[-28:]
+    assert face_lines == [f"3 {a} {b} {c} " + " ".join(map(str, DEFAULT_PALETTE[k]))
+                          for (a, b, c), k in zip(mesh.faces, classes)]
 
 
 def test_export_errors():

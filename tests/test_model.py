@@ -44,9 +44,11 @@ def test_forward_shape_contract():
 
 
 def test_forward_rejects_small_meshes():
+    # a mesh too small for k is bad input data, not a bad configuration
     model = build_variant(tiny_config(k_neighbors=16))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError) as exc:
         model.forward(random_features(10))
+    assert "k=16" in str(exc.value)
 
 
 def test_softmax_rows_sum_to_one():

@@ -6,27 +6,30 @@ from meshseg.tensor import (
     DimensionError,
     EmptyReductionError,
     GatherIndexError,
+    RowScatter,
     StatisticsError,
     Tensor,
     UsageError,
     affine,
-    batch_norm,
     concat_channels,
     gather_rows,
     gradient_check,
-    leaky_relu,
     log_softmax_axis,
     max_axis,
     mul,
     shared_mlp,
     softmax_axis,
-    sub,
     sum_axis,
 )
+from reference import batch_norm, leaky_relu, sub
 
 
 def t64(a, grad=True):
     return Tensor(np.asarray(a, dtype=np.float64), requires_grad=grad)
+
+
+def gather(src, idx):
+    return gather_rows(src, idx, RowScatter(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +57,9 @@ def test_leaky_relu_negative_slope():
     assert out.data[0] == pytest.approx(-0.2)
 
 
-def test_add_shape_mismatch_names_both_shapes():
+def test_mul_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as exc:
-        t64([1.0, 2.0]) + t64([[1.0]])
+        mul(t64([1.0, 2.0]), t64([[1.0]]))
     assert "(2,)" in str(exc.value) and "(1, 1)" in str(exc.value)
 
 
@@ -149,14 +152,14 @@ def test_max_axis_gradient_matches_fd_away_from_ties():
 
 def test_gather_rows_permutation():
     src = t64([[10.0], [20.0], [30.0]])
-    out = gather_rows(src, np.array([[1], [2], [0]]))
+    out = gather(src, np.array([[1], [2], [0]]))
     assert out.data.reshape(-1).tolist() == [20.0, 30.0, 10.0]
 
 
 def test_gather_rows_scatter_add_counting():
     m, k = 4, 3
     src = t64(np.zeros((m, 2)))
-    out = gather_rows(src, np.zeros((m, k), dtype=int)).sum()
+    out = gather(src, np.zeros((m, k), dtype=int)).sum()
     out.backward()
     assert src.grad[0].tolist() == [m * k, m * k]
     assert np.all(src.grad[1:] == 0)
@@ -166,14 +169,14 @@ def test_gather_rows_out_of_range_names_position():
     src = t64(np.zeros((3, 2)))
     idx = np.array([[0, 1], [0, 5], [2, 0]])
     with pytest.raises(GatherIndexError) as exc:
-        gather_rows(src, idx)
+        gather(src, idx)
     assert "5" in str(exc.value) and "(1, 1)" in str(exc.value)
 
 
 def test_gather_rows_rejects_float_index():
     src = t64(np.zeros((3, 2)))
     with pytest.raises(GatherIndexError) as exc:
-        gather_rows(src, np.array([[0.0, 1.0], [2.0, 0.0]]))
+        gather(src, np.array([[0.0, 1.0], [2.0, 0.0]]))
     assert "float64" in str(exc.value)
 
 
@@ -181,7 +184,7 @@ def test_gather_rows_rejects_bool_index():
     # a bool table is within [0, M) and would otherwise index as a mask
     src = t64(np.zeros((3, 2)))
     with pytest.raises(GatherIndexError) as exc:
-        gather_rows(src, np.array([[True, False], [False, True]]))
+        gather(src, np.array([[True, False], [False, True]]))
     assert "bool" in str(exc.value)
 
 
@@ -192,7 +195,7 @@ def test_gather_rows_gradient_matches_fd():
     weights = rng.normal(size=(5, 2, 3))  # non-uniform upstream
 
     def f(s):
-        return mul(gather_rows(s, idx), Tensor(weights, dtype=np.float64)).sum()
+        return mul(gather(s, idx), Tensor(weights, dtype=np.float64)).sum()
 
     assert gradient_check(f, [t64(src)]) <= 1e-6
 
@@ -201,14 +204,14 @@ def test_gather_scatter_conserves_gradient_mass():
     rng = np.random.default_rng(12)
     src = t64(rng.normal(size=(6, 4)))
     idx = rng.integers(0, 6, size=(6, 3))
-    out = gather_rows(src, idx).sum()
+    out = gather(src, idx).sum()
     out.backward()
     upstream_total = 6 * 3 * 4  # all-ones upstream through sum
     assert abs(src.grad.sum() - upstream_total) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
-# batch norm
+# batch norm (the composed reference in tests/reference.py)
 # ---------------------------------------------------------------------------
 
 def test_batch_norm_hand_example():
@@ -353,13 +356,14 @@ def assert_one_owner(tensors):
             assert not np.shares_memory(a, b)
 
 
-def test_add_gives_each_input_its_own_gradient():
+def test_sub_gives_each_input_its_own_gradient():
+    # sub hands its upstream gradient itself to `a`, which must copy it
     a, b = t64([[1.0, 2.0]]), t64([[3.0, 4.0]])
-    out = mul(a + b, t64([[1.0, 2.0]], grad=False))
-    out.sum().backward()
-    assert_one_owner([a, b, out])
-    a.grad[0, 0] = 9.0  # later in-place accumulation must not leak into b
-    assert b.grad.tolist() == [[1.0, 2.0]]
+    diff = sub(a, b)
+    mul(diff, t64([[1.0, 2.0]], grad=False)).sum().backward()
+    assert_one_owner([a, b, diff])
+    a.grad[0, 0] = 9.0  # later in-place accumulation must not leak into diff
+    assert diff.grad.tolist() == [[1.0, 2.0]]
 
 
 def test_concat_channels_gradients_are_owned_copies():
@@ -379,8 +383,9 @@ def test_sum_axis_gradient_is_writeable_not_a_broadcast():
 
 
 def test_repeated_input_accumulates_in_place_correctly():
+    # concat hands both inputs views of one upstream array
     x = t64([1.0, 2.0])
-    (x + x).sum().backward()
+    concat_channels([x, x]).sum().backward()
     assert x.grad.tolist() == [2.0, 2.0]
 
 

@@ -284,18 +284,6 @@ def test_log_round_trip(tmp_path):
     assert back[1].mean_loss == pytest.approx(records[1].mean_loss, abs=1e-6)
 
 
-def test_fixed_augmentation_doubles_dataset():
-    from meshseg.training import prepare_training_meshes
-
-    meshes = small_meshes(2)
-    cfg = quick_config(fixed_augmentation=True, augment=True)
-    prepared = prepare_training_meshes(meshes, cfg)
-    assert len(prepared) == 4
-    # originals are centered copies; augmented ones differ
-    assert not np.allclose(prepared[0].vertices, prepared[2].vertices)
-    assert np.array_equal(prepared[0].labels, prepared[2].labels)
-
-
 # ---------------------------------------------------------------------------
 # training checkpoints
 # ---------------------------------------------------------------------------
