@@ -20,7 +20,7 @@ from meshseg.config import (
     format_config,
     parse_config_file,
 )
-from meshseg.knn import GraphConfigError
+from meshseg.knn import FeatureValueError, GraphConfigError
 from meshseg.mesh import (
     DEFAULT_PALETTE,
     LabelRangeError,
@@ -45,7 +45,7 @@ from meshseg.training import TrainConfig, TrainingError
 
 USAGE_ERRORS = (ConfigKeyError, ConfigError, GraphConfigError, UsageError)
 DATA_ERRORS = (DataError, MeshFormatError, CheckpointError, TrainingError,
-               GenerationError, LabelRangeError, DimensionError,
+               GenerationError, LabelRangeError, DimensionError, FeatureValueError,
                FileNotFoundError, FileExistsError)
 
 

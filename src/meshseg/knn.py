@@ -1,5 +1,15 @@
 """Exact k-nearest-neighbor graphs in feature space and the neighbor gather.
 
+A graph equals the float64 brute force over the caller's values, ties
+broken toward the lower index, and is built in bounded memory.  Each block
+is centred on its float64 column mean and cast to float32, so float32
+rounding does not grow with the block's distance from the origin.  Rows
+are taken in chunks of _CHUNK_ELEMS // M: a chunk's float32 distances
+|a|^2 + |b|^2 - 2ab to all M columns pick each row's k-th value, every
+column within twice the rounding bound of it is a candidate, and the
+candidates are ranked by exact float64 distances.  Peak memory is
+O(_CHUNK_ELEMS + M d) per call, never M x M.
+
 Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
 selection.  Neighbor rows, by contrast, are gathered with gather_rows and
@@ -16,8 +26,17 @@ import numpy as np
 from meshseg.tensor import DimensionError, RowScatter, gather_rows
 
 
+_CHUNK_ELEMS = 1 << 18  # float32 distances held per row chunk (1 MB)
+_F32_EPS = float(np.finfo(np.float32).eps)
+_SQ_LIMIT = float(np.finfo(np.float32).max) / 4  # keeps every e_ij finite
+
+
 class GraphConfigError(ValueError):
     """Neighborhood size incompatible with the cell count."""
+
+
+class FeatureValueError(ValueError):
+    """KNN input that is non-finite or too large for float32 distances."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +75,6 @@ class KnnGraph:
         return KnnGraph(idx)
 
 
-def _pairwise_sq_dists(features):
-    # ||a-b||^2 expanded; cheap at desk scale and exact enough for ranking.
-    sq = np.einsum("ij,ij->i", features, features)
-    d = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
-    np.maximum(d, 0.0, out=d)
-    return d
-
-
 def build_knn_graph(features, k, include_self=False):
     """Rows list the k cells nearest in Euclidean feature distance.
 
@@ -74,32 +85,77 @@ def build_knn_graph(features, k, include_self=False):
 
 
 def _knn_indices(features, k, include_self):
-    features = np.asarray(features)
-    m = features.shape[0]
+    x = np.asarray(features)
+    m, dim = x.shape
     if k < 1 or k >= m:
         raise GraphConfigError(f"k={k} must satisfy 1 <= k < M={m}")
-    if not np.isfinite(features).all():
-        raise ValueError("non-finite feature values")
-    d = _pairwise_sq_dists(features)
-    if not include_self:
-        np.fill_diagonal(d, np.inf)
+    x64 = x.astype(np.float64, copy=False)
+    with np.errstate(all="ignore"):  # NaN, inf and overflow are rejected below
+        a = (x64 - x64.mean(axis=0)).astype(np.float32)
+        sq = np.einsum("ij,ij->i", a, a)
+        top = sq.max()
+    if not top <= _SQ_LIMIT:
+        raise FeatureValueError(
+            "KNN input has non-finite feature values or values too large for "
+            "float32 distances")
+    # Candidate margin.  Let D_ij be the oracle's float64 distance between
+    # the caller's rows and e_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j its float32
+    # stand-in on the centred rows a.  Then |e_ij - D_ij| <= E_i with
+    # E_i = (dim + 5) * eps32 * (|a_i|^2 + max_j |a_j|^2), the sum of:
+    #   (dim + 2) * eps32 * (...)  the expanded formula in float32: dim-term
+    #                              norms and dot product plus two additions;
+    #   2 * eps32 * (...)          the float64 -> float32 cast of a_i and a_j,
+    #                              each off by <= eps32/2 of its norm, which
+    #                              moves |a_i - a_j|^2 by <= 2 eps32 (..);
+    #   1 * eps32 * (...)          spare for the oracle's own float64 rounding
+    #                              and the float32 norms that scale the bound.
+    # If t_i is row i's k-th smallest e_ij, k columns have D <= t_i + E_i, so
+    # every oracle neighbour, and every column tied with the k-th, has
+    # e_ij <= t_i + 2 E_i: those columns, with the limit rounded up to
+    # float32, are the candidates.
+    margin = (2 * (dim + 5) * _F32_EPS) * (sq.astype(np.float64) + float(top))
+    at = np.ascontiguousarray(a.T)
+    rows = max(1, _CHUNK_ELEMS // m)
+    out = np.empty((m, k), dtype=np.int64)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        e = a[lo:hi] @ at
+        e *= -2.0
+        e += sq
+        e += sq[lo:hi, None]
+        if not include_self:
+            e[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        kth = np.partition(e, k - 1, axis=1)[:, k - 1]
+        limit = np.nextafter((kth + margin[lo:hi]).astype(np.float32), np.float32(np.inf))
+        out[lo:hi] = _rerank(x64, lo, hi, np.flatnonzero(e <= limit[:, None]), k)
+    return out
 
-    # Partition to the k smallest per row, then order those by distance with
-    # ties kept in index order (candidates pre-sorted by index + stable sort).
-    part = np.argpartition(d, k - 1, axis=1)[:, :k]
-    cand = np.sort(part, axis=1)
-    d_cand = np.take_along_axis(d, cand, axis=1)
-    order = np.argsort(d_cand, axis=1, kind="stable")
-    idx = np.take_along_axis(cand, order, axis=1)
 
-    # Ties straddling the partition boundary need the full candidate set.
-    kth = d_cand.max(axis=1)
-    counts = (d <= kth[:, None]).sum(axis=1)
-    for i in np.nonzero(counts > k)[0]:
-        tied = np.nonzero(d[i] <= kth[i])[0]  # ascending index already
-        tied = tied[np.argsort(d[i][tied], kind="stable")]
-        idx[i] = tied[:k]
-    return idx
+def _rerank(x64, lo, hi, hits, k):
+    """Rows lo:hi of the graph from their candidates' flat (row, column) ids.
+
+    Distances are the oracle's own float64 ((x_j - x_i) ** 2).sum(); each
+    row's candidates are in index order, so a stable sort breaks ties
+    toward the lower index.  Rows are padded to the widest candidate list
+    and gathered in steps of about _CHUNK_ELEMS values.
+    """
+    m, dim = x64.shape
+    r, c = np.divmod(hits, m)
+    counts = np.bincount(r, minlength=hi - lo)
+    width = int(counts.max())
+    cand = np.full((hi - lo, width), lo, dtype=np.int64)
+    cand[r, np.arange(len(r)) - (np.cumsum(counts) - counts)[r]] = c
+    dist = np.empty(cand.shape)
+    centres = x64[lo:hi, None, :]
+    step = max(1, _CHUNK_ELEMS // (width * max(dim, 1)))
+    for s in range(0, hi - lo, step):
+        diff = np.take(x64, cand[s:s + step], axis=0)
+        diff -= centres[s:s + step]
+        np.square(diff, out=diff)
+        dist[s:s + step] = diff.sum(axis=2)
+    dist[np.arange(width) >= counts[:, None]] = np.inf
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(cand, order, axis=1)
 
 
 def build_block_knn_graph(features, block_size, k, include_self=False):

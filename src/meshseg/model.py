@@ -456,9 +456,10 @@ def load_checkpoint(path):
 def restore_state(path, arrays, model, adam=None):
     """Copy checkpoint arrays into `model` and, if given, `adam`.
 
-    Every record the pair needs must be present with its exact shape, and
-    no other record may appear, except that optimizer records are skipped
-    when no `adam` is given.  `path` only names the file in errors.
+    Every record the pair needs must be present with its exact shape and
+    finite values, and no other record may appear, except that optimizer
+    records are skipped when no `adam` is given.  `path` only names the
+    file in errors.
     """
     table = _record_table(model, adam)
     if adam is not None and OPTIMIZER_PREFIX + "counters" not in arrays:
@@ -478,6 +479,8 @@ def restore_state(path, arrays, model, adam=None):
         if arrays[name].shape != want:
             raise CheckpointError(
                 f"{path}: {name}: checkpoint shape {arrays[name].shape} vs model {want}")
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: {name}: non-finite values in checkpoint")
     if adam is not None:
         counters = arrays[OPTIMIZER_PREFIX + "counters"]
         if not np.array_equal(counters, np.clip(np.floor(counters), 0, COUNTER_LIMIT - 1)):

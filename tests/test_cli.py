@@ -217,6 +217,8 @@ PREDICT = ["predict", "--checkpoint", "{ckpt}", "--mesh", "{dir}/m.{ext}",
            "--out-ply", "{dir}/out.ply"]
 EVAL = ["eval", "--checkpoint", "{ckpt}", "--manifest", "{dir}/manifest.tsv"]
 ONE_ROW = "m.obj\tm.labels\ttest\t0\n"
+GRID_OBJ = "".join(f"v {i} {j} 0\n" for i in range(3) for j in range(3)) + "".join(
+    f"f {a} {a + 3} {a + 1}\nf {a + 1} {a + 3} {a + 4}\n" for a in (1, 2, 4, 5))
 
 # case -> (files to write, command line, location the error must name)
 BAD_INPUTS = {
@@ -238,25 +240,49 @@ BAD_INPUTS = {
     "synth-no-training-meshes": ({}, ["synth", "--out", "{dir}", "--n-train", "0"],
                                  "n_train"),
     "mesh-fewer-cells-than-k": ({"m.obj": TRIANGLE_OBJ}, PREDICT, "k=4"),
+    "checkpoint-nan-parameter": ({"m.obj": GRID_OBJ},
+                                 [a.replace("{ckpt}", "{nan_ckpt}") for a in PREDICT],
+                                 "c1.att.bias"),
+    "checkpoint-overflowing-weight": ({"m.obj": GRID_OBJ},
+                                      [a.replace("{ckpt}", "{huge_ckpt}") for a in PREDICT],
+                                      "KNN input"),
 }
+
+
+def tiny_model():
+    return build_variant(ModelConfig(num_classes=3, k_neighbors=4, stream_widths=(4, 8),
+                                     fusion_width=16, head_widths=(16, 8)))
 
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
-    save_checkpoint(build_variant(ModelConfig(num_classes=3, k_neighbors=4,
-                                              stream_widths=(4, 8), fusion_width=16,
-                                              head_widths=(16, 8))), path)
+    save_checkpoint(tiny_model(), path)
     return path
 
 
+@pytest.fixture(scope="module")
+def edited_checkpoints(tmp_path_factory):
+    # structurally valid: every record present with its shape, one value edited;
+    # a NaN, and a finite weight whose activations overflow float32
+    paths = {}
+    for key, name, value in (("nan_ckpt", "c1.att.bias", np.nan),
+                             ("huge_ckpt", "c1.calibrate.weight", 1e30)):
+        model = tiny_model()
+        next(p for p in model.parameters() if p.name == name).tensor.data[...] = value
+        paths[key] = tmp_path_factory.mktemp("ckpt") / f"{key}.ckpt"
+        save_checkpoint(model, paths[key])
+    return paths
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_is_one_error_line(case, tiny_checkpoint, tmp_path):
+def test_bad_input_is_one_error_line(case, tiny_checkpoint, edited_checkpoints, tmp_path):
     files, argv, location = BAD_INPUTS[case]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     ext = "ply" if "m.ply" in files else "obj"
-    argv = [a.format(ckpt=tiny_checkpoint, dir=tmp_path, ext=ext) for a in argv]
+    argv = [a.format(ckpt=tiny_checkpoint, dir=tmp_path, ext=ext, **edited_checkpoints)
+            for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

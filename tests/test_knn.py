@@ -1,15 +1,21 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from meshseg import knn
 from meshseg.knn import (
+    FeatureValueError,
     GraphConfigError,
     KnnGraph,
     build_block_knn_graph,
     build_knn_graph,
     gather_neighbors,
 )
+from meshseg.mesh import build_cell_features
+from meshseg.synth import generate
 from meshseg.tensor import (
     BatchNormState,
     DimensionError,
@@ -22,23 +28,21 @@ from meshseg.tensor import (
     shared_mlp,
     sum_all,
 )
+from meshseg.verify import desk_arch_spec
 from reference import batch_norm, edge_tensors, leaky_relu
 
 
 def brute_force_knn(features, k, include_self=False):
-    # independent O(M^2) oracle: explicit difference distances, ties by index
+    # independent O(M^2) oracle: explicit float64 differences row by row,
+    # ties by index
     features = np.asarray(features, dtype=np.float64)
     m = features.shape[0]
     out = np.empty((m, k), dtype=np.int64)
     for i in range(m):
-        cand = []
-        for j in range(m):
-            if j == i and not include_self:
-                continue
-            d = float(np.sum((features[i] - features[j]) ** 2))
-            cand.append((d, j))
-        cand.sort()
-        out[i] = [j for _, j in cand[:k]]
+        d = ((features - features[i]) ** 2).sum(axis=1)
+        if not include_self:
+            d[i] = np.inf
+        out[i] = np.lexsort((np.arange(m), d))[:k]
     return out
 
 
@@ -114,6 +118,80 @@ def test_block_knn_stays_inside_blocks():
     assert np.all(graph.indices[10:] >= 10)
     single = build_knn_graph(feats[10:], k=3)
     assert np.array_equal(graph.indices[10:] - 10, single.indices)
+
+
+def test_non_finite_or_float32_overflowing_values_raise_typed_error():
+    for bad in (np.nan, np.inf, 1e30):
+        feats = np.zeros((6, 2))
+        feats[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FeatureValueError):
+                build_knn_graph(feats, k=2)
+
+
+# ---------------------------------------------------------------------------
+# exact where float32 rounding bites, in bounded memory
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def arch_coords():
+    # the float32 coordinate block of one 1200-cell desk arch
+    mesh = generate(dataclasses.replace(desk_arch_spec(), seed=3))
+    return build_cell_features(mesh).as_array()[:, :12].astype(np.float32)
+
+
+def rotated(coords):
+    a, b = 0.7, 1.9
+    rz = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]])
+    rx = np.array([[1, 0, 0], [0, np.cos(b), -np.sin(b)], [0, np.sin(b), np.cos(b)]])
+    pts = coords.astype(np.float64).reshape(-1, 4, 3) @ (rx @ rz).T
+    return pts.reshape(-1, 12).astype(np.float32)
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("move", ["shift-10", "shift-100", "shift-1000", "rotate"])
+def test_moved_arch_matches_brute_force(arch_coords, move, include_self):
+    m = arch_coords.shape[0]
+    assert m % (knn._CHUNK_ELEMS // m)  # the last row chunk is a short one
+    if move == "rotate":
+        feats = rotated(arch_coords)
+    else:
+        feats = arch_coords + np.float32(move.split("-")[1])
+    assert feats.dtype == np.float32
+    graph = build_knn_graph(feats, 12, include_self)
+    assert np.array_equal(graph.indices, brute_force_knn(feats, 12, include_self))
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_offset_integer_grid_ties_match_brute_force(include_self):
+    # exact distance ties that uncentred float32 |a|^2 + |b|^2 - 2ab loses
+    rng = np.random.default_rng(12)
+    feats = rng.integers(0, 6, size=(400, 3)).astype(np.float32) + np.float32(4096)
+    graph = build_knn_graph(feats, 8, include_self)
+    assert np.array_equal(graph.indices, brute_force_knn(feats, 8, include_self))
+
+
+def test_tiny_chunk_budget_stays_exact(monkeypatch):
+    # one row per chunk and one row per re-rank step, wide tied candidate sets
+    monkeypatch.setattr(knn, "_CHUNK_ELEMS", 50)
+    rng = np.random.default_rng(13)
+    for feats in (rng.integers(0, 3, size=(97, 3)).astype(np.float64),
+                  rng.normal(size=(61, 5)) + 100.0):
+        for include_self in (False, True):
+            graph = build_knn_graph(feats, 5, include_self)
+            assert np.array_equal(graph.indices, brute_force_knn(feats, 5, include_self))
+
+
+def test_peak_memory_is_bounded_by_the_row_chunk():
+    feats = np.random.default_rng(14).normal(size=(8000, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        build_knn_graph(feats, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
