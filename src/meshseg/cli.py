@@ -75,7 +75,7 @@ def _resolve_configs(args):
         model_cfg, train_cfg = parse_config_file(args.config, model_cfg, train_cfg)
     model_cfg, train_cfg = apply_overrides(model_cfg, train_cfg,
                                            getattr(args, "set", None))
-    return model_cfg.validate(), train_cfg
+    return model_cfg.validate(), train_cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +159,8 @@ def cmd_ablate(args):
     os.makedirs(args.out, exist_ok=True)
 
     rows = []
-    for name in names:
-        cfg = variant_config(model_cfg, name)
-        model = build_variant(cfg)
-        training.train(model, train_meshes, train_cfg)
-        _, result = evaluation.evaluate_model(model, test_meshes)
+    for name, model, result in evaluation.train_variants(
+            model_cfg, names, train_cfg, train_meshes, test_meshes):
         rows.append((name, result.oa, result.miou))
         save_checkpoint(model, os.path.join(args.out, f"{name}.ckpt"))
         print(f"trained {name}: OA {result.oa:.4f} mIoU {result.miou:.4f}")

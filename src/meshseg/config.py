@@ -63,23 +63,38 @@ def apply_setting(model_cfg, train_cfg, dotted_key, raw_value):
     raise ConfigKeyError(f"unknown config section {section!r}")
 
 
-def parse_config_text(text, model_cfg=None, train_cfg=None):
+def _parse_lines(text, where, model_cfg, train_cfg):
+    """Apply each setting of `text`; an error names `where` plus the line."""
     model_cfg = model_cfg or ModelConfig()
     train_cfg = train_cfg or TrainConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigKeyError(f"line {lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        model_cfg, train_cfg = apply_setting(model_cfg, train_cfg, key, value)
+        try:
+            if "=" not in line:
+                raise ConfigKeyError(f"expected key = value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            model_cfg, train_cfg = apply_setting(model_cfg, train_cfg, key, value)
+        except ConfigKeyError as exc:
+            raise ConfigKeyError(f"{where}{lineno}: {exc}") from None
     return model_cfg, train_cfg
 
 
+def parse_config_text(text, model_cfg=None, train_cfg=None):
+    return _parse_lines(text, "line ", model_cfg, train_cfg)
+
+
 def parse_config_file(path, model_cfg=None, train_cfg=None):
-    with open(path) as fh:
-        return parse_config_text(fh.read(), model_cfg, train_cfg)
+    """Settings of a config file; an error names it as `path:line`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigKeyError(f"{path}:{line}: not UTF-8 text") from None
+    return _parse_lines(text, f"{path}:", model_cfg, train_cfg)
 
 
 def apply_overrides(model_cfg, train_cfg, overrides):

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from meshseg.model import DataError
-from meshseg.training import inference_features
+from meshseg.model import DataError, build_variant, variant_config
+from meshseg.training import inference_features, train
 
 
 class MetricsUsageError(ValueError):
@@ -105,3 +105,13 @@ def evaluate_model(model, meshes):
         pred = model.predict(inference_features(mesh))
         accumulate(cm, pred, mesh.labels)
     return cm, metrics(cm)
+
+
+def train_variants(base_cfg, names, train_cfg, train_meshes, test_meshes):
+    """Train each named variant of `base_cfg` in turn and score it on
+    `test_meshes`; yields (name, trained model, MetricsResult)."""
+    for name in names:
+        model = build_variant(variant_config(base_cfg, name))
+        train(model, train_meshes, train_cfg)
+        _, result = evaluate_model(model, test_meshes)
+        yield name, model, result

@@ -64,13 +64,9 @@ class SharedMLP:
         return {f"{self.name}.bn": self.bn}
 
 
-class GraphAttentionLayer:
-    """Attention aggregation over a KNN neighborhood (coordinate stream).
-
-    Calibration embeds center (+) neighbor through a shared MLP; a single
-    affine map scores (center - neighbor) (+) neighbor per channel, and a
-    softmax across the K neighbors turns the scores into convex weights.
-    """
+class _GraphLayer:
+    """What both aggregation layers share: the calibration MLP over each
+    (centre, neighbour) pair, drawn from the RNG before anything else."""
 
     def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
         self.name = name
@@ -78,6 +74,24 @@ class GraphAttentionLayer:
         self.out_dim = out_dim
         self.calibrate = SharedMLP(f"{name}.calibrate", 2 * in_dim, out_dim, rng,
                                    slope=slope, dtype=dtype)
+
+    def parameters(self):
+        return self.calibrate.parameters()
+
+    def bn_states(self):
+        return self.calibrate.bn_states()
+
+
+class GraphAttentionLayer(_GraphLayer):
+    """Attention aggregation over a KNN neighborhood (coordinate stream).
+
+    A single affine map scores (center - neighbor) (+) neighbor per channel,
+    and a softmax across the K neighbors turns the scores into convex
+    weights over the calibrated neighbors.
+    """
+
+    def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
+        super().__init__(name, in_dim, out_dim, rng, slope, dtype)
         self.att_weight, self.att_bias = _init_affine(rng, 2 * in_dim, out_dim, dtype)
 
     def weights(self, features, neighbors):
@@ -92,33 +106,17 @@ class GraphAttentionLayer:
         return sum_axis(mul(self.weights(features, neighbors), calibrated), axis=1)
 
     def parameters(self):
-        return self.calibrate.parameters() + [
+        return super().parameters() + [
             Parameter(f"{self.name}.att.weight", self.att_weight),
             Parameter(f"{self.name}.att.bias", self.att_bias)]
 
-    def bn_states(self):
-        return self.calibrate.bn_states()
 
-
-class GraphMaxPoolLayer:
+class GraphMaxPoolLayer(_GraphLayer):
     """Max-pool aggregation over a KNN neighborhood (normal stream)."""
-
-    def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
-        self.name = name
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.calibrate = SharedMLP(f"{name}.calibrate", 2 * in_dim, out_dim, rng,
-                                   slope=slope, dtype=dtype)
 
     def forward(self, features, graph, train=False):
         neighbors = gather_neighbors(features, graph)
         return max_axis(self.calibrate(features, train, neighbors), axis=1)
-
-    def parameters(self):
-        return self.calibrate.parameters()
-
-    def bn_states(self):
-        return self.calibrate.bn_states()
 
 
 # aggregation name (the config's c_stream_agg / n_stream_agg) -> layer class

@@ -23,7 +23,6 @@ import numpy as np
 
 from meshseg.knn import build_block_knn_graph
 from meshseg.layers import AGGREGATIONS, SharedMLP, _init_affine
-from meshseg.mesh import CellFeatureMatrix
 from meshseg.tensor import (
     DimensionError,
     Parameter,
@@ -183,9 +182,6 @@ class TwoStreamNet:
         return params + [Parameter("out.weight", self.out_weight),
                          Parameter("out.bias", self.out_bias)]
 
-    def param_dict(self):
-        return {p.name: p for p in self.parameters()}
-
     def bn_states(self):
         states = {}
         for block in self._blocks():
@@ -202,13 +198,10 @@ class TwoStreamNet:
     # -- forward -----------------------------------------------------------
 
     def _as_batch(self, features):
-        if isinstance(features, CellFeatureMatrix):
-            blocks = [features.as_array()]
-        elif isinstance(features, np.ndarray):
-            blocks = [features]
-        else:
-            blocks = [f.as_array() if isinstance(f, CellFeatureMatrix) else np.asarray(f)
-                      for f in features]
+        blocks = ([features] if isinstance(features, np.ndarray)
+                  else [np.asarray(f) for f in features])
+        if not blocks:
+            raise DimensionError("empty batch")
         sizes = {b.shape[0] for b in blocks}
         if len(sizes) != 1:
             raise DimensionError(
@@ -228,42 +221,30 @@ class TwoStreamNet:
             raise DataError("non-finite feature values")
         return x, m
 
-    def forward(self, features, train=False, return_parts=False):
+    def forward(self, features, train=False):
         """Per-cell logits, (total cells) x C.
 
-        `features` is one M x 24 matrix (or CellFeatureMatrix) or a list of
-        equally sized ones; a batch is stacked along rows with KNN graphs
-        kept inside each mesh.  `return_parts` adds a dict of intermediate
-        tensors: `F_<layer>` per aggregation layer, `F_<prefix>` per fused
-        stream, `head_in` and `logits`.
+        `features` is one M x 24 array or a list of equally sized ones; a
+        batch is stacked along rows with KNN graphs kept inside each mesh.
         """
         x, m = self._as_batch(features)
         cfg = self.config
-        parts = {}
         feats = [Tensor(x[:, cols]) for cols, _, _ in self.streams]
+        outs = []  # per layer, every stream's output
         for depth, layers in enumerate(zip(*(stack for _, stack, _ in self.streams))):
             if depth and cfg.fusion_level == "low":
                 feats = [concat_channels(feats)] * len(feats)
             graph = build_block_knn_graph(feats[0].data, m, cfg.k_neighbors,
                                           cfg.include_self)
             feats = [layer.forward(f, graph, train) for layer, f in zip(layers, feats)]
-            parts.update((f"F_{layer.name}", f) for layer, f in zip(layers, feats))
+            outs.append(feats)
 
-        fused = []
-        for _, stack, fuse in self.streams:
-            taps = [parts[f"F_{layer.name}"] for layer in stack]
-            fused.append(fuse(concat_channels(taps), train))
-            parts["F_" + fuse.name.removeprefix("fuse_")] = fused[-1]
+        fused = [fuse(concat_channels(taps), train)
+                 for (_, _, fuse), taps in zip(self.streams, zip(*outs))]
         h = fused[0] if len(fused) == 1 else concat_channels(fused)
-
-        parts["head_in"] = h
         for block in self.head:
             h = block(h, train)
-        logits = affine(h, self.out_weight, self.out_bias)
-        if return_parts:
-            parts["logits"] = logits
-            return logits, parts
-        return logits
+        return affine(h, self.out_weight, self.out_bias)
 
     def predict(self, features):
         """Argmax class per cell, eval mode."""
@@ -491,9 +472,9 @@ def restore_state(path, arrays, model, adam=None):
         _set(owner, attr, arrays[name].astype(_get(owner, attr).dtype))
 
 
-def load_model(path, dtype=np.float32):
-    """Rebuild a model from a checkpoint, restoring parameters and BN stats."""
+def load_model(path):
+    """Rebuild a float32 model from a checkpoint, restoring parameters and BN stats."""
     config, arrays = load_checkpoint(path)
-    model = build_variant(config, dtype=dtype)
+    model = build_variant(config)
     restore_state(path, arrays, model)
     return model

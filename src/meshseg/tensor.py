@@ -79,9 +79,6 @@ class Tensor:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         if self.data.size != 1:
             raise UsageError(f"item() on tensor of shape {self.data.shape}")
@@ -184,14 +181,12 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b), backward)
 
 
-def concat_channels(tensors, axis=-1):
+def concat_channels(tensors):
     """Concatenate along the channel (last) axis."""
     tensors = list(tensors)
     if not tensors:
         raise UsageError("concat_channels: empty input list")
     ndim = tensors[0].data.ndim
-    if axis != -1 and axis != ndim - 1:
-        raise UsageError(f"concat_channels: axis {axis} is not the channel axis")
     lead = tensors[0].data.shape[:-1]
     for t in tensors[1:]:
         if t.data.ndim != ndim or t.data.shape[:-1] != lead:

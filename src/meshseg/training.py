@@ -14,6 +14,7 @@ import numpy as np
 
 from meshseg.mesh import build_cell_features, cell_centroid_mean, transform_mesh
 from meshseg.model import (
+    ConfigError,
     build_variant,
     cross_entropy,
     load_checkpoint,
@@ -40,6 +41,12 @@ class TrainConfig:
     rotation_range: float = math.pi / 6
     augment: bool = True
     seed: int = 0
+
+    def validate(self):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("decay_every", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        return self
 
 
 def lr_at_epoch(config, epoch):
@@ -182,6 +189,7 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
     `resume` returns; the per-epoch RNG streams make the continuation
     identical to an uninterrupted run.
     """
+    config.validate()
     if not meshes:
         raise TrainingError("empty training set")
     for i, m in enumerate(meshes):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from meshseg.evaluation import ConfusionMatrix, accumulate, evaluate_model, metrics
+from meshseg.evaluation import ConfusionMatrix, accumulate, metrics, train_variants
 from meshseg.knn import build_knn_graph, gather_neighbors
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.mesh import build_cell_features, transform_mesh
@@ -25,7 +25,6 @@ from meshseg.model import (
     cross_entropy,
     load_model,
     save_checkpoint,
-    variant_config,
 )
 from meshseg.synth import ArchSpec, _derived_seed, generate
 from meshseg.tensor import Tensor, gradient_check
@@ -357,14 +356,9 @@ def run_training_benchmarks(variants=("full", "coords-only", "normals-only"),
                             reporter=None):
     """Train the requested variants on the frozen desk split; returns
     {variant: (test OA, test mIoU)}."""
-    train_meshes, test_meshes = desk_split()
-    base_cfg = desk_model_config()
-    tcfg = desk_train_config()
     results = {}
-    for name in variants:
-        model = build_variant(variant_config(base_cfg, name))
-        train(model, train_meshes, tcfg)
-        _, res = evaluate_model(model, test_meshes)
+    for name, _, res in train_variants(desk_model_config(), variants,
+                                       desk_train_config(), *desk_split()):
         results[name] = (res.oa, res.miou)
         if reporter:
             reporter(f"      trained {name}: OA {res.oa:.4f} mIoU {res.miou:.4f}")

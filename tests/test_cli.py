@@ -275,6 +275,21 @@ def edited_checkpoints(tmp_path_factory):
     return paths
 
 
+def run_cli(argv, expected_code, prefix):
+    """Run the CLI in a fresh interpreter; returns its one stderr line after
+    checking the exit code, the `prefix` and that no traceback was printed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "meshseg.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    err = proc.stderr.strip().splitlines()
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == expected_code, proc.stderr
+    assert len(err) == 1 and err[0].startswith(prefix), proc.stderr
+    return err[0]
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_error_line(case, tiny_checkpoint, edited_checkpoints, tmp_path):
     files, argv, location = BAD_INPUTS[case]
@@ -283,16 +298,64 @@ def test_bad_input_is_one_error_line(case, tiny_checkpoint, edited_checkpoints, 
     ext = "ply" if "m.ply" in files else "obj"
     argv = [a.format(ckpt=tiny_checkpoint, dir=tmp_path, ext=ext, **edited_checkpoints)
             for a in argv]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "meshseg.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    err = proc.stderr.strip().splitlines()
-    assert "Traceback" not in proc.stderr
-    assert proc.returncode == 1, proc.stderr
-    assert len(err) == 1 and err[0].startswith("error: "), proc.stderr
-    assert location in err[0]
+    assert location in run_cli(argv, 1, "error: ")
+
+
+# --set value -> what the usage error must name; each used to crash or to
+# write the checkpoint of an untrained model
+BAD_TRAIN_VALUES = {
+    "train.batch_size=0": "batch_size must be >= 1, got 0",
+    "train.batch_size=-2": "batch_size must be >= 1, got -2",
+    "train.decay_every=0": "decay_every must be >= 1, got 0",
+    "train.epochs=-3": "epochs must be >= 0, got -3",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(BAD_TRAIN_VALUES))
+def test_bad_train_value_is_a_usage_error(setting, dataset, tmp_path):
+    out = tmp_path / "run"
+    err = run_cli(["train", "--manifest", dataset / "manifest.tsv", "--out", out,
+                   *TINY, "--set", setting], 2, "usage error: ")
+    assert BAD_TRAIN_VALUES[setting] in err
+    assert not out.exists()
+
+
+def test_zero_epochs_is_valid(dataset, tmp_path):
+    code = main(["train", "--manifest", str(dataset / "manifest.tsv"),
+                 "--out", str(tmp_path / "run"), *TINY, "--set", "train.epochs=0"])
+    assert code == 0
+    assert load_checkpoint(tmp_path / "run" / "model.ckpt")[1]["optimizer.counters"].tolist() \
+        == [0.0, 0.0]
+
+
+# config file bytes -> (line the error must name, text it must contain)
+BAD_CONFIG_FILES = {
+    "unparseable-value": (b"train.augment = false\ntrain.epochs = abc\n", 2,
+                          "cannot parse value 'abc' for key 'train.epochs'"),
+    "unknown-key": (b"# settings\n\ntrain.epoch = 3\n", 3, "unknown train config key 'epoch'"),
+    "missing-equals": (b"model.num_classes = 3\nmodel.k_neighbors 4\n", 2,
+                       "expected key = value"),
+    "unknown-section": (b"data.path = x\n", 1, "unknown config section 'data'"),
+    "not-utf8": (b"train.seed = 1\ntrain.epochs = \xff\n", 2, "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+def test_config_file_error_names_path_and_line(case, dataset, tmp_path):
+    data, line, text = BAD_CONFIG_FILES[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    err = run_cli(["train", "--manifest", dataset / "manifest.tsv",
+                   "--out", tmp_path / "run", "--config", cfg], 2, "usage error: ")
+    assert f"{cfg}:{line}: " in err and text in err
+
+
+def test_override_error_names_the_override(dataset, tmp_path, capsys):
+    code = main(["train", "--manifest", str(dataset / "manifest.tsv"),
+                 "--out", str(tmp_path / "run"), "--set", "train.epochs=abc"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'train.epochs'" in err and "'abc'" in err
 
 
 def test_ablate_two_variants(dataset, tmp_path):

@@ -41,12 +41,6 @@ def test_concat_channels_values():
     assert out.data.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_concat_non_channel_axis_rejected():
-    a = t64([[1.0, 2.0]])
-    with pytest.raises(UsageError):
-        concat_channels([a, a], axis=0)
-
-
 def test_concat_shape_mismatch():
     with pytest.raises(DimensionError):
         concat_channels([t64([[1.0]]), t64([[1.0], [2.0]])])

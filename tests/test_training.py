@@ -9,6 +9,7 @@ import meshseg.training as training_mod
 from meshseg.mesh import build_cell_features
 from meshseg.model import (
     CheckpointError,
+    ConfigError,
     ModelConfig,
     build_variant,
     load_checkpoint,
@@ -254,6 +255,18 @@ def test_heterogeneous_cell_counts_rejected():
         train(model, meshes, quick_config())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("batch_size", 0), ("batch_size", -2), ("decay_every", 0)])
+def test_out_of_range_train_config_rejected(field, value):
+    bad = quick_config(**{field: value})
+    with pytest.raises(ConfigError) as exc:
+        bad.validate()
+    assert field in str(exc.value)
+    with pytest.raises(ConfigError):  # train checks before it touches the model
+        train(small_model(), small_meshes(), bad)
+    assert quick_config(epochs=0).validate().epochs == 0
+
+
 def test_missing_labels_rejected():
     model = small_model()
     mesh = small_meshes(1)[0]
@@ -264,7 +277,7 @@ def test_missing_labels_rejected():
 
 def test_nan_loss_aborts_with_batch_diagnostic():
     model = small_model()
-    model.param_dict()["out.weight"].tensor.data[0, 0] = np.nan
+    model.out_weight.data[0, 0] = np.nan
     with pytest.raises(TrainingError) as exc:
         train(model, small_meshes(), quick_config())
     msg = str(exc.value)
