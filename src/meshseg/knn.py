@@ -14,12 +14,13 @@ Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
 selection.  Neighbor rows, by contrast, are gathered with gather_rows and
 are fully differentiable; every gather over one graph shares the graph's
-RowScatter, built once when the graph is made.
+RowScatter, built on first use, so a tape-free pass never sorts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,13 +44,12 @@ class FeatureValueError(ValueError):
 class KnnGraph:
     """M x K table of neighbor cell ids, nearest first; immutable.
 
-    `indices` is a read-only int64 copy of the table passed in, and
-    `scatter` its RowScatter, so the sort can never go stale.  K is the
-    table's width.
+    `indices` is a read-only int64 copy of the table passed in, so its
+    RowScatter `scatter`, built on first access, can never go stale.  K is
+    the table's width.
     """
 
     indices: np.ndarray  # (M, K) int64
-    scatter: RowScatter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indices = np.array(self.indices, dtype=np.int64)
@@ -57,7 +57,10 @@ class KnnGraph:
             raise DimensionError(f"neighbor table must be (M, K), got {indices.shape}")
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "scatter", RowScatter(indices))
+
+    @cached_property
+    def scatter(self):
+        return RowScatter(self.indices)
 
     @property
     def num_cells(self):

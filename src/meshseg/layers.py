@@ -7,6 +7,13 @@ weights normalized over the neighborhood; the max-pool layer takes the
 channel-wise maximum instead.  Neither layer builds the (M, K, 2d) pair:
 neighbor rows are gathered once per layer and each affine map over a pair
 is split into a per-cell centre half and a per-edge neighbour half.
+
+A tape-free eval-mode call aggregates balanced chunks of rows in turn, so
+it never holds more than about _CHUNK_ELEMS per-edge values of one array;
+a cell's output depends only on its own row and its neighbours' rows, so
+the result is bit-identical to the whole batch.  Training (batch norm needs
+whole-batch statistics) and taped calls (the gather needs its scatter)
+aggregate the whole batch at once.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 from meshseg.knn import gather_neighbors
 from meshseg.tensor import (
     BatchNormState,
+    DimensionError,
     Parameter,
     Tensor,
     edge_affine,
@@ -24,7 +32,10 @@ from meshseg.tensor import (
     shared_mlp,
     softmax_axis,
     sum_axis,
+    taping,
 )
+
+_CHUNK_ELEMS = 1 << 21  # per-edge values of the widest array in one eval chunk
 
 
 def _init_affine(rng, in_dim, out_dim, dtype):
@@ -81,6 +92,24 @@ class _GraphLayer:
     def bn_states(self):
         return self.calibrate.bn_states()
 
+    def _apply(self, features, graph, train):
+        """Run the subclass's `_aggregate`, over row chunks when tape-free eval."""
+        if train or taping():
+            return self._aggregate(features, gather_neighbors(features, graph), train)
+        x = features.data
+        m = x.shape[0]
+        if graph.num_cells != m:
+            raise DimensionError(
+                f"graph over {graph.num_cells} cells applied to {m} feature rows")
+        # balanced chunks, none of a single row: a one-row float32 product
+        # takes BLAS's matrix-vector path, which rounds differently
+        per_row = graph.k * max(self.in_dim, self.out_dim)
+        chunks = max(1, min(-(-m * per_row // _CHUNK_ELEMS), m // 2))
+        bounds = np.linspace(0, m, chunks + 1).round().astype(np.int64)
+        return Tensor(np.concatenate([
+            self._aggregate(Tensor(x[lo:hi]), Tensor(x[graph.indices[lo:hi]]), train).data
+            for lo, hi in zip(bounds[:-1], bounds[1:])]))
+
 
 class GraphAttentionLayer(_GraphLayer):
     """Attention aggregation over a KNN neighborhood (coordinate stream).
@@ -100,10 +129,12 @@ class GraphAttentionLayer(_GraphLayer):
                              diff=True)
         return softmax_axis(scores, axis=1)
 
-    def forward(self, features, graph, train=False):
-        neighbors = gather_neighbors(features, graph)
+    def _aggregate(self, features, neighbors, train):
         calibrated = self.calibrate(features, train, neighbors)
         return sum_axis(mul(self.weights(features, neighbors), calibrated), axis=1)
+
+    def forward(self, features, graph, train=False):
+        return self._apply(features, graph, train)
 
     def parameters(self):
         return super().parameters() + [
@@ -114,9 +145,11 @@ class GraphAttentionLayer(_GraphLayer):
 class GraphMaxPoolLayer(_GraphLayer):
     """Max-pool aggregation over a KNN neighborhood (normal stream)."""
 
-    def forward(self, features, graph, train=False):
-        neighbors = gather_neighbors(features, graph)
+    def _aggregate(self, features, neighbors, train):
         return max_axis(self.calibrate(features, train, neighbors), axis=1)
+
+    def forward(self, features, graph, train=False):
+        return self._apply(features, graph, train)
 
 
 # aggregation name (the config's c_stream_agg / n_stream_agg) -> layer class

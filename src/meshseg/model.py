@@ -31,6 +31,7 @@ from meshseg.tensor import (
     concat_channels,
     log_softmax_axis,
     mul,
+    no_tape,
 )
 
 FEATURE_WIDTH = 24  # 12 coordinate columns, then 12 normal columns
@@ -247,8 +248,10 @@ class TwoStreamNet:
         return affine(h, self.out_weight, self.out_bias)
 
     def predict(self, features):
-        """Argmax class per cell, eval mode."""
-        logits = self.forward(features, train=False)
+        """Argmax class per cell, eval mode, recording no tape; the graph
+        layers then aggregate in bounded row chunks."""
+        with no_tape():
+            logits = self.forward(features, train=False)
         return np.argmax(logits.data, axis=1)
 
 

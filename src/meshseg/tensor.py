@@ -17,14 +17,19 @@ gradient verification.
 
 Tensors are immutable once created except for gradient accumulation.
 Backward runs over a tape in reverse topological order; only first-order
-derivatives are supported.
+derivatives are supported.  Inside `no_tape()` no op extends the tape, so
+an inference pass keeps nothing alive for a backward that never comes.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+_taping = True  # False inside no_tape()
 
 
 class DimensionError(ValueError):
@@ -140,9 +145,26 @@ def _accumulate(tensor, grad, owned=False):
         tensor.grad += grad
 
 
+@contextlib.contextmanager
+def no_tape():
+    """Ops run inside record no parents and no backward closure: results
+    never require grad.  Nests, and restores the previous state on exit."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
+def taping():
+    """Whether ops currently extend the tape (False inside no_tape())."""
+    return _taping
+
+
 def _make(data, parents, backward):
     """Wrap an op result; the tape is only extended when a parent needs grad."""
-    track = any(p.requires_grad for p in parents)
+    track = _taping and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)

@@ -43,9 +43,21 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        for name, least in (("epochs", 0), ("batch_size", 1), ("decay_every", 1)):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("decay_every", 1),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        # Adam divides by 1 - beta ** t and by sqrt(v) + eps; lr0 <= 0 climbs the loss
+        for name, want, ok in (("lr0", "> 0", lambda v: v > 0),
+                               ("beta1", "in [0, 1)", lambda v: 0 <= v < 1),
+                               ("beta2", "in [0, 1)", lambda v: 0 <= v < 1),
+                               ("eps", "> 0", lambda v: v > 0),
+                               ("decay_factor", "> 0", lambda v: v > 0),
+                               ("translation_range", ">= 0", lambda v: v >= 0),
+                               ("rotation_range", ">= 0", lambda v: v >= 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and ok(value)):
+                raise ConfigError(f"{name} must be finite and {want}, got {value}")
         return self
 
 

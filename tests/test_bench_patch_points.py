@@ -36,7 +36,7 @@ def ms():
                               training=training, verify=verify)
 
 
-def test_tracer_and_probe_see_a_train_step_and_a_predict(ms, tmp_path):
+def test_tracer_and_probe_see_a_train_step_and_a_predict(ms, tmp_path, monkeypatch):
     tracing, checks = load_bench_module("tracing"), load_bench_module("checks")
     tracer, probe = tracing.Tracer(ms), checks.Probe(ms)
     # tag each target's namer so every target's span can be told apart
@@ -85,6 +85,8 @@ def test_tracer_and_probe_see_a_train_step_and_a_predict(ms, tmp_path):
         ms.training.Adam(net.parameters()).step(tc.lr0)
         graphs = probe.graphs
         probe.clear()
+        first_predict_span = len(tracer.spans)
+        monkeypatch.setattr(layers, "_CHUNK_ELEMS", 256)  # several row chunks per layer
         pred = net.predict(ms.training.inference_features(loaded))
         ms.evaluation.accumulate(ms.evaluation.ConfusionMatrix(3), pred, loaded.labels)
     finally:
@@ -98,6 +100,13 @@ def test_tracer_and_probe_see_a_train_step_and_a_predict(ms, tmp_path):
     assert {"layers.c1", "layers.c2", "layers.n1", "layers.n2", "layers.fuse_c",
             "layers.fuse_n", "layers.head1", "knn.build", "model.forward"} <= names
     assert all(span[2] is not None for span in tracer.spans)
+    # the tape-free, chunked predict still passes through every layer span
+    predict_names = {span[0] for span in tracer.spans[first_predict_span:]}
+    assert {"model.predict", "model.forward", "knn.build", "layers.c1", "layers.c2",
+            "layers.n1", "layers.n2", "layers.c1.calibrate", "layers.n2.calibrate",
+            "layers.fuse_c", "layers.fuse_n", "layers.head1"} <= predict_names
+    assert sum(span[0] == "layers.c1.calibrate"
+               for span in tracer.spans[first_predict_span:]) >= 3
 
     assert len(graphs) == len(probe.graphs) == 2, "one KNN graph per layer"
     for features, block_size, k, include_self, indices in graphs + probe.graphs:
@@ -107,6 +116,7 @@ def test_tracer_and_probe_see_a_train_step_and_a_predict(ms, tmp_path):
                                        range(0, len(features), 17))
         assert bad == 0
     assert probe.logits.data.shape == (loaded.num_cells, 3)
+    assert checks.tape_stats(probe.logits) == (1, probe.logits.data.nbytes)
     assert np.array_equal(np.argmax(probe.logits.data, axis=1), pred)
 
     for owner, attr, original in originals:

@@ -308,6 +308,13 @@ BAD_TRAIN_VALUES = {
     "train.batch_size=-2": "batch_size must be >= 1, got -2",
     "train.decay_every=0": "decay_every must be >= 1, got 0",
     "train.epochs=-3": "epochs must be >= 0, got -3",
+    # Adam's bias correction divided by zero, or the run trained uphill
+    "train.beta1=1": "beta1 must be finite and in [0, 1), got 1.0",
+    "train.beta2=1": "beta2 must be finite and in [0, 1), got 1.0",
+    "train.lr0=-1": "lr0 must be finite and > 0, got -1.0",
+    "train.lr0=nan": "lr0 must be finite and > 0, got nan",
+    "train.eps=0": "eps must be finite and > 0, got 0.0",
+    "train.seed=-1": "seed must be >= 0, got -1",  # was a numpy ValueError traceback
 }
 
 

@@ -216,6 +216,148 @@ def test_fusion_composition_matches_scripted_pipeline(variant, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# tape-free, row-chunked inference
+# ---------------------------------------------------------------------------
+
+def predict_logits(model, features, monkeypatch):
+    """(labels, logits) of model.predict, the logits captured from forward."""
+    import meshseg.model as model_mod
+
+    captured = []
+    real = model_mod.TwoStreamNet.forward
+
+    def recording(net, *args, **kwargs):
+        captured.append(real(net, *args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(model_mod.TwoStreamNet, "forward", recording)
+    labels = model.predict(features)
+    monkeypatch.setattr(model_mod.TwoStreamNet, "forward", real)
+    (logits,) = captured
+    return labels, logits
+
+
+def test_predict_logits_carry_no_tape(monkeypatch):
+    model = build_variant(tiny_config())
+    labels, logits = predict_logits(model, random_features(30, seed=9), monkeypatch)
+    assert not logits.requires_grad
+    assert logits._parents == () and logits._backward is None
+    assert np.array_equal(labels, np.argmax(logits.data, axis=1))
+
+
+def test_train_forward_without_tape_updates_bn_like_the_taped_one(monkeypatch):
+    import meshseg.layers as layers_mod
+    from meshseg.tensor import no_tape
+
+    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 64)  # train mode must not chunk
+    feats = random_features(40, seed=10)
+    taped, free = build_variant(tiny_config()), build_variant(tiny_config())
+    ref = taped.forward(feats, train=True)
+    with no_tape():
+        out = free.forward(feats, train=True)
+    assert np.array_equal(out.data, ref.data) and not out.requires_grad
+    for (name, a), b in zip(taped.bn_states().items(), free.bn_states().values()):
+        assert np.array_equal(a.running_mean, b.running_mean), name
+        assert np.array_equal(a.running_var, b.running_var), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
+def test_chunked_predict_matches_taped_eval_bit_for_bit(variant, dtype, monkeypatch):
+    import meshseg.layers as layers_mod
+
+    model = build_variant(variant_config(tiny_config(), variant), dtype=dtype)
+    rng = np.random.default_rng(11)
+    for st in model.bn_states().values():  # eval mode must read these
+        st.running_mean = rng.normal(size=st.channels).astype(dtype)
+        st.running_var = rng.uniform(0.5, 2.0, size=st.channels).astype(dtype)
+    feats = [random_features(60, seed=s) for s in (12, 13)]
+    ref = model.forward(feats, train=False).data
+
+    chunks = {}
+    real = layers_mod.SharedMLP.__call__
+
+    def counting(block, x, train=False, neighbors=None):
+        if neighbors is not None:  # one calibration per chunk of a graph layer
+            chunks[block.name] = chunks.get(block.name, 0) + 1
+        return real(block, x, train, neighbors)
+
+    monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
+    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 512)
+    _, logits = predict_logits(model, feats, monkeypatch)
+    assert len(chunks) == 3 * len(model.streams)
+    assert min(chunks.values()) >= 3, chunks
+    assert logits.data.dtype == dtype
+    assert np.array_equal(logits.data, ref)
+
+
+def test_chunks_are_balanced_and_never_one_row(monkeypatch):
+    import meshseg.layers as layers_mod
+    from meshseg.knn import KnnGraph
+    from meshseg.tensor import Tensor, no_tape
+
+    sizes = []
+
+    class Recorder(layers_mod.GraphMaxPoolLayer):
+        def _aggregate(self, features, neighbors, train):
+            sizes.append(features.data.shape[0])
+            return super()._aggregate(features, neighbors, train)
+
+    layer = Recorder("n1", 2, 3, np.random.default_rng(0))
+    for m in (2, 3, 5, 17, 64, 101):
+        graph = KnnGraph(np.zeros((m, 1), dtype=np.int64))
+        x = Tensor(np.random.default_rng(m).normal(size=(m, 2)).astype(np.float32))
+        ref = layer.forward(x, graph).data
+        for budget in (1, 7, 20, 64, 1 << 21):
+            monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", budget)
+            sizes.clear()
+            with no_tape():
+                out = layer.forward(x, graph)
+            assert sum(sizes) == m and min(sizes) >= 2, (m, budget, sizes)
+            assert max(sizes) - min(sizes) <= 1
+            assert np.array_equal(out.data, ref)
+
+
+def test_predict_holds_less_than_half_the_taped_peak_and_never_sorts(monkeypatch):
+    import tracemalloc
+    from dataclasses import replace
+
+    import meshseg.knn as knn_mod
+    from meshseg.synth import generate
+    from meshseg.training import inference_features
+    from meshseg.verify import desk_arch_spec, desk_model_config
+
+    feats = inference_features(generate(replace(desk_arch_spec(), cells_target=2400)))
+    assert feats.shape[0] >= 2400
+    model = build_variant(desk_model_config())
+    sorts = []
+
+    class CountingScatter(knn_mod.RowScatter):
+        def __init__(self, idx):
+            sorts.append(1)
+            super().__init__(idx)
+
+    monkeypatch.setattr(knn_mod, "RowScatter", CountingScatter)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    logits, taped_peak = peak(lambda: model.forward(feats, train=False))
+    assert sorts  # the taped path keeps its scatter for backward
+    del logits
+    sorts.clear()
+    labels, predict_peak = peak(lambda: model.predict(feats))
+    assert not sorts
+    assert labels.shape == (feats.shape[0],)
+    assert predict_peak < taped_peak / 2, (predict_peak, taped_peak)
+
+
+# ---------------------------------------------------------------------------
 # variants
 # ---------------------------------------------------------------------------
 

@@ -17,9 +17,11 @@ from meshseg.tensor import (
     log_softmax_axis,
     max_axis,
     mul,
+    no_tape,
     shared_mlp,
     softmax_axis,
     sum_axis,
+    taping,
 )
 from reference import batch_norm, leaky_relu, sub
 
@@ -80,6 +82,35 @@ def test_affine_shape_errors():
         affine(t64([[1.0, 2.0]]), t64([[1.0]]), t64([0.0]))
     with pytest.raises(DimensionError):
         affine(t64([[1.0]]), t64([[1.0, 2.0]]), t64([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the tape switch
+# ---------------------------------------------------------------------------
+
+def test_no_tape_nests_and_restores_after_an_exception():
+    assert taping()
+    with no_tape():
+        assert not taping()
+        with no_tape():
+            assert not taping()
+        assert not taping()  # the inner exit restores the outer state
+    assert taping()
+    with pytest.raises(RuntimeError):
+        with no_tape():
+            raise RuntimeError("boom")
+    assert taping()
+
+
+def test_ops_inside_no_tape_record_nothing():
+    x, w, b = t64([[1.0, -2.0]]), t64([[0.5], [1.0]]), t64([0.25])
+    with no_tape():
+        out = sum_axis(affine(x, w, b), axis=1)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    assert out.data.tolist() == [-1.25]
+    taped = sum_axis(affine(x, w, b), axis=1)  # same op, tape back on
+    assert taped.requires_grad and taped._parents
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,10 @@ def test_heterogeneous_cell_counts_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("epochs", -1), ("batch_size", 0), ("batch_size", -2), ("decay_every", 0)])
+    ("epochs", -1), ("batch_size", 0), ("batch_size", -2), ("decay_every", 0),
+    ("lr0", 0.0), ("lr0", float("inf")), ("beta1", -0.1), ("beta2", 1.0),
+    ("eps", 0.0), ("decay_factor", 0.0), ("translation_range", -1.0),
+    ("rotation_range", float("nan"))])
 def test_out_of_range_train_config_rejected(field, value):
     bad = quick_config(**{field: value})
     with pytest.raises(ConfigError) as exc:
