@@ -4,10 +4,13 @@ A graph equals the float64 brute force over the caller's values, ties
 broken toward the lower index, and is built in bounded memory.  Each block
 is centred on its float64 column mean and cast to float32, so float32
 rounding does not grow with the block's distance from the origin.  Rows
-are taken in chunks of _CHUNK_ELEMS // M: a chunk's float32 distances
-|a|^2 + |b|^2 - 2ab to all M columns pick each row's k-th value, every
-column within twice the rounding bound of it is a candidate, and the
-candidates are ranked by exact float64 distances.  Peak memory is
+are taken in chunks of about _CHUNK_ELEMS // M.  BLAS writes a chunk's
+float32 distances |b|^2 - 2ab to all M columns, and one reduction takes
+the minimum of each group of _GROUP strided columns; the k-th smallest
+group minimum bounds the row's k-th distance from above.  Only the members
+of the groups under that bound are read again: they give the exact k-th
+value, every column within twice the rounding bound of it is a candidate,
+and the candidates are ranked by exact float64 distances.  Peak memory is
 O(_CHUNK_ELEMS + M d) per call, never M x M.
 
 Graph construction is non-differentiable structure: neighbor indices are
@@ -27,7 +30,8 @@ import numpy as np
 from meshseg.tensor import DimensionError, RowScatter, gather_rows
 
 
-_CHUNK_ELEMS = 1 << 18  # float32 distances held per row chunk (1 MB)
+_CHUNK_ELEMS = 1 << 20  # float32 distances held per row chunk (4 MB)
+_GROUP = 8  # strided columns per group whose minimum bounds a row's k-th
 _F32_EPS = float(np.finfo(np.float32).eps)
 _SQ_LIMIT = float(np.finfo(np.float32).max) / 4  # keeps every e_ij finite
 
@@ -102,11 +106,13 @@ def _knn_indices(features, k, include_self):
             "KNN input has non-finite feature values or values too large for "
             "float32 distances")
     # Candidate margin.  Let D_ij be the oracle's float64 distance between
-    # the caller's rows and e_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j its float32
-    # stand-in on the centred rows a.  Then |e_ij - D_ij| <= E_i with
+    # the caller's rows and e_ij = |a_j|^2 - 2 a_i.a_j its float32 stand-in
+    # on the centred rows a, short of the row constant |a_i|^2, which ranks
+    # nothing.  Then |e_ij + |a_i|^2 - D_ij| <= E_i with
     # E_i = (dim + 5) * eps32 * (|a_i|^2 + max_j |a_j|^2), the sum of:
     #   (dim + 2) * eps32 * (...)  the expanded formula in float32: dim-term
-    #                              norms and dot product plus two additions;
+    #                              norm and dot product (the factor -2 is a
+    #                              power of two, so exact) plus one addition;
     #   2 * eps32 * (...)          the float64 -> float32 cast of a_i and a_j,
     #                              each off by <= eps32/2 of its norm, which
     #                              moves |a_i - a_j|^2 by <= 2 eps32 (..);
@@ -117,20 +123,55 @@ def _knn_indices(features, k, include_self):
     # e_ij <= t_i + 2 E_i: those columns, with the limit rounded up to
     # float32, are the candidates.
     margin = (2 * (dim + 5) * _F32_EPS) * (sq.astype(np.float64) + float(top))
-    at = np.ascontiguousarray(a.T)
-    rows = max(1, _CHUNK_ELEMS // m)
+    # Groups.  Column c lies in group c % g of g >= k + 1 groups of s
+    # strided columns; columns M .. s * g - 1 are +inf padding.  The k-th
+    # smallest group minimum u_i >= t_i, since k groups each hold a column
+    # <= u_i, so every candidate lies in a group whose minimum is within the
+    # limit of u_i + 2 E_i; t_i and the candidates are found among those
+    # groups' members alone.  Strides keep u_i tight: nearby cell ids tend
+    # to be nearby in space, and striding spreads them over many groups.
+    s = min(_GROUP, m // (k + 1))
+    g = -(-m // s)
+    at = np.zeros((dim, s * g), dtype=np.float32)
+    np.multiply(a.T, -2, out=at[:, :m])
+    sq_pad = np.full(s * g, np.inf, dtype=np.float32)
+    sq_pad[:m] = sq
+    rows = max(1, _CHUNK_ELEMS // (s * g))
+    buf = np.empty((min(rows, m), s * g), dtype=np.float32)  # one allocation per call
     out = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        e = a[lo:hi] @ at
-        e *= -2.0
-        e += sq
-        e += sq[lo:hi, None]
+        n = hi - lo
+        e = np.matmul(a[lo:hi], at, out=buf[:n])
+        e += sq_pad
         if not include_self:
-            e[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        kth = np.partition(e, k - 1, axis=1)[:, k - 1]
-        limit = np.nextafter((kth + margin[lo:hi]).astype(np.float32), np.float32(np.inf))
-        out[lo:hi] = _rerank(x64, lo, hi, np.flatnonzero(e <= limit[:, None]), k)
+            e[np.arange(n), np.arange(lo, hi)] = np.inf
+        e = e.reshape(n, s, g)
+        group_min = e.min(axis=1)
+        upper = np.partition(group_min, k - 1, axis=1)[:, k - 1]
+        # flatnonzero: several times faster than a 2-d nonzero
+        r, q = np.divmod(np.flatnonzero(
+            group_min <= _f32_above(upper + margin[lo:hi])[:, None]), g)
+        vals = _pad_rows(r, n, e[r, :, q], np.inf)  # (n, groups, s)
+        kth = np.partition(vals.reshape(n, -1), k - 1, axis=1)[:, k - 1]
+        hit = np.flatnonzero(vals <= _f32_above(kth + margin[lo:hi])[:, None, None])
+        cols = _pad_rows(r, n, q, 0)[:, :, None] + g * np.arange(s)
+        hits = (hit // vals[0].size) * m + cols.ravel()[hit]
+        out[lo:hi] = _rerank(x64, lo, hi, np.sort(hits), k)
+    return out
+
+
+def _f32_above(x):
+    """x rounded to float32, then one step up: a float32 never below x."""
+    return np.nextafter(x.astype(np.float32), np.float32(np.inf))
+
+
+def _pad_rows(r, n, values, fill):
+    """(n, width, ...) array: row i holds, in order, the values whose sorted
+    row id r is i, then `fill` up to the widest row."""
+    counts = np.bincount(r, minlength=n)
+    out = np.full((n, int(counts.max())) + values.shape[1:], fill, dtype=values.dtype)
+    out[r, np.arange(len(r)) - (np.cumsum(counts) - counts)[r]] = values
     return out
 
 
@@ -139,24 +180,23 @@ def _rerank(x64, lo, hi, hits, k):
 
     Distances are the oracle's own float64 ((x_j - x_i) ** 2).sum(); each
     row's candidates are in index order, so a stable sort breaks ties
-    toward the lower index.  Rows are padded to the widest candidate list
-    and gathered in steps of about _CHUNK_ELEMS values.
+    toward the lower index.  Rows are padded with -1 to the widest
+    candidate list and gathered in steps of about _CHUNK_ELEMS / 16
+    float64 values, small enough to stay in cache.
     """
     m, dim = x64.shape
     r, c = np.divmod(hits, m)
-    counts = np.bincount(r, minlength=hi - lo)
-    width = int(counts.max())
-    cand = np.full((hi - lo, width), lo, dtype=np.int64)
-    cand[r, np.arange(len(r)) - (np.cumsum(counts) - counts)[r]] = c
+    cand = _pad_rows(r, hi - lo, c, -1)
+    width = cand.shape[1]
     dist = np.empty(cand.shape)
     centres = x64[lo:hi, None, :]
-    step = max(1, _CHUNK_ELEMS // (width * max(dim, 1)))
+    step = max(1, (_CHUNK_ELEMS >> 4) // (width * max(dim, 1)))
     for s in range(0, hi - lo, step):
         diff = np.take(x64, cand[s:s + step], axis=0)
         diff -= centres[s:s + step]
         np.square(diff, out=diff)
         dist[s:s + step] = diff.sum(axis=2)
-    dist[np.arange(width) >= counts[:, None]] = np.inf
+    dist[cand < 0] = np.inf
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(cand, order, axis=1)
 

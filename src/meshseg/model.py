@@ -94,6 +94,11 @@ class ModelConfig:
             raise ConfigError("stream_widths must name at least one layer")
         if min(*self.stream_widths, self.fusion_width, *self.head_widths) < 1:
             raise ConfigError("every layer width must be >= 1")
+        if not (math.isfinite(self.leaky_slope) and 0 <= self.leaky_slope < 1):
+            raise ConfigError(
+                f"leaky_slope must be finite and in [0, 1), got {self.leaky_slope}")
+        if self.seed < 0:  # np.random.default_rng rejects it
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.streams not in STREAM_LAYOUTS:
             raise ConfigError(f"unknown streams setting: {self.streams!r}")
         if self.fusion_level not in ("high", "low"):

@@ -315,6 +315,10 @@ BAD_TRAIN_VALUES = {
     "train.lr0=nan": "lr0 must be finite and > 0, got nan",
     "train.eps=0": "eps must be finite and > 0, got 0.0",
     "train.seed=-1": "seed must be >= 0, got -1",  # was a numpy ValueError traceback
+    # NaN was reported as non-finite KNN input; -1 was a numpy traceback
+    "model.leaky_slope=nan": "leaky_slope must be finite and in [0, 1), got nan",
+    "model.leaky_slope=-0.1": "leaky_slope must be finite and in [0, 1), got -0.1",
+    "model.seed=-1": "seed must be >= 0, got -1",
 }
 
 

@@ -172,6 +172,38 @@ def test_offset_integer_grid_ties_match_brute_force(include_self):
     assert np.array_equal(graph.indices, brute_force_knn(feats, 8, include_self))
 
 
+def _clustered_by_residue(m, g):
+    # column c sits in cluster c % g, clusters 100 apart: each row's k
+    # nearest share its residue mod g, so all but one of the k smallest
+    # group minima lie in other clusters and bound the k-th loosely
+    c = np.arange(m)
+    return np.stack([(c % g) * 100.0 + (c // g) * 1.5, (c // g) ** 2 * 0.25], axis=1)
+
+
+# name: (features, k, (s, g)) with s strided columns in each of g groups
+ADVERSARIAL = {
+    "all-rows-identical": (np.full((96, 3), 2.5), 6, (8, 12)),
+    "neighbours-share-a-residue": (_clustered_by_residue(96, 12), 5, (8, 12)),
+    "m-just-below-8(k+1)": (np.random.default_rng(21).normal(size=(47, 3)), 5, (7, 7)),
+    "m-at-8(k+1)": (np.random.default_rng(22).normal(size=(48, 3)), 5, (8, 6)),
+    "m-just-above-8(k+1)": (np.random.default_rng(23).normal(size=(49, 3)), 5, (8, 7)),
+    "m-not-a-multiple-of-s": (np.random.default_rng(24).normal(size=(101, 4)), 4, (8, 13)),
+    "padding-beside-huge-values": (
+        np.random.default_rng(25).normal(size=(49, 3)) * 2e18, 5, (8, 7)),
+}
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+def test_group_bound_adversarial_layouts_match_brute_force(case, include_self):
+    feats, k, (s, g) = ADVERSARIAL[case]
+    m = len(feats)
+    assert (s, g) == (min(knn._GROUP, m // (k + 1)), -(-m // s))
+    graph = build_knn_graph(feats, k, include_self)
+    assert graph.indices.max() < m  # never a +inf padding column
+    assert np.array_equal(graph.indices, brute_force_knn(feats, k, include_self))
+
+
 def test_tiny_chunk_budget_stays_exact(monkeypatch):
     # one row per chunk and one row per re-rank step, wide tied candidate sets
     monkeypatch.setattr(knn, "_CHUNK_ELEMS", 50)

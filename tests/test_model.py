@@ -621,6 +621,14 @@ def test_zero_layer_width_rejected():
             tiny_config(**{field: width}).validate()
 
 
+def test_out_of_range_slope_or_seed_rejected():
+    for bad in ({"leaky_slope": 1.0}, {"leaky_slope": float("inf")},
+                {"leaky_slope": -0.1}, {"leaky_slope": float("nan")}, {"seed": -1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            tiny_config(**bad)
+    assert tiny_config(leaky_slope=0.0).leaky_slope == 0.0
+
+
 def test_config_json_round_trip():
     cfg = tiny_config(streams="single_concat")
     back = ModelConfig.from_json(cfg.to_json())
