@@ -3,9 +3,9 @@
 
 import numpy as np
 
+from meshseg.knn import KnnGraph, gather_neighbors
 from meshseg.tensor import (
-    BatchNormState, RowScatter, Tensor, gather_rows, gradient_check, mul,
-    shared_mlp, softmax_axis,
+    BatchNormState, Tensor, gradient_check, mul, shared_mlp, softmax_axis,
 )
 
 # A tensor is a numpy array plus a tape node.  Ops build the graph; a
@@ -19,12 +19,12 @@ print("d/dx sum(x^2) at [1,2]  ->", x.grad, "(expect [2, 4])")
 s = softmax_axis(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64), axis=0)
 print("softmax([1,2,3])        ->", np.round(s.data, 5))
 
-# gather_rows materializes neighbor features; backward scatter-adds through
-# the index table's RowScatter, one sort shared by every gather over it
+# gather_neighbors materializes neighbor features over a KnnGraph, whose
+# table of cell ids is checked once when built; backward scatter-adds
+# through the graph's sort, one shared by every gather over it
 src = Tensor(np.array([[10.0], [20.0], [30.0]]), requires_grad=True,
              dtype=np.float64)
-idx = np.array([[1], [2], [0]])
-picked = gather_rows(src, idx, RowScatter(idx))
+picked = gather_neighbors(src, KnnGraph(np.array([[1], [2], [0]])))
 picked.sum().backward()
 print("gather [[1],[2],[0]]    ->", picked.data.reshape(-1),
       "| scattered grads:", src.grad.reshape(-1))

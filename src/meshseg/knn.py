@@ -15,9 +15,12 @@ O(_CHUNK_ELEMS + M d) per call, never M x M.
 
 Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
-selection.  Neighbor rows, by contrast, are gathered with gather_rows and
-are fully differentiable; every gather over one graph shares the graph's
-RowScatter, built on first use, so a tape-free pass never sorts.
+selection.  A KnnGraph checks its table once, when built: an integer
+table of ids in [0, M), so every gather over it, taped or chunked, is in
+range.  Neighbor rows are gathered with gather_neighbors, the one taped
+gather; its backward sums each cell's copies over the graph's stable sort,
+built only when a gradient can reach the gathered rows and then shared by
+every gather over the graph.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from meshseg.tensor import DimensionError, RowScatter, gather_rows
+from meshseg.tensor import DimensionError, _accumulate, _make, taping
 
 
 _CHUNK_ELEMS = 1 << 20  # float32 distances held per row chunk (4 MB)
@@ -44,27 +47,55 @@ class FeatureValueError(ValueError):
     """KNN input that is non-finite or too large for float32 distances."""
 
 
+class GatherIndexError(IndexError):
+    """Neighbor table not of an integer dtype, or an id outside [0, M)."""
+
+
 @dataclass(frozen=True)
 class KnnGraph:
     """M x K table of neighbor cell ids, nearest first; immutable.
 
-    `indices` is a read-only int64 copy of the table passed in, so its
-    RowScatter `scatter`, built on first access, can never go stale.  K is
-    the table's width.
+    `indices` is a read-only int64 copy of the table passed in, checked
+    once here: integer ids in [0, M), else GatherIndexError.  Its `scatter`,
+    sorted on first access, can therefore never go stale.  K is the table's
+    width.
     """
 
     indices: np.ndarray  # (M, K) int64
 
     def __post_init__(self):
-        indices = np.array(self.indices, dtype=np.int64)
-        if indices.ndim != 2:
-            raise DimensionError(f"neighbor table must be (M, K), got {indices.shape}")
+        table = np.asarray(self.indices)
+        if table.ndim != 2:
+            raise DimensionError(f"neighbor table must be (M, K), got {table.shape}")
+        if not np.issubdtype(table.dtype, np.integer):  # bool would index as a mask
+            raise GatherIndexError(
+                f"neighbor table dtype {table.dtype} is not an integer type")
+        m = table.shape[0]
+        bad = (table < 0) | (table >= m)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise GatherIndexError(
+                f"neighbor id {table[i, j]} at ({i}, {j}) outside [0, {m})")
+        indices = table.astype(np.int64)
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
 
     @cached_property
     def scatter(self):
-        return RowScatter(self.indices)
+        """(order, starts, rows): the table's stable sort, where each run of
+        one id starts in it, and those ids, ascending."""
+        flat = self.indices.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        return order, starts, ordered[starts]
+
+    def gather(self, x, rows=slice(None)):
+        """x[indices[rows]]: neighbor rows of the (M, d) array x, (rows, K, d)."""
+        if x.ndim != 2 or x.shape[0] != self.num_cells:
+            raise DimensionError(
+                f"graph over {self.num_cells} cells applied to features {x.shape}")
+        return x[self.indices[rows]]
 
     @property
     def num_cells(self):
@@ -208,6 +239,8 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
     """
     features = np.asarray(features)
     total = features.shape[0]
+    if block_size < 1:
+        raise DimensionError(f"block size must be >= 1, got {block_size}")
     if total % block_size:
         raise DimensionError(
             f"{total} rows do not divide into blocks of {block_size}"
@@ -220,11 +253,21 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
 
 
 def gather_neighbors(features, graph):
-    """(M, K, d) neighbor rows of `features`, scattered back through graph.scatter."""
-    m = features.data.shape[0]
-    if graph.num_cells != m:
-        raise DimensionError(
-            f"graph over {graph.num_cells} cells applied to {m} feature rows"
-        )
-    return gather_rows(features, graph.indices, graph.scatter)
+    """(M, K, d) neighbor rows of the (M, d) tensor `features`.
 
+    Backward sums each cell's gathered copies with one np.add.reduceat over
+    graph.scatter; cells no row names get zero.  The sort is built only
+    when a gradient can reach `features`.
+    """
+    neighbors = graph.gather(features.data)
+    if taping() and features.requires_grad:
+        graph.scatter  # sorted here, once, for every gather over the graph
+
+    def backward(g):
+        order, starts, rows = graph.scatter
+        c = g.shape[-1]
+        out = np.zeros((graph.num_cells, c), dtype=g.dtype)
+        out[rows] = np.add.reduceat(g.reshape(-1, c)[order], starts, axis=0)
+        _accumulate(features, out, owned=True)
+
+    return _make(neighbors, (features,), backward)

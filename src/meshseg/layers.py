@@ -12,8 +12,10 @@ A tape-free eval-mode call aggregates balanced chunks of rows in turn, so
 it never holds more than about _CHUNK_ELEMS per-edge values of one array;
 a cell's output depends only on its own row and its neighbours' rows, so
 the result is bit-identical to the whole batch.  Training (batch norm needs
-whole-batch statistics) and taped calls (the gather needs its scatter)
-aggregate the whole batch at once.
+whole-batch statistics) and taped calls (the gather's backward sums over
+the whole neighbor table) aggregate the whole batch at once.  The graph
+checks its table when built and the feature rows at every gather, so a
+chunk's gather is in range by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from meshseg.knn import gather_neighbors
 from meshseg.tensor import (
     BatchNormState,
-    DimensionError,
     Parameter,
     Tensor,
     edge_affine,
@@ -97,17 +98,15 @@ class _GraphLayer:
         if train or taping():
             return self._aggregate(features, gather_neighbors(features, graph), train)
         x = features.data
-        m = x.shape[0]
-        if graph.num_cells != m:
-            raise DimensionError(
-                f"graph over {graph.num_cells} cells applied to {m} feature rows")
+        m = graph.num_cells
         # balanced chunks, none of a single row: a one-row float32 product
         # takes BLAS's matrix-vector path, which rounds differently
         per_row = graph.k * max(self.in_dim, self.out_dim)
         chunks = max(1, min(-(-m * per_row // _CHUNK_ELEMS), m // 2))
         bounds = np.linspace(0, m, chunks + 1).round().astype(np.int64)
         return Tensor(np.concatenate([
-            self._aggregate(Tensor(x[lo:hi]), Tensor(x[graph.indices[lo:hi]]), train).data
+            self._aggregate(Tensor(x[lo:hi]), Tensor(graph.gather(x, slice(lo, hi))),
+                            train).data
             for lo, hi in zip(bounds[:-1], bounds[1:])]))
 
 

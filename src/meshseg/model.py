@@ -208,6 +208,10 @@ class TwoStreamNet:
                   else [np.asarray(f) for f in features])
         if not blocks:
             raise DimensionError("empty batch")
+        for b in blocks:
+            if b.ndim != 2 or b.shape[1] != FEATURE_WIDTH:
+                raise DimensionError(
+                    f"expected (M, {FEATURE_WIDTH}) features, got {b.shape}")
         sizes = {b.shape[0] for b in blocks}
         if len(sizes) != 1:
             raise DimensionError(
@@ -218,10 +222,6 @@ class TwoStreamNet:
             raise DataError(
                 f"mesh with {m} cells cannot support k={self.config.k_neighbors}"
             )
-        for b in blocks:
-            if b.ndim != 2 or b.shape[1] != FEATURE_WIDTH:
-                raise DimensionError(
-                    f"expected (M, {FEATURE_WIDTH}) features, got {b.shape}")
         x = np.concatenate(blocks, axis=0).astype(self.dtype)
         if not np.isfinite(x).all():
             raise DataError("non-finite feature values")

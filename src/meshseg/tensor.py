@@ -4,8 +4,6 @@ Covers exactly the operations the segmentation network runs:
 
 - elementwise `mul`, channel concatenation and the per-row `affine`;
 - reductions: sum, max, softmax and log softmax along an axis;
-- `gather_rows`, whose backward sums each source row's copies over a
-  `RowScatter` (one stable sort of the index table);
 - the edge path of the graph layers: `edge_affine`, the affine map of
   every (centre, neighbour) pair [x_i (+) n_ik] or [x_i - n_ik (+) n_ik]
   without building the pair, and `shared_mlp`, affine -> batch norm
@@ -42,10 +40,6 @@ class UsageError(ValueError):
 
 class EmptyReductionError(ValueError):
     """Reduction requested over an axis of extent zero."""
-
-
-class GatherIndexError(IndexError):
-    """gather_rows index not an integer or outside [0, M)."""
 
 
 class StatisticsError(ValueError):
@@ -413,68 +407,12 @@ def sum_all(x):
 
 
 # ---------------------------------------------------------------------------
-# Gather / scatter
-# ---------------------------------------------------------------------------
-
-class RowScatter:
-    """Stable sort of a gather index table, for summing gradients into rows.
-
-    Build it once per index table and share it between every gather over
-    that table: backward then sums each source row's gathered copies with
-    one np.add.reduceat over the sorted order instead of np.add.at.  Rows
-    that no index names stay zero.
-    """
-
-    __slots__ = ("order", "starts", "rows")
-
-    def __init__(self, idx):
-        flat = np.asarray(idx, dtype=np.int64).reshape(-1)
-        self.order = np.argsort(flat, kind="stable")
-        ordered = flat[self.order]
-        self.starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        self.rows = ordered[self.starts]  # distinct source rows, ascending
-
-    def sum_rows(self, g, n):
-        """(n, c) sums of g's (..., c) rows, each into the row it was gathered from."""
-        c = g.shape[-1]
-        out = np.zeros((n, c), dtype=g.dtype)
-        if self.rows.size:
-            out[self.rows] = np.add.reduceat(g.reshape(-1, c)[self.order],
-                                             self.starts, axis=0)
-        return out
-
-
-def gather_rows(src, idx, scatter):
-    """out[i, j, :] = src[idx[i, j], :]; backward scatter-adds into src rows.
-
-    `scatter` is the RowScatter of the same `idx`, shared by every gather
-    over that table.
-    """
-    if src.data.ndim != 2:
-        raise DimensionError(f"gather_rows: src must be 2-D, got {src.data.shape}")
-    idx = np.asarray(idx)
-    if idx.ndim != 2:
-        raise DimensionError(f"gather_rows: idx must be 2-D, got {idx.shape}")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise GatherIndexError(f"gather_rows: idx dtype {idx.dtype} is not an integer type")
-    n = src.data.shape[0]
-    bad = (idx < 0) | (idx >= n)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise GatherIndexError(
-            f"gather_rows: index {idx[i, j]} at ({i}, {j}) outside [0, {n})"
-        )
-
-    def backward(g):
-        if src.requires_grad:
-            _accumulate(src, scatter.sum_rows(g, n), owned=True)
-
-    return _make(src.data[idx], (src,), backward)
-
-
-# ---------------------------------------------------------------------------
 # Batch normalization
 # ---------------------------------------------------------------------------
+
+BN_EPS = 1e-5  # added to every variance before its square root
+BN_MOMENTUM = 0.1  # weight of the batch in each running-statistics update
+
 
 class BatchNormState:
     """Per-channel scale/shift parameters plus running statistics.
@@ -484,13 +422,11 @@ class BatchNormState:
     biased (1/N) batch variance.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels, dtype=DEFAULT_DTYPE):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
 
     @property
     def channels(self):
@@ -508,7 +444,7 @@ def _normalize(x, state, train):
         raise DimensionError(
             f"batch_norm: {c} channels vs state with {state.channels}"
         )
-    eps = x.dtype.type(state.eps)
+    eps = x.dtype.type(BN_EPS)
     if not train:
         inv_std = 1.0 / np.sqrt(state.running_var + eps)
         xhat = x - state.running_mean
@@ -524,7 +460,7 @@ def _normalize(x, state, train):
     var = np.einsum("ij,ij->j", flat, flat) / n  # biased
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    m = state.momentum
+    m = BN_MOMENTUM
     state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(
         state.running_mean.dtype
     )

@@ -195,7 +195,8 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
           adam=None, start_epoch=0):
     """Mini-batch training; returns (per-epoch records, adam).
 
-    `meshes` must carry labels and share one cell count.  With
+    `meshes` must carry labels; with batch_size > 1 they must also share
+    one cell count, as any of them may meet in a batch.  With
     `checkpoint_path`, model and optimizer state are written there after
     every epoch.  When resuming, pass the `adam` and `start_epoch` that
     `resume` returns; the per-epoch RNG streams make the continuation
@@ -208,9 +209,10 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
         if m.labels is None:
             raise TrainingError(f"mesh {i} has no labels")
     cell_counts = {m.num_cells for m in meshes}
-    if len(cell_counts) != 1:
+    if config.batch_size > 1 and len(cell_counts) != 1:
         raise TrainingError(
-            f"meshes in a batch must share a cell count, got {sorted(cell_counts)}"
+            f"with batch_size > 1 every mesh must share a cell count, got "
+            f"{sorted(cell_counts)}"
         )
 
     dataset = prepare_training_meshes(meshes, config)

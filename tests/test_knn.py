@@ -8,12 +8,14 @@ import pytest
 from meshseg import knn
 from meshseg.knn import (
     FeatureValueError,
+    GatherIndexError,
     GraphConfigError,
     KnnGraph,
     build_block_knn_graph,
     build_knn_graph,
     gather_neighbors,
 )
+from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.mesh import build_cell_features
 from meshseg.synth import generate
 from meshseg.tensor import (
@@ -25,6 +27,7 @@ from meshseg.tensor import (
     edge_affine,
     gradient_check,
     mul,
+    no_tape,
     shared_mlp,
     sum_all,
 )
@@ -118,6 +121,13 @@ def test_block_knn_stays_inside_blocks():
     assert np.all(graph.indices[10:] >= 10)
     single = build_knn_graph(feats[10:], k=3)
     assert np.array_equal(graph.indices[10:] - 10, single.indices)
+
+
+@pytest.mark.parametrize("block_size", [0, -3])
+def test_block_size_below_one_rejected(block_size):
+    with pytest.raises(DimensionError) as exc:
+        build_block_knn_graph(np.arange(9.0)[:, None], block_size, k=3)
+    assert str(block_size) in str(exc.value)
 
 
 def test_non_finite_or_float32_overflowing_values_raise_typed_error():
@@ -296,6 +306,40 @@ def test_k_is_the_table_width():
         KnnGraph(indices=np.zeros((3, 2), dtype=np.int64), k=3)
     with pytest.raises(DimensionError):
         KnnGraph(np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("layer_cls", [GraphAttentionLayer, GraphMaxPoolLayer])
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_bad_neighbor_id_raises_one_error_taped_and_tape_free(layer_cls, bad):
+    # the tape-free forward gathers row chunks straight from the table; a -1
+    # must not wrap to the last row there
+    rng = np.random.default_rng(4)
+    layer = layer_cls("g", 3, 4, rng, dtype=np.float64)
+    x = Tensor(rng.normal(size=(6, 3)), requires_grad=True, dtype=np.float64)
+    table = np.tile(np.arange(2), (6, 1))
+    table[4, 1] = bad
+
+    def forward():
+        return layer.forward(x, KnnGraph(table))
+
+    with pytest.raises(GatherIndexError) as taped:
+        forward()
+    with no_tape(), pytest.raises(GatherIndexError) as tape_free:
+        forward()
+    assert str(taped.value) == str(tape_free.value)
+    assert f"{bad} at (4, 1) outside [0, 6)" in str(tape_free.value)
+
+
+def test_features_not_over_the_graph_cells_rejected_taped_and_tape_free():
+    rng = np.random.default_rng(4)
+    layer = GraphMaxPoolLayer("g", 3, 4, rng, dtype=np.float64)
+    graph = build_knn_graph(rng.normal(size=(6, 3)), k=2)
+    for rows in (5, 7):
+        x = Tensor(rng.normal(size=(rows, 3)), requires_grad=True, dtype=np.float64)
+        with pytest.raises(DimensionError):
+            layer.forward(x, graph)
+        with no_tape(), pytest.raises(DimensionError):
+            layer.forward(x, graph)
 
 
 def test_permuted_neighbors_returns_new_graph_with_own_scatter():

@@ -2,7 +2,7 @@ import numpy as np
 
 from meshseg.knn import build_knn_graph, gather_neighbors
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer, SharedMLP
-from meshseg.tensor import Tensor, gradient_check
+from meshseg.tensor import BN_EPS, Tensor, gradient_check
 
 
 def leaky(x, slope=0.2):
@@ -67,7 +67,7 @@ def hand_layer(kind, m=4, d=2, k_out=3, k_nbr=2, seed=0):
 def run_scripted(layer, features, graph, mode):
     bn = (layer.calibrate.bn.gamma.data, layer.calibrate.bn.beta.data,
           layer.calibrate.bn.running_mean, layer.calibrate.bn.running_var,
-          layer.calibrate.bn.eps)
+          BN_EPS)
     if mode == "attention":
         w_att, b_att = layer.att_weight.data, layer.att_bias.data
     else:

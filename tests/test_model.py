@@ -14,7 +14,7 @@ from meshseg.model import (
     save_checkpoint,
     variant_config,
 )
-from meshseg.tensor import Tensor, gradient_check, softmax_axis
+from meshseg.tensor import BN_EPS, Tensor, gradient_check, softmax_axis
 
 
 def tiny_config(**overrides):
@@ -96,6 +96,16 @@ def test_batch_requires_homogeneous_cell_count():
         model.forward([random_features(30), random_features(25)])
     with pytest.raises(DimensionError, match="^empty batch$"):
         model.forward([])
+
+
+def test_batch_entries_are_shape_checked_before_their_cell_counts():
+    from meshseg.tensor import DimensionError
+
+    model = build_variant(tiny_config())
+    for bad in ([np.float32(1)], [random_features(30), np.zeros(30)],
+                [random_features(30)[:, :20]]):
+        with pytest.raises(DimensionError, match=r"expected \(M, 24\) features"):
+            model.forward(bad)
 
 
 def test_both_streams_share_one_graph_per_layer(monkeypatch):
@@ -187,6 +197,38 @@ def test_stream_independence_dataflow(monkeypatch):
     assert ancestors(outputs["fuse_n"]) & n_param_ids
 
 
+def test_train_step_sorts_no_scatter_for_the_depth0_graph(monkeypatch):
+    # the raw input features need no gradient, so their gather has no
+    # backward to sort for; the deeper graphs' gathers do
+    from functools import cached_property
+
+    import meshseg.knn as knn_mod
+    import meshseg.model as model_mod
+
+    built, sorted_graphs = [], []
+    real = model_mod.build_block_knn_graph
+
+    class CountingGraph(knn_mod.KnnGraph):
+        @cached_property
+        def scatter(self):
+            sorted_graphs.append(self)
+            return super().scatter
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(knn_mod, "KnnGraph", CountingGraph)
+    monkeypatch.setattr(model_mod, "build_block_knn_graph", recording)
+    model = build_variant(tiny_config())
+    feats = [random_features(30, seed=1), random_features(30, seed=2)]
+    logits = model.forward(feats, train=True)
+    cross_entropy(logits, np.arange(60) % 5).backward()
+    assert len(built) == 3
+    assert [id(g) for g in sorted_graphs] == [id(g) for g in built[1:]]
+    assert all(p.tensor.grad is not None for p in model.parameters())
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
 def test_fusion_composition_matches_scripted_pipeline(variant, monkeypatch):
     # Eq-style composition oracle: recompute fusion + head from the captured
@@ -198,7 +240,7 @@ def test_fusion_composition_matches_scripted_pipeline(variant, monkeypatch):
     def shared_mlp_eval(block, x):
         y = x @ block.weight.data + block.bias.data
         y = block.bn.gamma.data * (y - block.bn.running_mean) / np.sqrt(
-            block.bn.running_var + block.bn.eps) + block.bn.beta.data
+            block.bn.running_var + BN_EPS) + block.bn.beta.data
         return np.where(y >= 0, y, 0.2 * y)
 
     fused = []
@@ -321,6 +363,7 @@ def test_chunks_are_balanced_and_never_one_row(monkeypatch):
 def test_predict_holds_less_than_half_the_taped_peak_and_never_sorts(monkeypatch):
     import tracemalloc
     from dataclasses import replace
+    from functools import cached_property
 
     import meshseg.knn as knn_mod
     from meshseg.synth import generate
@@ -332,12 +375,13 @@ def test_predict_holds_less_than_half_the_taped_peak_and_never_sorts(monkeypatch
     model = build_variant(desk_model_config())
     sorts = []
 
-    class CountingScatter(knn_mod.RowScatter):
-        def __init__(self, idx):
+    class CountingGraph(knn_mod.KnnGraph):
+        @cached_property
+        def scatter(self):
             sorts.append(1)
-            super().__init__(idx)
+            return super().scatter
 
-    monkeypatch.setattr(knn_mod, "RowScatter", CountingScatter)
+    monkeypatch.setattr(knn_mod, "KnnGraph", CountingGraph)
 
     def peak(run):
         tracemalloc.start()

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
+from meshseg.knn import GatherIndexError, KnnGraph, gather_neighbors
 from meshseg.tensor import (
     BatchNormState,
     DimensionError,
     EmptyReductionError,
-    GatherIndexError,
-    RowScatter,
     StatisticsError,
     Tensor,
     UsageError,
     affine,
     concat_channels,
-    gather_rows,
     gradient_check,
     log_softmax_axis,
     max_axis,
@@ -31,7 +29,7 @@ def t64(a, grad=True):
 
 
 def gather(src, idx):
-    return gather_rows(src, idx, RowScatter(idx))
+    return gather_neighbors(src, KnnGraph(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,8 @@ def test_max_axis_gradient_matches_fd_away_from_ties():
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather / scatter: knn.gather_neighbors over a KnnGraph, which checks its
+# table when built
 # ---------------------------------------------------------------------------
 
 def test_gather_rows_permutation():

@@ -255,6 +255,15 @@ def test_heterogeneous_cell_counts_rejected():
         train(model, meshes, quick_config())
 
 
+def test_mixed_cell_counts_train_one_mesh_per_batch():
+    model = small_model()
+    meshes = [generate(ArchSpec(num_teeth=2, cells_target=260, seed=0)),
+              generate(ArchSpec(num_teeth=2, cells_target=300, seed=1))]
+    assert meshes[0].num_cells != meshes[1].num_cells
+    records, _ = train(model, meshes, quick_config(epochs=1, batch_size=1))
+    assert len(records) == 1 and np.isfinite(records[0].mean_loss)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", -1), ("batch_size", 0), ("batch_size", -2), ("decay_every", 0),
     ("lr0", 0.0), ("lr0", float("inf")), ("beta1", -0.1), ("beta2", 1.0),
