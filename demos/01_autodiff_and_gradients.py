@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from meshseg.knn import KnnGraph, gather_neighbors
+from meshseg.knn import KnnGraph
 from meshseg.tensor import (
     BatchNormState, Tensor, gradient_check, mul, shared_mlp, softmax_axis,
 )
@@ -19,15 +19,13 @@ print("d/dx sum(x^2) at [1,2]  ->", x.grad, "(expect [2, 4])")
 s = softmax_axis(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64), axis=0)
 print("softmax([1,2,3])        ->", np.round(s.data, 5))
 
-# gather_neighbors materializes neighbor features over a KnnGraph, whose
-# table of cell ids is checked once when built; backward scatter-adds
-# through the graph's sort, one shared by every gather over it
-src = Tensor(np.array([[10.0], [20.0], [30.0]]), requires_grad=True,
-             dtype=np.float64)
-picked = gather_neighbors(src, KnnGraph(np.array([[1], [2], [0]])))
-picked.sum().backward()
-print("gather [[1],[2],[0]]    ->", picked.data.reshape(-1),
-      "| scattered grads:", src.grad.reshape(-1))
+# a KnnGraph's table of cell ids is checked once when built; gather reads
+# per-cell rows out along its edges, and scatter_sum, the transpose that
+# backward uses, adds per-edge rows back onto the cells they name
+graph = KnnGraph(np.array([[1], [2], [1]]))
+cells = np.array([[10.0], [20.0], [30.0]])
+print("gather [[1],[2],[1]]    ->", graph.gather(cells).reshape(-1),
+      "| scatter_sum of ones:", graph.scatter_sum(np.ones((3, 1, 1))).reshape(-1))
 
 # the same harness the acceptance suite uses: max relative error between
 # analytic gradients and central differences (step 1e-5, float64), here on

@@ -1,10 +1,9 @@
 # The two aggregation layers, step by step: KNN graph construction, the
-# neighbor gather, the split edge affine, attention weights, and max-pooling
-# on a toy feature set.
+# split edge affine, attention weights, and max-pooling on a toy feature set.
 
 import numpy as np
 
-from meshseg.knn import build_knn_graph, gather_neighbors
+from meshseg.knn import build_knn_graph
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.tensor import Tensor, edge_affine
 
@@ -16,17 +15,17 @@ print("neighbor table (cell -> 3 nearest in feature space):")
 for i, row in enumerate(graph.indices[:5]):
     print(f"  cell {i}: {row.tolist()}")
 
-# each layer gathers the (M, K, d) neighbor rows once; an affine map over a
-# (center, neighbor) pair is split into a per-cell center half and a
-# per-edge neighbor half, so the (M, K, 2d) pair is never built
+# an affine map over a (center, neighbor) pair is split into a center half
+# and a neighbor half; each half projects every cell once, and the neighbor
+# projections are gathered along the edges, so the (M, K, 2d) pair is never
+# built
 x = Tensor(features)
-neighbors = gather_neighbors(x, graph)
 w = Tensor(rng.normal(size=(8, 5)).astype(np.float32))
 b = Tensor(np.zeros(5, dtype=np.float32))
-edges = edge_affine(x, neighbors, w, b)
+edges = edge_affine(x, graph, w, b)
 i, j = 0, graph.indices[0, 0]
 pair = np.concatenate([features[i], features[j]]) @ w.data + b.data
-print("neighbors:", neighbors.data.shape, "edge affine:", edges.data.shape)
+print("edge affine:", edges.data.shape)
 print(f"edge (0, 0) against [x_0 (+) x_{j}] @ W: "
       f"max diff {np.abs(edges.data[0, 0] - pair).max():.1e}")
 
@@ -35,7 +34,7 @@ print(f"edge (0, 0) against [x_0 (+) x_{j}] @ W: "
 att = GraphAttentionLayer("att", in_dim=4, out_dim=6, rng=np.random.default_rng(0))
 out = att.forward(x, graph)
 print("attention output:", out.data.shape)
-weights = att.weights(x, neighbors)
+weights = att.weights(x, graph)
 print("per-channel weight sums for cell 0:",
       np.round(weights.data[0].sum(axis=0), 6), "(each is 1)")
 

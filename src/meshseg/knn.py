@@ -1,11 +1,12 @@
-"""Exact k-nearest-neighbor graphs in feature space and the neighbor gather.
+"""Exact k-nearest-neighbor graphs in feature space, their gather and scatter.
 
 A graph equals the float64 brute force over the caller's values, ties
 broken toward the lower index, and is built in bounded memory.  Each block
 is centred on its float64 column mean and cast to float32, so float32
 rounding does not grow with the block's distance from the origin.  Rows
-are taken in chunks of about _CHUNK_ELEMS // M.  BLAS writes a chunk's
-float32 distances |b|^2 - 2ab to all M columns, and one reduction takes
+are taken in chunks of about _CHUNK_ELEMS // M, in one buffer per
+build_block_knn_graph call.  BLAS writes a chunk's float32 distances
+|b|^2 - 2ab to all M columns, and one reduction takes
 the minimum of each group of _GROUP strided columns; the k-th smallest
 group minimum bounds the row's k-th distance from above.  Only the members
 of the groups under that bound are read again: they give the exact k-th
@@ -17,10 +18,10 @@ Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
 selection.  A KnnGraph checks its table once, when built: an integer
 table of ids in [0, M), so every gather over it, taped or chunked, is in
-range.  Neighbor rows are gathered with gather_neighbors, the one taped
-gather; its backward sums each cell's copies over the graph's stable sort,
-built only when a gradient can reach the gathered rows and then shared by
-every gather over the graph.
+range.  `gather` reads per-cell rows out along the edges; `scatter_sum`,
+the transpose, adds per-edge rows back onto the cells they name, over the
+jagged diagonals of the transposed table, built once per graph and shared
+by every edge op over it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from meshseg.tensor import DimensionError, _accumulate, _make, taping
+from meshseg.tensor import DimensionError
 
 
 _CHUNK_ELEMS = 1 << 20  # float32 distances held per row chunk (4 MB)
@@ -82,20 +83,46 @@ class KnnGraph:
 
     @cached_property
     def scatter(self):
-        """(order, starts, rows): the table's stable sort, where each run of
-        one id starts in it, and those ids, ascending."""
+        """(cells, levels): the jagged diagonals of the transposed table.
+
+        `cells` lists the named cells by falling in-degree, ties by id.
+        Level j holds, for the first len(levels[j]) of them, the flat edge
+        id (row * K + column) of the cell's j-th naming in row-major order.
+        """
         flat = self.indices.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        ordered = flat[order]
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        return order, starts, ordered[starts]
+        order = np.argsort(flat, kind="stable")  # edges grouped by cell, row-major
+        counts = np.bincount(flat, minlength=self.num_cells)
+        cells = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+        starts = (np.cumsum(counts) - counts)[cells]
+        depth = counts[cells]
+        levels = tuple(order[starts[:np.count_nonzero(depth > j)] + j]
+                       for j in range(counts.max(initial=0)))
+        return cells, levels
+
+    def scatter_sum(self, g):
+        """(M, c) sums of the per-edge rows g (M, K, c) onto the cells their
+        edges name; cells no row names get zero.
+
+        Each cell adds its edges one level at a time, so in row-major edge
+        order: a fixed order that depends on nothing but the table.
+        """
+        cells, levels = self.scatter
+        c = g.shape[-1]
+        flat = g.reshape(-1, c)
+        out = np.zeros((self.num_cells, c), dtype=g.dtype)
+        if levels:
+            acc = flat[levels[0]]
+            for ids in levels[1:]:
+                acc[:len(ids)] += flat[ids]
+            out[cells] = acc
+        return out
 
     def gather(self, x, rows=slice(None)):
         """x[indices[rows]]: neighbor rows of the (M, d) array x, (rows, K, d)."""
         if x.ndim != 2 or x.shape[0] != self.num_cells:
             raise DimensionError(
                 f"graph over {self.num_cells} cells applied to features {x.shape}")
-        return x[self.indices[rows]]
+        return np.take(x, self.indices[rows], axis=0)  # faster than x[...] here
 
     @property
     def num_cells(self):
@@ -122,7 +149,10 @@ def build_knn_graph(features, k, include_self=False):
     return KnnGraph(_knn_indices(features, k, include_self))
 
 
-def _knn_indices(features, k, include_self):
+def _knn_indices(features, k, include_self, buf=None):
+    """The (M, k) table of build_knn_graph.  `buf`, a flat float32 scratch
+    of at least max(_CHUNK_ELEMS, M + _GROUP) values, holds each row
+    chunk's distances; without one, a buffer is allocated for the call."""
     x = np.asarray(features)
     m, dim = x.shape
     if k < 1 or k >= m:
@@ -168,7 +198,10 @@ def _knn_indices(features, k, include_self):
     sq_pad = np.full(s * g, np.inf, dtype=np.float32)
     sq_pad[:m] = sq
     rows = max(1, _CHUNK_ELEMS // (s * g))
-    buf = np.empty((min(rows, m), s * g), dtype=np.float32)  # one allocation per call
+    need = min(rows, m) * s * g  # <= max(_CHUNK_ELEMS, M + _GROUP), as s * g < M + s
+    if buf is None:
+        buf = np.empty(need, dtype=np.float32)
+    buf = buf[:need].reshape(-1, s * g)
     out = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
@@ -245,29 +278,12 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
         raise DimensionError(
             f"{total} rows do not divide into blocks of {block_size}"
         )
+    # one scratch buffer for every block: a fresh one per block is mapped
+    # and page-faulted anew
+    buf = np.empty(max(_CHUNK_ELEMS, block_size + _GROUP), dtype=np.float32)
     blocks = []
     for start in range(0, total, block_size):
         blocks.append(_knn_indices(features[start:start + block_size], k,
-                                   include_self) + start)
+                                   include_self, buf) + start)
     return KnnGraph(np.concatenate(blocks, axis=0))
 
-
-def gather_neighbors(features, graph):
-    """(M, K, d) neighbor rows of the (M, d) tensor `features`.
-
-    Backward sums each cell's gathered copies with one np.add.reduceat over
-    graph.scatter; cells no row names get zero.  The sort is built only
-    when a gradient can reach `features`.
-    """
-    neighbors = graph.gather(features.data)
-    if taping() and features.requires_grad:
-        graph.scatter  # sorted here, once, for every gather over the graph
-
-    def backward(g):
-        order, starts, rows = graph.scatter
-        c = g.shape[-1]
-        out = np.zeros((graph.num_cells, c), dtype=g.dtype)
-        out[rows] = np.add.reduceat(g.reshape(-1, c)[order], starts, axis=0)
-        _accumulate(features, out, owned=True)
-
-    return _make(neighbors, (features,), backward)

@@ -4,17 +4,18 @@ Both aggregation layers first calibrate each neighbor against its center
 through a shared MLP on the concatenated pair.  The attention layer then
 takes a convex combination of calibrated neighbors, with per-channel
 weights normalized over the neighborhood; the max-pool layer takes the
-channel-wise maximum instead.  Neither layer builds the (M, K, 2d) pair:
-neighbor rows are gathered once per layer and each affine map over a pair
-is split into a per-cell centre half and a per-edge neighbour half.
+channel-wise maximum instead.  Neither layer builds the (M, K, 2d) pair or
+gathers neighbor features: each affine map over a pair projects the cells
+and gathers the projections (tensor.edge_affine).
 
 A tape-free eval-mode call aggregates balanced chunks of rows in turn, so
 it never holds more than about _CHUNK_ELEMS per-edge values of one array;
-a cell's output depends only on its own row and its neighbours' rows, so
-the result is bit-identical to the whole batch.  Training (batch norm needs
-whole-batch statistics) and taped calls (the gather's backward sums over
+each edge weight still projects every cell once per call, not once per
+chunk.  A cell's output depends only on its own row and its neighbours'
+rows, so the result is bit-identical to the whole batch.  Training (batch
+norm needs whole-batch statistics) and taped calls (the backward sums over
 the whole neighbor table) aggregate the whole batch at once.  The graph
-checks its table when built and the feature rows at every gather, so a
+checks its table when built and the feature rows at every edge op, so a
 chunk's gather is in range by construction.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from meshseg.knn import gather_neighbors
 from meshseg.tensor import (
     BatchNormState,
     Parameter,
@@ -50,8 +50,8 @@ def _init_affine(rng, in_dim, out_dim, dtype):
 class SharedMLP:
     """Per-row affine + batch norm + LeakyReLU as one tape node; rows never mix.
 
-    Called with `neighbors`, the rows are the (centre, neighbour) pairs of a
-    graph layer: input width in_dim is the two halves together.
+    Called with a `graph`, the rows are the graph's (centre, neighbour)
+    pairs: input width in_dim is the two halves together.
     """
 
     def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
@@ -62,9 +62,9 @@ class SharedMLP:
         self.weight, self.bias = _init_affine(rng, in_dim, out_dim, dtype)
         self.bn = BatchNormState(out_dim, dtype=dtype)
 
-    def __call__(self, x, train=False, neighbors=None):
+    def __call__(self, x, train=False, graph=None, chunk=None):
         return shared_mlp(x, self.weight, self.bias, self.bn, train, self.slope,
-                          neighbors)
+                          graph, chunk)
 
     def parameters(self):
         return [Parameter(f"{self.name}.weight", self.weight),
@@ -96,17 +96,15 @@ class _GraphLayer:
     def _apply(self, features, graph, train):
         """Run the subclass's `_aggregate`, over row chunks when tape-free eval."""
         if train or taping():
-            return self._aggregate(features, gather_neighbors(features, graph), train)
-        x = features.data
+            return self._aggregate(features, graph, train)
         m = graph.num_cells
         # balanced chunks, none of a single row: a one-row float32 product
         # takes BLAS's matrix-vector path, which rounds differently
-        per_row = graph.k * max(self.in_dim, self.out_dim)
-        chunks = max(1, min(-(-m * per_row // _CHUNK_ELEMS), m // 2))
+        chunks = max(1, min(-(-m * graph.k * self.out_dim // _CHUNK_ELEMS), m // 2))
         bounds = np.linspace(0, m, chunks + 1).round().astype(np.int64)
+        cells = {}  # every chunk reads one cell projection per edge weight
         return Tensor(np.concatenate([
-            self._aggregate(Tensor(x[lo:hi]), Tensor(graph.gather(x, slice(lo, hi))),
-                            train).data
+            self._aggregate(features, graph, train, (slice(lo, hi), cells)).data
             for lo, hi in zip(bounds[:-1], bounds[1:])]))
 
 
@@ -122,15 +120,15 @@ class GraphAttentionLayer(_GraphLayer):
         super().__init__(name, in_dim, out_dim, rng, slope, dtype)
         self.att_weight, self.att_bias = _init_affine(rng, 2 * in_dim, out_dim, dtype)
 
-    def weights(self, features, neighbors):
+    def weights(self, features, graph, chunk=None):
         """(M, K, out_dim) attention weights; each channel sums to 1 over K."""
-        scores = edge_affine(features, neighbors, self.att_weight, self.att_bias,
-                             diff=True)
+        scores = edge_affine(features, graph, self.att_weight, self.att_bias,
+                             diff=True, chunk=chunk)
         return softmax_axis(scores, axis=1)
 
-    def _aggregate(self, features, neighbors, train):
-        calibrated = self.calibrate(features, train, neighbors)
-        return sum_axis(mul(self.weights(features, neighbors), calibrated), axis=1)
+    def _aggregate(self, features, graph, train, chunk=None):
+        calibrated = self.calibrate(features, train, graph, chunk)
+        return sum_axis(mul(self.weights(features, graph, chunk), calibrated), axis=1)
 
     def forward(self, features, graph, train=False):
         return self._apply(features, graph, train)
@@ -144,8 +142,8 @@ class GraphAttentionLayer(_GraphLayer):
 class GraphMaxPoolLayer(_GraphLayer):
     """Max-pool aggregation over a KNN neighborhood (normal stream)."""
 
-    def _aggregate(self, features, neighbors, train):
-        return max_axis(self.calibrate(features, train, neighbors), axis=1)
+    def _aggregate(self, features, graph, train, chunk=None):
+        return max_axis(self.calibrate(features, train, graph, chunk), axis=1)
 
     def forward(self, features, graph, train=False):
         return self._apply(features, graph, train)

@@ -204,8 +204,14 @@ class TwoStreamNet:
     # -- forward -----------------------------------------------------------
 
     def _as_batch(self, features):
-        blocks = ([features] if isinstance(features, np.ndarray)
-                  else [np.asarray(f) for f in features])
+        if isinstance(features, np.ndarray):
+            blocks = [features]
+        elif isinstance(features, (list, tuple)):
+            blocks = [np.asarray(f) for f in features]
+        else:
+            raise DimensionError(
+                f"expected an (M, {FEATURE_WIDTH}) array or a list of them, "
+                f"got {type(features).__name__}")
         if not blocks:
             raise DimensionError("empty batch")
         for b in blocks:

@@ -5,10 +5,13 @@ Covers exactly the operations the segmentation network runs:
 - elementwise `mul`, channel concatenation and the per-row `affine`;
 - reductions: sum, max, softmax and log softmax along an axis;
 - the edge path of the graph layers: `edge_affine`, the affine map of
-  every (centre, neighbour) pair [x_i (+) n_ik] or [x_i - n_ik (+) n_ik]
-  without building the pair, and `shared_mlp`, affine -> batch norm
-  (`BatchNormState`, with running statistics) -> LeakyReLU as one node
-  with a hand-written backward.
+  every (centre, neighbour) pair [x_i (+) x_j] or [x_i - x_j (+) x_j] of a
+  KnnGraph, and `shared_mlp`, affine -> batch norm (`BatchNormState`, with
+  running statistics) -> LeakyReLU as one node with a hand-written
+  backward.  An edge affine never builds the pair: it projects the cells,
+  then gathers the projections along the edges, and its backward sums the
+  edge gradients back onto the cells with the graph's scatter, so neither
+  direction runs a product with M * K rows.
 
 Two precisions are supported: float32 for training and float64 for
 gradient verification.
@@ -245,14 +248,12 @@ def _check_weights(op, in_dim, w, b):
         )
 
 
-def _check_edges(op, x, nb):
-    """Widths of the centre rows x (M, d) and their neighbour rows nb (M, K, d')."""
-    if x.data.ndim != 2 or nb.data.ndim != 3 or nb.data.shape[0] != x.data.shape[0]:
+def _check_edges(op, x, graph):
+    """Width d of the (M, d) centre rows x of a graph over M cells."""
+    if x.data.ndim != 2 or x.data.shape[0] != graph.num_cells:
         raise DimensionError(
-            f"{op}: expected (M, d) centres and (M, K, d') neighbours, "
-            f"got {x.data.shape} and {nb.data.shape}"
-        )
-    return x.data.shape[1], nb.data.shape[2]
+            f"{op}: graph over {graph.num_cells} cells applied to features {x.data.shape}")
+    return x.data.shape[1]
 
 
 def _edge_halves(w, d, diff):
@@ -261,18 +262,34 @@ def _edge_halves(w, d, diff):
     return top, (bottom - top if diff else bottom)
 
 
-def _linear(x, w, b, nb=None, diff=False):
-    """Forward of affine (nb None) and of edge_affine, on arrays."""
-    if nb is None:
+def _linear(x, w, b, graph=None, diff=False, chunk=None):
+    """Forward of affine (graph None) and of edge_affine, on arrays.
+
+    The edge form projects the cells, then gathers: x @ bottom is made once
+    per cell and read out along the edges, x @ top + b once per centre row.
+    With `chunk` (rows, cells), which tape-free eval passes, only the edges
+    of centre rows `rows` are formed; `cells` keeps each weight's cell
+    projection for the other chunks of the same pass.
+    """
+    if graph is None:
         return _matmul(x, w) + b
-    top, bottom = _edge_halves(w, x.shape[-1], diff)
-    return _matmul(nb, bottom) + (_matmul(x, top) + b)[:, None, :]
+    rows, cells = chunk or (slice(None), {})
+    top, bottom = _edge_halves(w, x.shape[1], diff)
+    if id(w) not in cells:
+        cells[id(w)] = _matmul(x, bottom)
+    out = graph.gather(cells[id(w)], rows)
+    out += (_matmul(x[rows], top) + b)[:, None, :]
+    return out
 
 
-def _linear_backward(g, x, w, b, nb=None, diff=False):
-    """Accumulate the gradients of _linear's tensor inputs; `g` is owned."""
+def _linear_backward(g, x, w, b, graph=None, diff=False):
+    """Accumulate the gradients of _linear's tensor inputs; `g` is owned.
+
+    In the edge form, g_centre sums each row's K edges and g_cells each
+    cell's edges over the graph's scatter, so no product has M * K rows.
+    """
     gflat = g.reshape(-1, g.shape[-1])
-    if nb is None:
+    if graph is None:
         if x.requires_grad:
             _accumulate(x, _matmul(g, w.data.T), owned=True)
         if w.requires_grad:
@@ -281,18 +298,26 @@ def _linear_backward(g, x, w, b, nb=None, diff=False):
     else:
         top, bottom = _edge_halves(w.data, x.data.shape[1], diff)
         g_centre = g.sum(axis=1)  # each centre row feeds all K of its edges
+        if x.requires_grad or w.requires_grad:
+            g_cells = graph.scatter_sum(g)  # each cell feeds the edges naming it
         if x.requires_grad:
-            _accumulate(x, _matmul(g_centre, top.T), owned=True)
-        if nb.requires_grad:
-            _accumulate(nb, _matmul(g, bottom.T), owned=True)
+            gx = _matmul(g_centre, top.T)
+            gx += _matmul(g_cells, bottom.T)
+            _accumulate(x, gx, owned=True)
         if w.requires_grad:
-            g_bottom = _matmul(nb.data.reshape(-1, nb.data.shape[2]).T, gflat)
+            g_bottom = _matmul(x.data.T, g_cells)
             g_top = _matmul(x.data.T, g_centre)
             if diff:
                 g_top -= g_bottom
             _accumulate(w, np.concatenate([g_top, g_bottom]), owned=True)
     if b.requires_grad:
-        _accumulate(b, (gflat if nb is None else g_centre).sum(axis=0), owned=True)
+        _accumulate(b, (gflat if graph is None else g_centre).sum(axis=0), owned=True)
+
+
+def _scatter_for_backward(graph, x, w):
+    """Build the graph's scatter while taping, when backward will need it."""
+    if taping() and (x.requires_grad or w.requires_grad):
+        graph.scatter  # built once, shared by every edge op over the graph
 
 
 def affine(x, w, b):
@@ -309,23 +334,24 @@ def affine(x, w, b):
     return _make(_linear(x.data, w.data, b.data), (x, w, b), backward)
 
 
-def edge_affine(x, nb, w, b, diff=False):
-    """Affine map of every (centre, neighbour) pair, (M, K, out).
+def edge_affine(x, graph, w, b, diff=False, chunk=None):
+    """Affine map of every (centre, neighbour) pair of a KnnGraph, (M, K, out).
 
-    Row (i, k) of the input is [x_i (+) nb_ik], or [x_i - nb_ik (+) nb_ik]
-    with `diff`, for centres x (M, d) and neighbours nb (M, K, d).  The pair
-    is never built: the centre half x @ w[:d] is computed once per row of x
-    and broadcast over K, and only nb meets the neighbour half per edge.
+    Row (i, k) of the input is [x_i (+) x_j], or [x_i - x_j (+) x_j] with
+    `diff`, where j is row i's k-th neighbour and x is (M, d).  The pair is
+    never built: the affine is linear, so x @ w[:d] + b is made once per
+    centre row and broadcast over K, and x @ w[d:] (less x @ w[:d] with
+    `diff`) once per cell and gathered.  `chunk` restricts the output to
+    some centre rows, see _linear.
     """
-    d, d_nb = _check_edges("edge_affine", x, nb)
-    if diff and d != d_nb:
-        raise DimensionError(f"edge_affine: diff needs equal widths, got {d} and {d_nb}")
-    _check_weights("edge_affine", d + d_nb, w, b)
+    d = _check_edges("edge_affine", x, graph)
+    _check_weights("edge_affine", 2 * d, w, b)
+    _scatter_for_backward(graph, x, w)
 
     def backward(g):
-        _linear_backward(g, x, w, b, nb, diff)
+        _linear_backward(g, x, w, b, graph, diff)
 
-    return _make(_linear(x.data, w.data, b.data, nb.data, diff), (x, nb, w, b), backward)
+    return _make(_linear(x.data, w.data, b.data, graph, diff, chunk), (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -482,31 +508,32 @@ def _leaky_factor(negative, slope):
     return factor
 
 
-def shared_mlp(x, w, b, state, train, slope=0.2, neighbors=None):
+def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None):
     """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
 
-    With `neighbors` (M, K, d') the input of edge (i, k) is
-    [x_i (+) neighbors_ik] and the affine is split as in edge_affine.  The
-    node keeps only the normalized pre-activation and the sign mask; its
-    backward reuses the gamma/beta gradient sums for the batch-statistics
-    term.
+    With a KnnGraph `graph` the rows are the graph's (centre, neighbour)
+    pairs [x_i (+) x_j] and the affine is split as in edge_affine, `chunk`
+    included.  The node keeps only the normalized pre-activation and the
+    sign mask; its backward reuses the gamma/beta gradient sums for the
+    batch-statistics term.
     """
-    if neighbors is None:
+    if graph is None:
         if x.data.ndim not in (2, 3):
             raise DimensionError(f"shared_mlp: expected 2-D/3-D input, got {x.data.shape}")
         in_dim = x.data.shape[-1]
-        nb_data, parents = None, [x, w, b]
     else:
-        in_dim = sum(_check_edges("shared_mlp", x, neighbors))
-        nb_data, parents = neighbors.data, [x, w, b, neighbors]
+        in_dim = 2 * _check_edges("shared_mlp", x, graph)
+        _scatter_for_backward(graph, x, w)
     _check_weights("shared_mlp", in_dim, w, b)
     gamma, beta = state.gamma, state.beta
-    xhat, inv_std = _normalize(_linear(x.data, w.data, b.data, nb_data), state, train)
+    xhat, inv_std = _normalize(_linear(x.data, w.data, b.data, graph, chunk=chunk),
+                               state, train)
     y = xhat * gamma.data
     y += beta.data
     negative = y < 0
     slope = y.dtype.type(slope)
-    y *= _leaky_factor(negative, slope)
+    # y * _leaky_factor(negative, slope), bit for bit, for slope in [0, 1)
+    np.maximum(y, y * slope, out=y)
 
     def backward(g):
         gy = g * _leaky_factor(negative, slope)
@@ -523,9 +550,9 @@ def shared_mlp(x, w, b, state, train, slope=0.2, neighbors=None):
             _accumulate(gamma, g_gamma, owned=True)
         if beta.requires_grad:
             _accumulate(beta, g_beta, owned=True)
-        _linear_backward(gy, x, w, b, neighbors)
+        _linear_backward(gy, x, w, b, graph)
 
-    return _make(y, parents + [gamma, beta], backward)
+    return _make(y, (x, w, b, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------

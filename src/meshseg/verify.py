@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from meshseg.evaluation import ConfusionMatrix, accumulate, metrics, train_variants
-from meshseg.knn import build_knn_graph, gather_neighbors
+from meshseg.knn import build_knn_graph
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.mesh import build_cell_features, transform_mesh
 from meshseg.model import (
@@ -168,8 +168,7 @@ def check_attention_normalization():
                                     np.random.default_rng(trial))
         features = rng.normal(size=(m, d)).astype(np.float32)
         graph = build_knn_graph(features, k)
-        x = Tensor(features)
-        weights = layer.weights(x, gather_neighbors(x, graph)).data
+        weights = layer.weights(Tensor(features), graph).data
         if weights.min() < 0:
             return CheckResult("attention normalization", False,
                                f"negative weight in trial {trial}")

@@ -4,14 +4,14 @@ The model runs `shared_mlp` and `edge_affine`, which fuse several steps
 into one tape node.  These are the unfused steps, each its own node with
 the plain textbook backward: `leaky_relu(batch_norm(affine(...)))` is
 `shared_mlp`, and `edge_tensors` builds the (centre, neighbour) pairs that
-`edge_affine` never materialises.
+`edge_affine` never materialises, from the neighbour rows that
+`gather_neighbors` gathers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from meshseg.knn import gather_neighbors
 from meshseg.tensor import (
     DimensionError,
     _accumulate,
@@ -86,6 +86,16 @@ def batch_norm(x, state, train):
             _accumulate(x, g * (gamma.data * inv_std), owned=True)
 
     return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def gather_neighbors(features, graph):
+    """(M, K, d) neighbor rows of the (M, d) tensor `features`; backward
+    sums each cell's gathered copies with the graph's scatter_sum."""
+
+    def backward(g):
+        _accumulate(features, graph.scatter_sum(g), owned=True)
+
+    return _make(graph.gather(features.data), (features,), backward)
 
 
 def edge_tensors(features, graph):

@@ -13,7 +13,6 @@ from meshseg.knn import (
     KnnGraph,
     build_block_knn_graph,
     build_knn_graph,
-    gather_neighbors,
 )
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.mesh import build_cell_features
@@ -32,7 +31,7 @@ from meshseg.tensor import (
     sum_all,
 )
 from meshseg.verify import desk_arch_spec
-from reference import batch_norm, edge_tensors, leaky_relu
+from reference import batch_norm, edge_tensors, gather_neighbors, leaky_relu
 
 
 def brute_force_knn(features, k, include_self=False):
@@ -284,7 +283,7 @@ def test_edge_tensor_gradients_match_fd():
 
 
 # ---------------------------------------------------------------------------
-# immutable graphs and the shared scatter sort
+# immutable graphs and the shared scatter
 # ---------------------------------------------------------------------------
 
 def test_graph_is_frozen_and_indices_read_only():
@@ -352,6 +351,56 @@ def test_permuted_neighbors_returns_new_graph_with_own_scatter():
     assert np.array_equal(np.sort(permuted.indices, axis=1), np.sort(before, axis=1))
 
 
+def sequential_scatter(table, g):
+    # per cell, its edges' rows added one at a time in row-major edge order
+    out = np.zeros((table.shape[0], g.shape[-1]))
+    for cell in range(table.shape[0]):
+        rows, cols = np.nonzero(table == cell)  # row-major
+        if len(rows):
+            acc = g[rows[0], cols[0]].copy()
+            for i, j in zip(rows[1:], cols[1:]):
+                acc += g[i, j]
+            out[cell] = acc
+    return out
+
+
+def scatter_tables():
+    rng = np.random.default_rng(70)
+    hub = rng.integers(0, 9, size=(9, 3))
+    hub[:, 1] = 4  # cell 4 named by every row
+    return {
+        "hub": hub,
+        "unnamed": np.array([[1, 2], [2, 1], [1, 2], [2, 2], [1, 1]]),  # 0, 3, 4 never
+        "k1": np.array([[3], [0], [0], [1]]),
+        "include_self": build_knn_graph(rng.normal(size=(40, 3)), 5,
+                                        include_self=True).indices,
+        "block": build_block_knn_graph(rng.normal(size=(4 * 50, 12)), 50, 6).indices,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(scatter_tables()))
+def test_scatter_sum_is_the_row_major_sequential_sum(case):
+    table = scatter_tables()[case]
+    graph = KnnGraph(table)
+    g = np.random.default_rng(71).normal(size=table.shape + (5,))
+    got = graph.scatter_sum(g)
+    assert got.dtype == np.float64 and got.shape == (table.shape[0], 5)
+    want = np.zeros_like(got)
+    np.add.at(want, table.reshape(-1), g.reshape(-1, 5))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, sequential_scatter(table, g))
+    unnamed = np.setdiff1d(np.arange(table.shape[0]), table)
+    assert np.all(got[unnamed] == 0)
+
+
+def test_scatter_levels_order_cells_by_falling_in_degree():
+    graph = KnnGraph(np.array([[1, 2], [2, 1], [1, 2], [2, 2], [1, 3], [4, 1]]))
+    cells, levels = graph.scatter
+    assert cells.tolist() == [1, 2, 3, 4]  # in-degrees 5, 5, 1, 1; ties by id
+    assert [ids.tolist() for ids in levels] == [[0, 1, 9, 10], [3, 2], [4, 5],
+                                                [8, 6], [11, 7]]
+
+
 def test_scatter_matches_add_at_with_unreferenced_cells():
     # a random 12-D block graph leaves some cells out of every neighborhood;
     # their gradient rows must stay zero rather than take a neighbor's sum
@@ -394,7 +443,7 @@ def test_edge_affine_matches_edge_tensors_then_affine(diff):
     x, wt, bt = t64(raw), t64(w), t64(b)
     x2, wt2, bt2 = t64(raw), t64(w), t64(b)
 
-    split = edge_affine(x, gather_neighbors(x, graph), wt, bt, diff=diff)
+    split = edge_affine(x, graph, wt, bt, diff=diff)
     concat, delta = edge_tensors(x2, graph)
     # the attention score input: (center - neighbor) (+) neighbor
     pair = concat_channels([delta, gather_neighbors(x2, graph)]) if diff else concat
@@ -411,7 +460,7 @@ def test_edge_affine_gradient_matches_fd(diff):
     raw, graph, w, b, upstream = edge_case(61, m=8, k=3)
 
     def f(x, wt, bt):
-        return mul(edge_affine(x, gather_neighbors(x, graph), wt, bt, diff), upstream).sum()
+        return mul(edge_affine(x, graph, wt, bt, diff), upstream).sum()
 
     assert gradient_check(f, [t64(raw), t64(w), t64(b)]) <= 1e-6
 
@@ -432,7 +481,7 @@ def test_edge_shared_mlp_matches_composed_ops_on_edge_tensors(train):
     x, wt, bt, state = t64(raw), t64(w), t64(b), edge_state(5, 63)
     x2, wt2, bt2, state2 = t64(raw), t64(w), t64(b), edge_state(5, 63)
 
-    fused = shared_mlp(x, wt, bt, state, train, neighbors=gather_neighbors(x, graph))
+    fused = shared_mlp(x, wt, bt, state, train, graph=graph)
     concat, _ = edge_tensors(x2, graph)
     ref = leaky_relu(batch_norm(affine(concat, wt2, bt2), state2, train), 0.2)
     assert np.abs(fused.data - ref.data).max() <= 1e-10
@@ -452,7 +501,7 @@ def test_edge_shared_mlp_gradient_matches_fd(train):
 
     def f(x, wt, bt, gamma, beta):
         state.gamma, state.beta = gamma, beta
-        out = shared_mlp(x, wt, bt, state, train, neighbors=gather_neighbors(x, graph))
+        out = shared_mlp(x, wt, bt, state, train, graph=graph)
         return mul(out, upstream).sum()
 
     inputs = [t64(raw), t64(w), t64(b), t64(state.gamma.data), t64(state.beta.data)]

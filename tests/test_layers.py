@@ -1,6 +1,6 @@
 import numpy as np
 
-from meshseg.knn import build_knn_graph, gather_neighbors
+from meshseg.knn import build_knn_graph
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer, SharedMLP
 from meshseg.tensor import BN_EPS, Tensor, gradient_check
 
@@ -10,8 +10,7 @@ def leaky(x, slope=0.2):
 
 
 def attention_weights(layer, features, graph):
-    x = Tensor(features, dtype=np.float64)
-    return layer.weights(x, gather_neighbors(x, graph)).data
+    return layer.weights(Tensor(features, dtype=np.float64), graph).data
 
 
 def scripted_layer(features, idx, w_cal, b_cal, bn, w_att, b_att, mode):

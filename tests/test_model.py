@@ -108,6 +108,15 @@ def test_batch_entries_are_shape_checked_before_their_cell_counts():
             model.forward(bad)
 
 
+def test_forward_rejects_what_is_neither_an_array_nor_a_list():
+    from meshseg.tensor import DimensionError
+
+    model = build_variant(tiny_config())
+    for bad in (np.float32(1), 5, None):
+        with pytest.raises(DimensionError, match="array or a list of them"):
+            model.forward(bad)
+
+
 def test_both_streams_share_one_graph_per_layer(monkeypatch):
     import meshseg.model as model_mod
 
@@ -124,23 +133,40 @@ def test_both_streams_share_one_graph_per_layer(monkeypatch):
     assert len(calls) == 3  # one graph per layer, consumed by both streams
 
 
+def counting_graphs(monkeypatch):
+    """(built, scattered): every graph the model builds, and each graph
+    once per build of its scatter levels, while the patch is in place."""
+    from functools import cached_property
+
+    import meshseg.knn as knn_mod
+    import meshseg.model as model_mod
+
+    built, scattered = [], []
+    real = model_mod.build_block_knn_graph
+
+    class CountingGraph(knn_mod.KnnGraph):
+        @cached_property
+        def scatter(self):
+            scattered.append(self)
+            return super().scatter
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(knn_mod, "KnnGraph", CountingGraph)
+    monkeypatch.setattr(model_mod, "build_block_knn_graph", recording)
+    return built, scattered
+
+
 def test_both_streams_share_one_scatter_sort_per_layer(monkeypatch):
-    import meshseg.layers as layers_mod
-
-    seen = []
-    real = layers_mod.gather_neighbors
-
-    def recording(features, graph):
-        seen.append(graph.scatter)
-        return real(features, graph)
-
-    monkeypatch.setattr(layers_mod, "gather_neighbors", recording)
+    built, scattered = counting_graphs(monkeypatch)
     model = build_variant(tiny_config())
     model.forward(random_features(30, seed=12))
-    assert len(seen) == 6  # c1 n1 c2 n2 c3 n3
-    for c_sort, n_sort in zip(seen[0::2], seen[1::2]):
-        assert c_sort is n_sort
-    assert len({id(s) for s in seen}) == 3
+    assert len(built) == 3
+    # c1 n1 c2 n2 c3 n3 and the attention scores all scatter over their
+    # layer's graph, whose levels are built once
+    assert [id(g) for g in scattered] == [id(g) for g in built]
 
 
 def test_gradients_have_one_owner_after_desk_step():
@@ -197,36 +223,42 @@ def test_stream_independence_dataflow(monkeypatch):
     assert ancestors(outputs["fuse_n"]) & n_param_ids
 
 
-def test_train_step_sorts_no_scatter_for_the_depth0_graph(monkeypatch):
-    # the raw input features need no gradient, so their gather has no
-    # backward to sort for; the deeper graphs' gathers do
-    from functools import cached_property
-
-    import meshseg.knn as knn_mod
-    import meshseg.model as model_mod
-
-    built, sorted_graphs = [], []
-    real = model_mod.build_block_knn_graph
-
-    class CountingGraph(knn_mod.KnnGraph):
-        @cached_property
-        def scatter(self):
-            sorted_graphs.append(self)
-            return super().scatter
-
-    def recording(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(knn_mod, "KnnGraph", CountingGraph)
-    monkeypatch.setattr(model_mod, "build_block_knn_graph", recording)
+def test_train_step_builds_one_scatter_per_graph(monkeypatch):
+    # every edge op over a graph, in both streams, shares its scatter; the
+    # depth-0 graph needs one too, for the first layers' weight gradients
+    built, scattered = counting_graphs(monkeypatch)
     model = build_variant(tiny_config())
     feats = [random_features(30, seed=1), random_features(30, seed=2)]
     logits = model.forward(feats, train=True)
     cross_entropy(logits, np.arange(60) % 5).backward()
     assert len(built) == 3
-    assert [id(g) for g in sorted_graphs] == [id(g) for g in built[1:]]
+    assert [id(g) for g in scattered] == [id(g) for g in built]
     assert all(p.tensor.grad is not None for p in model.parameters())
+
+
+def test_desk_train_step_runs_no_per_edge_product(monkeypatch):
+    # edge affines project cells, then gather: no operand of a product is
+    # 3-D or has the M * K rows of the edges
+    import meshseg.tensor as tensor_mod
+    from meshseg.verify import desk_model_config
+
+    shapes = []
+    real = tensor_mod._matmul
+
+    def recording(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(tensor_mod, "_matmul", recording)
+    cfg = desk_model_config()
+    model = build_variant(cfg)
+    feats = [random_features(60, seed=s) for s in (30, 31)]
+    edges = 2 * 60 * cfg.k_neighbors
+    cross_entropy(model.forward(feats, train=True), np.arange(120) % 8).backward()
+    assert len(shapes) > 50
+    for a, b in shapes:
+        assert len(a) == 2 and len(b) == 2, (a, b)
+        assert edges not in a + b, (a, b)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
@@ -319,10 +351,10 @@ def test_chunked_predict_matches_taped_eval_bit_for_bit(variant, dtype, monkeypa
     chunks = {}
     real = layers_mod.SharedMLP.__call__
 
-    def counting(block, x, train=False, neighbors=None):
-        if neighbors is not None:  # one calibration per chunk of a graph layer
+    def counting(block, x, train=False, graph=None, chunk=None):
+        if graph is not None:  # one calibration per chunk of a graph layer
             chunks[block.name] = chunks.get(block.name, 0) + 1
-        return real(block, x, train, neighbors)
+        return real(block, x, train, graph, chunk)
 
     monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
     monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 512)
@@ -341,9 +373,10 @@ def test_chunks_are_balanced_and_never_one_row(monkeypatch):
     sizes = []
 
     class Recorder(layers_mod.GraphMaxPoolLayer):
-        def _aggregate(self, features, neighbors, train):
-            sizes.append(features.data.shape[0])
-            return super()._aggregate(features, neighbors, train)
+        def _aggregate(self, features, graph, train, chunk=None):
+            rows = chunk[0] if chunk else slice(None)
+            sizes.append(len(range(graph.num_cells)[rows]))
+            return super()._aggregate(features, graph, train, chunk)
 
     layer = Recorder("n1", 2, 3, np.random.default_rng(0))
     for m in (2, 3, 5, 17, 64, 101):

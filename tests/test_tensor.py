@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshseg.knn import GatherIndexError, KnnGraph, gather_neighbors
+from meshseg.knn import GatherIndexError, KnnGraph
 from meshseg.tensor import (
     BatchNormState,
     DimensionError,
@@ -9,6 +9,9 @@ from meshseg.tensor import (
     StatisticsError,
     Tensor,
     UsageError,
+    _leaky_factor,
+    _linear,
+    _normalize,
     affine,
     concat_channels,
     gradient_check,
@@ -21,7 +24,7 @@ from meshseg.tensor import (
     sum_axis,
     taping,
 )
-from reference import batch_norm, leaky_relu, sub
+from reference import batch_norm, gather_neighbors, leaky_relu, sub
 
 
 def t64(a, grad=True):
@@ -170,8 +173,8 @@ def test_max_axis_gradient_matches_fd_away_from_ties():
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter: knn.gather_neighbors over a KnnGraph, which checks its
-# table when built
+# gather / scatter: the reference gather_neighbors over a KnnGraph, which
+# checks its table when built
 # ---------------------------------------------------------------------------
 
 def test_gather_rows_permutation():
@@ -472,6 +475,28 @@ def test_shared_mlp_gradient_matches_fd(train):
 
     err = gradient_check(f, [x, w, b, state.gamma, state.beta])
     assert err <= 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.99])
+def test_shared_mlp_leaky_relu_is_bit_identical_to_the_factor_product(slope, dtype):
+    # the forward takes max(y, slope * y); backward keeps the factor form
+    rng = np.random.default_rng(46)
+    x = Tensor(rng.normal(size=(40, 3)), dtype=dtype)
+    w = Tensor(rng.normal(size=(3, 4)), dtype=dtype)
+    b = Tensor(np.zeros(4), dtype=dtype)
+    state = BatchNormState(4, dtype=dtype)
+    # channel 1 is +0.0 or -0.0 by the sign of xhat; channel 2 is subnormal
+    # in float32
+    state.gamma.data = np.array([1.3, 0.0, 1e-39, 0.7], dtype=dtype)
+    state.beta.data = np.array([0.1, -0.0, 0.0, -0.2], dtype=dtype)
+    out = shared_mlp(x, w, b, state, train=False, slope=slope).data
+    xhat, _ = _normalize(_linear(x.data, w.data, b.data), state, False)
+    y = xhat * state.gamma.data
+    y += state.beta.data
+    want = y * _leaky_factor(y < 0, y.dtype.type(slope))
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+    assert np.signbit(out[:, 1]).any() and not np.signbit(out[:, 1]).all()
 
 
 def test_shared_mlp_train_needs_two_rows():
