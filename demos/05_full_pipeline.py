@@ -13,8 +13,8 @@ from meshseg.synth import ArchSpec, make_dataset, read_manifest
 from meshseg.training import TrainConfig, inference_features, train
 
 workdir = Path(tempfile.mkdtemp(prefix="meshseg_demo_"))
-spec = ArchSpec(num_teeth=4, cells_target=900)
-manifest, _ = make_dataset(spec, n_train=8, n_test=3, out_dir=workdir, seed=11)
+spec = ArchSpec(num_teeth=4, cells_target=900, seed=11)
+manifest, _ = make_dataset(spec, n_train=8, n_test=3, out_dir=workdir)
 print("dataset:", manifest)
 
 entries = read_manifest(manifest)

@@ -46,7 +46,7 @@ from meshseg.training import TrainConfig, TrainingError
 USAGE_ERRORS = (ConfigKeyError, ConfigError, GraphConfigError, UsageError)
 DATA_ERRORS = (DataError, MeshFormatError, CheckpointError, TrainingError,
                GenerationError, LabelRangeError, DimensionError, FeatureValueError,
-               FileNotFoundError, FileExistsError)
+               OSError)
 
 
 def _default_out():
@@ -85,8 +85,7 @@ def _resolve_configs(args):
 def cmd_synth(args):
     spec = ArchSpec(num_teeth=args.teeth, cells_target=args.cells,
                     crowding=args.crowding, seed=args.seed)
-    manifest, entries = make_dataset(spec, args.n_train, args.n_test,
-                                     args.out, args.seed)
+    manifest, entries = make_dataset(spec, args.n_train, args.n_test, args.out)
     print(f"wrote {len(entries)} meshes; manifest: {manifest}")
     return 0
 
@@ -96,10 +95,10 @@ def cmd_train(args):
     meshes = _load_split(args.manifest, args.split)
 
     if args.resume:
-        model, adam, start_epoch = training.resume(args.resume, train_cfg)
+        model, adam = training.resume(args.resume, train_cfg)
         model_cfg = model.config
     else:
-        model, adam, start_epoch = build_variant(model_cfg), None, 0
+        model, adam = build_variant(model_cfg), None
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
@@ -108,13 +107,12 @@ def cmd_train(args):
         fh.write(format_config(model_cfg, train_cfg))
     # A run cut between an epoch's log row and its checkpoint reruns that
     # epoch, so on resume only the rows of epochs the checkpoint holds stay.
-    kept = _log_rows_before(log_path, start_epoch) if args.resume else []
+    kept = _log_rows_before(log_path, adam.state.epoch) if args.resume else []
     with open(log_path, "w") as log_fh:
         log_fh.write(training.LOG_HEADER + "\n")
         log_fh.writelines(kept)
         records, adam = training.train(model, meshes, train_cfg,
-                                       checkpoint_path=ckpt, log_fh=log_fh,
-                                       adam=adam, start_epoch=start_epoch)
+                                       checkpoint_path=ckpt, log_fh=log_fh, adam=adam)
     if not records:  # zero-epoch run still leaves a resumable checkpoint
         save_checkpoint(model, ckpt, adam)
     last = records[-1] if records else None

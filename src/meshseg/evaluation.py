@@ -19,13 +19,10 @@ class ConfusionMatrix:
     """C x C counts; rows are ground truth, columns are prediction."""
 
     num_classes: int
-    counts: np.ndarray = field(default=None)
+    counts: np.ndarray = field(init=False)  # filled only by `accumulate`
 
     def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros((self.num_classes, self.num_classes), dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = np.zeros((self.num_classes, self.num_classes), dtype=np.int64)
 
     @property
     def total(self):

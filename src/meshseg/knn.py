@@ -20,8 +20,8 @@ selection.  A KnnGraph checks its table once, when built: an integer
 table of ids in [0, M), so every gather over it, taped or chunked, is in
 range.  `gather` reads per-cell rows out along the edges; `scatter_sum`,
 the transpose, adds per-edge rows back onto the cells they name, over the
-jagged diagonals of the transposed table, built once per graph and shared
-by every edge op over it.
+jagged diagonals of the transposed table.  The first `scatter_sum`, in a
+backward pass, builds them; every later edge op over the graph shares them.
 """
 
 from __future__ import annotations
@@ -146,13 +146,13 @@ def build_knn_graph(features, k, include_self=False):
     The center itself is excluded unless include_self is set; distance ties
     break toward the lower cell index.
     """
-    return KnnGraph(_knn_indices(features, k, include_self))
+    return build_block_knn_graph(features, len(features), k, include_self)
 
 
-def _knn_indices(features, k, include_self, buf=None):
-    """The (M, k) table of build_knn_graph.  `buf`, a flat float32 scratch
-    of at least max(_CHUNK_ELEMS, M + _GROUP) values, holds each row
-    chunk's distances; without one, a buffer is allocated for the call."""
+def _knn_indices(features, k, include_self, buf):
+    """The (M, k) table of one build_block_knn_graph block.  `buf`, a flat
+    float32 scratch of at least max(_CHUNK_ELEMS, M + _GROUP) values, holds
+    each row chunk's distances."""
     x = np.asarray(features)
     m, dim = x.shape
     if k < 1 or k >= m:
@@ -199,8 +199,6 @@ def _knn_indices(features, k, include_self, buf=None):
     sq_pad[:m] = sq
     rows = max(1, _CHUNK_ELEMS // (s * g))
     need = min(rows, m) * s * g  # <= max(_CHUNK_ELEMS, M + _GROUP), as s * g < M + s
-    if buf is None:
-        buf = np.empty(need, dtype=np.float32)
     buf = buf[:need].reshape(-1, s * g)
     out = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, rows):

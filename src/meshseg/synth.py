@@ -183,8 +183,9 @@ def _derived_seed(seed, split_id, index):
     return int(np.random.SeedSequence([seed, split_id, index]).generate_state(1)[0])
 
 
-def make_dataset(spec, n_train, n_test, out_dir, seed):
-    """Write train/test obj + .labels pairs and a manifest; fully seeded."""
+def make_dataset(spec, n_train, n_test, out_dir):
+    """Write train/test obj + .labels pairs and a manifest; each mesh's
+    seed, recorded in the manifest, is derived from `spec.seed`."""
     if n_train < 1 or n_test < 1:
         raise GenerationError(
             f"n_train and n_test must be >= 1, got {n_train} and {n_test}")
@@ -197,7 +198,7 @@ def make_dataset(spec, n_train, n_test, out_dir, seed):
         split_dir = os.path.join(out_dir, split)
         os.makedirs(split_dir, exist_ok=True)
         for i in range(count):
-            mesh_seed = _derived_seed(seed, split_id, i)
+            mesh_seed = _derived_seed(spec.seed, split_id, i)
             mesh = generate(replace(spec, seed=mesh_seed))
             rel_mesh = os.path.join(split, f"arch_{i:03d}.obj")
             rel_labels = os.path.join(split, f"arch_{i:03d}.labels")

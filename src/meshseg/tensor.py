@@ -314,12 +314,6 @@ def _linear_backward(g, x, w, b, graph=None, diff=False):
         _accumulate(b, (gflat if graph is None else g_centre).sum(axis=0), owned=True)
 
 
-def _scatter_for_backward(graph, x, w):
-    """Build the graph's scatter while taping, when backward will need it."""
-    if taping() and (x.requires_grad or w.requires_grad):
-        graph.scatter  # built once, shared by every edge op over the graph
-
-
 def affine(x, w, b):
     """x @ w + b applied to the last axis; x is 2-D or 3-D, w is (in, out)."""
     if x.data.ndim not in (2, 3) or w.data.ndim != 2:
@@ -346,7 +340,6 @@ def edge_affine(x, graph, w, b, diff=False, chunk=None):
     """
     d = _check_edges("edge_affine", x, graph)
     _check_weights("edge_affine", 2 * d, w, b)
-    _scatter_for_backward(graph, x, w)
 
     def backward(g):
         _linear_backward(g, x, w, b, graph, diff)
@@ -523,7 +516,6 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None):
         in_dim = x.data.shape[-1]
     else:
         in_dim = 2 * _check_edges("shared_mlp", x, graph)
-        _scatter_for_backward(graph, x, w)
     _check_weights("shared_mlp", in_dim, w, b)
     gamma, beta = state.gamma, state.beta
     xhat, inv_std = _normalize(_linear(x.data, w.data, b.data, graph, chunk=chunk),

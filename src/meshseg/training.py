@@ -111,7 +111,8 @@ class Adam:
 
 
 def resume(path, train_cfg):
-    """(model, adam, next_epoch) restored from a checkpoint `train` wrote.
+    """(model, adam) restored from a checkpoint `train` wrote; training
+    continues at `adam.state.epoch`, the epochs the checkpoint holds.
 
     `train_cfg` is the TrainConfig to continue with; it supplies Adam's
     hyperparameters, while the model config comes from the checkpoint.
@@ -120,7 +121,7 @@ def resume(path, train_cfg):
     model = build_variant(model_cfg)
     adam = Adam(model.parameters(), train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
     restore_state(path, arrays, model, adam)
-    return model, adam, adam.state.epoch
+    return model, adam
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +192,16 @@ def prepare_training_meshes(meshes, config):
     return [transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes]
 
 
-def train(model, meshes, config, checkpoint_path=None, log_fh=None,
-          adam=None, start_epoch=0):
+def train(model, meshes, config, checkpoint_path=None, log_fh=None, adam=None):
     """Mini-batch training; returns (per-epoch records, adam).
 
     `meshes` must carry labels; with batch_size > 1 they must also share
     one cell count, as any of them may meet in a batch.  With
     `checkpoint_path`, model and optimizer state are written there after
-    every epoch.  When resuming, pass the `adam` and `start_epoch` that
-    `resume` returns; the per-epoch RNG streams make the continuation
-    identical to an uninterrupted run.
+    every epoch.  Training runs from `adam.state.epoch`, 0 for a new
+    optimizer, to `config.epochs`; to resume, pass the `adam` that `resume`
+    returns, and the per-epoch RNG streams make the continuation identical
+    to an uninterrupted run.
     """
     config.validate()
     if not meshes:
@@ -220,7 +221,7 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None,
         adam = Adam(model.parameters(), config.beta1, config.beta2, config.eps)
     records = []
 
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(adam.state.epoch, config.epochs):
         rng = _epoch_rng(config.seed, epoch)
         order = rng.permutation(len(dataset))
         lr = lr_at_epoch(config, epoch)

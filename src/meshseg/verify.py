@@ -17,7 +17,7 @@ import numpy as np
 
 from meshseg.evaluation import ConfusionMatrix, accumulate, metrics, train_variants
 from meshseg.knn import build_knn_graph
-from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
+from meshseg.layers import AGGREGATIONS, GraphAttentionLayer, GraphMaxPoolLayer
 from meshseg.mesh import build_cell_features, transform_mesh
 from meshseg.model import (
     ModelConfig,
@@ -97,8 +97,8 @@ def overfit_setup():
 
 def _random_layer(kind, seed):
     rng = np.random.default_rng(seed)
-    cls = GraphAttentionLayer if kind == "attention" else GraphMaxPoolLayer
-    layer = cls("v", 2, 3, np.random.default_rng(seed + 1), dtype=np.float64)
+    layer = AGGREGATIONS[kind]("v", 2, 3, np.random.default_rng(seed + 1),
+                               dtype=np.float64)
     layer.calibrate.bn.running_mean = rng.normal(size=3) * 0.2
     layer.calibrate.bn.running_var = rng.uniform(0.5, 2.0, size=3)
     features = rng.normal(size=(8, 2))
@@ -108,11 +108,8 @@ def _random_layer(kind, seed):
 
 def _layer_gradient_error(kind, seed=101):
     layer, features, graph = _random_layer(kind, seed)
-    bn = layer.calibrate.bn
-    tensors = [Tensor(features, requires_grad=True, dtype=np.float64),
-               layer.calibrate.weight, layer.calibrate.bias, bn.gamma, bn.beta]
-    if kind == "attention":
-        tensors += [layer.att_weight, layer.att_bias]
+    tensors = [Tensor(features, requires_grad=True, dtype=np.float64)]
+    tensors += [p.tensor for p in layer.parameters()]
 
     def f(feats, *_):
         return layer.forward(feats, graph, train=False).sum()
@@ -412,38 +409,31 @@ def _mini_setup():
     return meshes, cfg, tcfg
 
 
-def check_determinism_and_persistence(tmp_dir="/tmp"):
+def check_determinism_and_persistence():
     import tempfile
 
     meshes, cfg, tcfg = _mini_setup()
 
-    trajectories = []
-    for _ in range(2):
-        model = build_variant(cfg)
+    models = [build_variant(cfg) for _ in range(2)]
+    for model in models:
         train(model, meshes, tcfg)
-        trajectories.append([p.tensor.data.copy() for p in model.parameters()])
-    same_traj = all(np.array_equal(a, b) for a, b in zip(*trajectories))
+    same_traj = all(np.array_equal(a.tensor.data, b.tensor.data)
+                    for a, b in zip(*(m.parameters() for m in models)))
 
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as td:
-        model = build_variant(cfg)
-        train(model, meshes, tcfg)
+    with tempfile.TemporaryDirectory() as td:
         p1, p2 = os.path.join(td, "a.ckpt"), os.path.join(td, "b.ckpt")
-        save_checkpoint(model, p1)
+        save_checkpoint(models[0], p1)
         save_checkpoint(load_model(p1), p2)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             roundtrip = f1.read() == f2.read()
 
-        straight = build_variant(cfg)
-        train(straight, meshes, tcfg)
-        resumed = build_variant(cfg)
         ckpt = os.path.join(td, "mid.ckpt")
-        _, _ = train(resumed, meshes, replace(tcfg, epochs=2),
-                     checkpoint_path=ckpt)
-        restored, adam, start = resume(ckpt, tcfg)
-        train(restored, meshes, tcfg, adam=adam, start_epoch=start)
+        train(build_variant(cfg), meshes, replace(tcfg, epochs=2), checkpoint_path=ckpt)
+        restored, adam = resume(ckpt, tcfg)
+        train(restored, meshes, tcfg, adam=adam)
         resume_ok = all(
             np.array_equal(a.tensor.data, b.tensor.data)
-            for a, b in zip(straight.parameters(), restored.parameters())
+            for a, b in zip(models[1].parameters(), restored.parameters())
         )
 
     passed = same_traj and roundtrip and resume_ok

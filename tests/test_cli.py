@@ -246,6 +246,15 @@ BAD_INPUTS = {
     "checkpoint-overflowing-weight": ({"m.obj": GRID_OBJ},
                                       [a.replace("{ckpt}", "{huge_ckpt}") for a in PREDICT],
                                       "KNN input"),
+    # an OSError other than a missing or existing file used to escape as a traceback
+    "checkpoint-is-a-directory": ({"m.obj": GRID_OBJ},
+                                  [a.replace("{ckpt}", "{dir}") for a in PREDICT],
+                                  "Is a directory"),
+    "manifest-is-a-directory": ({}, [a.replace("{dir}/manifest.tsv", "{dir}") for a in EVAL],
+                                "Is a directory"),
+    "out-ply-is-a-directory": ({"m.obj": GRID_OBJ},
+                               [a.replace("{dir}/out.ply", "{dir}") for a in PREDICT],
+                               "Is a directory"),
 }
 
 

@@ -90,9 +90,8 @@ def test_teeth_overlap_raises():
 
 
 def test_make_dataset_and_reload(tmp_path):
-    spec = small_spec()
-    manifest_path, entries = make_dataset(spec, n_train=3, n_test=2,
-                                          out_dir=tmp_path, seed=77)
+    spec = small_spec(seed=77)
+    manifest_path, entries = make_dataset(spec, n_train=3, n_test=2, out_dir=tmp_path)
     assert len(entries) == 5
     loaded = read_manifest(manifest_path)
     assert [e.split for e in loaded] == ["train"] * 3 + ["test"] * 2
@@ -108,15 +107,18 @@ def test_make_dataset_and_reload(tmp_path):
 
 
 def test_make_dataset_regeneration_byte_identical(tmp_path):
-    spec = small_spec()
-    make_dataset(spec, 2, 1, tmp_path / "a", seed=3)
-    make_dataset(spec, 2, 1, tmp_path / "b", seed=3)
+    make_dataset(small_spec(seed=3), 2, 1, tmp_path / "a")
+    make_dataset(small_spec(seed=3), 2, 1, tmp_path / "b")
+    make_dataset(small_spec(seed=4), 2, 1, tmp_path / "c")  # differs only in seed
     for rel in ("manifest.tsv", "train/arch_000.obj", "train/arch_001.labels",
                 "test/arch_000.obj"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+    for rel in ("manifest.tsv", "train/arch_000.obj", "train/arch_001.obj",
+                "test/arch_000.obj"):
+        assert (tmp_path / "a" / rel).read_bytes() != (tmp_path / "c" / rel).read_bytes()
 
 
 def test_make_dataset_collision(tmp_path):
-    make_dataset(small_spec(), 1, 1, tmp_path, seed=1)
+    make_dataset(small_spec(seed=1), 1, 1, tmp_path)
     with pytest.raises(FileExistsError):
-        make_dataset(small_spec(), 1, 1, tmp_path, seed=2)
+        make_dataset(small_spec(seed=2), 1, 1, tmp_path)

@@ -83,8 +83,8 @@ def test_adam_moments_round_trip_through_checkpoint(tmp_path):
     model = small_model(seed=3)
     path = tmp_path / "run.ckpt"
     _, adam = train(model, small_meshes(), quick_config(epochs=3), checkpoint_path=path)
-    restored, adam2, next_epoch = resume(path, quick_config())
-    assert next_epoch == 3
+    restored, adam2 = resume(path, quick_config())
+    assert adam2.state.epoch == 3
     assert adam2.state.step == adam.state.step == 3
     for p in model.parameters():
         assert np.array_equal(adam2.state.m[p.name], adam.state.m[p.name]), p.name
@@ -205,9 +205,9 @@ def test_resume_equals_uninterrupted(tmp_path):
     cfg_half = quick_config(epochs=2, augment=True)
     train(resumed, meshes, cfg_half, checkpoint_path=ckpt)
 
-    restored, adam2, start = resume(ckpt, cfg)
-    assert start == 2
-    train(restored, meshes, cfg, adam=adam2, start_epoch=start)
+    restored, adam2 = resume(ckpt, cfg)
+    assert adam2.state.epoch == 2
+    train(restored, meshes, cfg, adam=adam2)
 
     for pa, pb in zip(straight.parameters(), restored.parameters()):
         assert np.array_equal(pa.tensor.data, pb.tensor.data), pa.name
@@ -238,9 +238,9 @@ def test_interrupted_run_resumes_bit_exactly(tmp_path, monkeypatch, stop_after):
     monkeypatch.undo()
     assert saved == list(range(1, stop_after + 2))  # one write per finished epoch
 
-    restored, adam, start = resume(ckpt, cfg)
-    assert start == stop_after + 1
-    train(restored, meshes, cfg, checkpoint_path=ckpt, adam=adam, start_epoch=start)
+    restored, adam = resume(ckpt, cfg)
+    assert adam.state.epoch == stop_after + 1
+    train(restored, meshes, cfg, checkpoint_path=ckpt, adam=adam)
     for pa, pb in zip(straight.parameters(), restored.parameters()):
         assert np.array_equal(pa.tensor.data, pb.tensor.data), pa.name
     assert ckpt.read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
