@@ -43,6 +43,12 @@ print("per-channel weight sums for cell 0:",
 pool = GraphMaxPoolLayer("pool", in_dim=4, out_dim=6, rng=np.random.default_rng(1))
 out_pool = pool.forward(x, graph)
 print("max-pool output:", out_pool.data.shape)
+# it pools inside the calibration MLP's node, before batch norm's affine and
+# LeakyReLU, which are monotone per channel: the max over K of the
+# calibrated edges, bit for bit
+calibrated = pool.calibrate(x, False, graph)
+print("equals the max over K of the calibrated edges:",
+      np.array_equal(out_pool.data, calibrated.data.max(axis=1)))
 
 # permuting each row's neighbor order changes nothing: both aggregations
 # are symmetric in the neighborhood

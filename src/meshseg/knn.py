@@ -99,6 +99,18 @@ class KnnGraph:
                        for j in range(counts.max(initial=0)))
         return cells, levels
 
+    @cached_property
+    def in_degree(self):
+        """(M,) number of edges naming each cell, read off the scatter's
+        levels: cell `cells[i]` appears in every level longer than i."""
+        cells, levels = self.scatter
+        depth = np.zeros(len(cells), dtype=np.int64)
+        for ids in levels:
+            depth[:len(ids)] += 1
+        out = np.zeros(self.num_cells, dtype=np.int64)
+        out[cells] = depth
+        return out
+
     def scatter_sum(self, g):
         """(M, c) sums of the per-edge rows g (M, K, c) onto the cells their
         edges name; cells no row names get zero.

@@ -3,10 +3,14 @@
 Both aggregation layers first calibrate each neighbor against its center
 through a shared MLP on the concatenated pair.  The attention layer then
 takes a convex combination of calibrated neighbors, with per-channel
-weights normalized over the neighborhood; the max-pool layer takes the
-channel-wise maximum instead.  Neither layer builds the (M, K, 2d) pair or
-gathers neighbor features: each affine map over a pair projects the cells
-and gathers the projections (tensor.edge_affine).
+weights normalized over the neighborhood.  The max-pool layer's MLP pools
+instead (`SharedMLP(..., pool=True)`, one tape node): batch statistics
+come from every edge, the pre-activation is max-pooled over the K edges,
+and batch norm's affine and LeakyReLU run on the pooled rows only, which
+equals the channel-wise maximum of the calibrated neighbors bit for bit.
+Neither layer builds the (M, K, 2d) pair or gathers neighbor features:
+each affine map over a pair projects the cells and gathers the
+projections (tensor.edge_affine).
 
 A tape-free eval-mode call aggregates balanced chunks of rows in turn, so
 it never holds more than about _CHUNK_ELEMS per-edge values of one array;
@@ -28,7 +32,6 @@ from meshseg.tensor import (
     Parameter,
     Tensor,
     edge_affine,
-    max_axis,
     mul,
     shared_mlp,
     softmax_axis,
@@ -51,7 +54,8 @@ class SharedMLP:
     """Per-row affine + batch norm + LeakyReLU as one tape node; rows never mix.
 
     Called with a `graph`, the rows are the graph's (centre, neighbour)
-    pairs: input width in_dim is the two halves together.
+    pairs: input width in_dim is the two halves together.  With `pool` as
+    well, the output is the maximum over each row's K pairs, (M, out_dim).
     """
 
     def __init__(self, name, in_dim, out_dim, rng, slope=0.2, dtype=np.float32):
@@ -62,9 +66,9 @@ class SharedMLP:
         self.weight, self.bias = _init_affine(rng, in_dim, out_dim, dtype)
         self.bn = BatchNormState(out_dim, dtype=dtype)
 
-    def __call__(self, x, train=False, graph=None, chunk=None):
+    def __call__(self, x, train=False, graph=None, chunk=None, pool=False):
         return shared_mlp(x, self.weight, self.bias, self.bn, train, self.slope,
-                          graph, chunk)
+                          graph, chunk, pool)
 
     def parameters(self):
         return [Parameter(f"{self.name}.weight", self.weight),
@@ -143,7 +147,7 @@ class GraphMaxPoolLayer(_GraphLayer):
     """Max-pool aggregation over a KNN neighborhood (normal stream)."""
 
     def _aggregate(self, features, graph, train, chunk=None):
-        return max_axis(self.calibrate(features, train, graph, chunk), axis=1)
+        return self.calibrate(features, train, graph, chunk, pool=True)
 
     def forward(self, features, graph, train=False):
         return self._apply(features, graph, train)

@@ -3,7 +3,7 @@
 Covers exactly the operations the segmentation network runs:
 
 - elementwise `mul`, channel concatenation and the per-row `affine`;
-- reductions: sum, max, softmax and log softmax along an axis;
+- reductions: sum, softmax and log softmax along an axis;
 - the edge path of the graph layers: `edge_affine`, the affine map of
   every (centre, neighbour) pair [x_i (+) x_j] or [x_i - x_j (+) x_j] of a
   KnnGraph, and `shared_mlp`, affine -> batch norm (`BatchNormState`, with
@@ -11,7 +11,10 @@ Covers exactly the operations the segmentation network runs:
   backward.  An edge affine never builds the pair: it projects the cells,
   then gathers the projections along the edges, and its backward sums the
   edge gradients back onto the cells with the graph's scatter, so neither
-  direction runs a product with M * K rows.
+  direction runs a product with M * K rows.  `shared_mlp(..., pool=True)`
+  also max-pools over each row's K edges: it pools the centred
+  pre-activation and normalises only the pooled rows, and its backward
+  routes each pooled gradient to its edge with an equality mask.
 
 Two precisions are supported: float32 for training and float64 for
 gradient verification.
@@ -282,36 +285,41 @@ def _linear(x, w, b, graph=None, diff=False, chunk=None):
     return out
 
 
-def _linear_backward(g, x, w, b, graph=None, diff=False):
-    """Accumulate the gradients of _linear's tensor inputs; `g` is owned.
-
-    In the edge form, g_centre sums each row's K edges and g_cells each
-    cell's edges over the graph's scatter, so no product has M * K rows.
-    """
+def _linear_backward(g, x, w, b):
+    """Accumulate the gradients of affine's tensor inputs; `g` is owned."""
+    if x.requires_grad:
+        _accumulate(x, _matmul(g, w.data.T), owned=True)
     gflat = g.reshape(-1, g.shape[-1])
-    if graph is None:
-        if x.requires_grad:
-            _accumulate(x, _matmul(g, w.data.T), owned=True)
-        if w.requires_grad:
-            xflat = x.data.reshape(-1, x.data.shape[-1])
-            _accumulate(w, _matmul(xflat.T, gflat), owned=True)
-    else:
-        top, bottom = _edge_halves(w.data, x.data.shape[1], diff)
-        g_centre = g.sum(axis=1)  # each centre row feeds all K of its edges
-        if x.requires_grad or w.requires_grad:
-            g_cells = graph.scatter_sum(g)  # each cell feeds the edges naming it
-        if x.requires_grad:
-            gx = _matmul(g_centre, top.T)
-            gx += _matmul(g_cells, bottom.T)
-            _accumulate(x, gx, owned=True)
-        if w.requires_grad:
-            g_bottom = _matmul(x.data.T, g_cells)
-            g_top = _matmul(x.data.T, g_centre)
-            if diff:
-                g_top -= g_bottom
-            _accumulate(w, np.concatenate([g_top, g_bottom]), owned=True)
+    if w.requires_grad:
+        xflat = x.data.reshape(-1, x.data.shape[-1])
+        _accumulate(w, _matmul(xflat.T, gflat), owned=True)
     if b.requires_grad:
-        _accumulate(b, (gflat if graph is None else g_centre).sum(axis=0), owned=True)
+        _accumulate(b, gflat.sum(axis=0), owned=True)
+
+
+def _edge_sums(g, graph):
+    """(g_centre, g_cells) of the per-edge gradients g (M, K, c): each centre
+    row feeds all K of its edges, each cell the edges naming it."""
+    return g.sum(axis=1), graph.scatter_sum(g)
+
+
+def _edge_backward(g_centre, g_cells, x, w, b, diff=False):
+    """Accumulate the gradients of the edge form of _linear's tensor inputs
+    from the (M, out) sums of its edge gradients, see _edge_sums; both are
+    owned.  No product has M * K rows."""
+    top, bottom = _edge_halves(w.data, x.data.shape[1], diff)
+    if x.requires_grad:
+        gx = _matmul(g_centre, top.T)
+        gx += _matmul(g_cells, bottom.T)
+        _accumulate(x, gx, owned=True)
+    if w.requires_grad:
+        g_bottom = _matmul(x.data.T, g_cells)
+        g_top = _matmul(x.data.T, g_centre)
+        if diff:
+            g_top -= g_bottom
+        _accumulate(w, np.concatenate([g_top, g_bottom]), owned=True)
+    if b.requires_grad:
+        _accumulate(b, g_centre.sum(axis=0), owned=True)
 
 
 def affine(x, w, b):
@@ -342,7 +350,7 @@ def edge_affine(x, graph, w, b, diff=False, chunk=None):
     _check_weights("edge_affine", 2 * d, w, b)
 
     def backward(g):
-        _linear_backward(g, x, w, b, graph, diff)
+        _edge_backward(*_edge_sums(g, graph), x, w, b, diff)
 
     return _make(_linear(x.data, w.data, b.data, graph, diff, chunk), (x, w, b), backward)
 
@@ -368,25 +376,6 @@ def sum_axis(x, axis):
             _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return _make(x.data.sum(axis=axis), (x,), backward)
-
-
-def max_axis(x, axis):
-    """Maximum along an axis; backward routes to the argmax (lowest index on ties).
-
-    The argmax is found in backward, so eval-mode forwards never pay for it.
-    """
-    axis = _check_axis(x, axis, "max_axis")
-
-    def backward(g):
-        if x.requires_grad:
-            arg = np.argmax(x.data, axis=axis)
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(
-                gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis
-            )
-            _accumulate(x, gx, owned=True)
-
-    return _make(np.max(x.data, axis=axis), (x,), backward)
 
 
 def softmax_axis(x, axis):
@@ -452,8 +441,8 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def _normalize(x, state, train):
-    """(xhat, inv_std): x normalized per channel over all leading axes.
+def _centre(x, state, train):
+    """(x - mean, inv_std) per channel over all leading axes.
 
     Train mode uses the batch statistics and updates the running estimates;
     eval mode uses the stored running statistics.
@@ -465,20 +454,16 @@ def _normalize(x, state, train):
         )
     eps = x.dtype.type(BN_EPS)
     if not train:
-        inv_std = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = x - state.running_mean
-        xhat *= inv_std
-        return xhat, inv_std
+        return x - state.running_mean, 1.0 / np.sqrt(state.running_var + eps)
 
     n = x.size // c
     if n < 2:
         raise StatisticsError(f"batch_norm: train mode needs >= 2 rows, got {n}")
     mean = x.reshape(-1, c).mean(axis=0)
-    xhat = x - mean
-    flat = xhat.reshape(-1, c)
+    centred = x - mean
+    flat = centred.reshape(-1, c)
     var = np.einsum("ij,ij->j", flat, flat) / n  # biased
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
     m = BN_MOMENTUM
     state.running_mean = ((1 - m) * state.running_mean + m * mean).astype(
         state.running_mean.dtype
@@ -487,7 +472,7 @@ def _normalize(x, state, train):
     state.running_var = ((1 - m) * state.running_var + m * unbiased).astype(
         state.running_var.dtype
     )
-    return xhat, inv_std
+    return centred, inv_std
 
 
 def _leaky_factor(negative, slope):
@@ -501,7 +486,34 @@ def _leaky_factor(negative, slope):
     return factor
 
 
-def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None):
+def _pool_edges(centred, gamma):
+    """(M, c) pooled over the K edges of the centred (M, K, c): the max where
+    gamma >= 0, the min where gamma < 0, so the channel's largest output."""
+    top = centred.max(axis=1)
+    flip = gamma < 0
+    if flip.any():
+        top[:, flip] = centred[:, :, flip].min(axis=1)
+    return top
+
+
+def _first_hits(centred, top):
+    """(M, K, c) mask of the edge each pooled value came from: the lowest k
+    where `centred` equals it, or is NaN when it is NaN, as np.argmax picks.
+
+    The equality mask alone holds one hit per (row, channel) unless values
+    tie or are NaN; only then are later hits cleared.
+    """
+    hit = centred == top[:, None, :]
+    nan = np.isnan(top).any()
+    if nan or np.count_nonzero(hit) != top.size:
+        if nan:
+            hit |= np.isnan(centred)
+        seen = np.logical_or.accumulate(hit, axis=1)
+        hit[:, 1:] = seen[:, 1:] & ~seen[:, :-1]
+    return hit
+
+
+def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=False):
     """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
 
     With a KnnGraph `graph` the rows are the graph's (centre, neighbour)
@@ -509,6 +521,19 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None):
     included.  The node keeps only the normalized pre-activation and the
     sign mask; its backward reuses the gamma/beta gradient sums for the
     batch-statistics term.
+
+    With `pool` (and a graph) the node returns the (M, out) maximum over
+    each row's K edges.  Batch statistics still come from every edge, but the pooling
+    runs on the centred pre-activation and the rest on the pooled rows
+    only: centring, scaling by inv_std > 0, the gamma affine and LeakyReLU
+    (slope in [0, 1)) are each monotone per channel under rounding, so
+    pooling first (the min where gamma < 0) is bit-identical.  The gradient
+    goes to the lowest-index edge holding the pooled value, and the
+    batch-statistics term is summed in closed form per centre row and per
+    cell, so backward forms no (M, K, out) gradient chain; the node keeps
+    the centred pre-activation as its one per-edge array.  Where gamma is
+    zero every edge gives the same output, and the gamma gradient is the
+    one-sided one of the largest centred edge.
     """
     if graph is None:
         if x.data.ndim not in (2, 3):
@@ -518,8 +543,14 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None):
         in_dim = 2 * _check_edges("shared_mlp", x, graph)
     _check_weights("shared_mlp", in_dim, w, b)
     gamma, beta = state.gamma, state.beta
-    xhat, inv_std = _normalize(_linear(x.data, w.data, b.data, graph, chunk=chunk),
+    centred, inv_std = _centre(_linear(x.data, w.data, b.data, graph, chunk=chunk),
                                state, train)
+    if pool:
+        top = _pool_edges(centred, gamma.data)
+        xhat = top * inv_std
+    else:
+        xhat = centred
+        xhat *= inv_std
     y = xhat * gamma.data
     y += beta.data
     negative = y < 0
@@ -533,16 +564,37 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None):
         gflat = gy.reshape(-1, c)
         g_gamma = np.einsum("ij,ij->j", gflat, xhat.reshape(-1, c))
         g_beta = gflat.sum(axis=0)
-        if train:
-            n = gflat.shape[0]
-            gy -= xhat * (g_gamma / n)
-            gy -= g_beta / n
-        gy *= gamma.data * inv_std
         if gamma.requires_grad:
             _accumulate(gamma, g_gamma, owned=True)
         if beta.requires_grad:
             _accumulate(beta, g_beta, owned=True)
-        _linear_backward(gy, x, w, b, graph)
+        n = centred.size // c  # rows (edges) behind the batch statistics
+        scale = gamma.data * inv_std
+        if not pool:
+            if train:
+                gy -= xhat * (g_gamma / n)
+                gy -= g_beta / n
+            gy *= scale
+            if graph is None:
+                _linear_backward(gy, x, w, b)
+            else:
+                _edge_backward(*_edge_sums(gy, graph), x, w, b)
+            return
+        # Edge (i, k) gets scale * gy_i where it holds row i's pooled value,
+        # less, in train mode, scale * (xhat_ik * g_gamma + g_beta) / n.  The
+        # g_beta term is equal on every edge, so it is summed in closed form:
+        # K times per centre row, in-degree times per cell.
+        if train:
+            edge = centred * (-(scale * inv_std) * (g_gamma / n))
+        else:
+            edge = np.zeros_like(centred)
+        np.add(edge, (gy * scale)[:, None, :], out=edge, where=_first_hits(centred, top))
+        g_centre, g_cells = _edge_sums(edge, graph)
+        if train:
+            shift = scale * (g_beta / n)
+            g_centre -= graph.k * shift
+            g_cells -= graph.in_degree[:, None].astype(shift.dtype) * shift
+        _edge_backward(g_centre, g_cells, x, w, b)
 
     return _make(y, (x, w, b, gamma, beta), backward)
 

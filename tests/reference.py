@@ -5,7 +5,8 @@ into one tape node.  These are the unfused steps, each its own node with
 the plain textbook backward: `leaky_relu(batch_norm(affine(...)))` is
 `shared_mlp`, and `edge_tensors` builds the (centre, neighbour) pairs that
 `edge_affine` never materialises, from the neighbour rows that
-`gather_neighbors` gathers.
+`gather_neighbors` gathers.  `max_pool_mlp` is `shared_mlp(..., pool=True)`
+composed: the edge MLP, then `max_axis` over the K edges.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import numpy as np
 from meshseg.tensor import (
     DimensionError,
     _accumulate,
+    _check_axis,
+    _centre,
     _make,
-    _normalize,
     concat_channels,
+    shared_mlp,
 )
 
 
@@ -58,6 +61,14 @@ def repeat_rows(x, k):
     return _make(np.broadcast_to(x.data[:, None, :], (m, k, d)), (x,), backward)
 
 
+def normalize(x, state, train):
+    """(xhat, inv_std): the array x normalized per channel over all leading
+    axes, as shared_mlp does before gamma and beta."""
+    xhat, inv_std = _centre(x, state, train)
+    xhat *= inv_std
+    return xhat, inv_std
+
+
 def batch_norm(x, state, train):
     """Normalize per channel over all leading axes.
 
@@ -65,7 +76,7 @@ def batch_norm(x, state, train):
     eval mode uses the stored running statistics and is side-effect free.
     """
     c = x.data.shape[-1]
-    xhat, inv_std = _normalize(x.data, state, train)
+    xhat, inv_std = normalize(x.data, state, train)
     gamma, beta = state.gamma, state.beta
 
     def backward(g):
@@ -103,3 +114,25 @@ def edge_tensors(features, graph):
     neighbors = gather_neighbors(features, graph)
     centers = repeat_rows(features, graph.k)
     return concat_channels([centers, neighbors]), sub(centers, neighbors)
+
+
+def max_axis(x, axis):
+    """Maximum along an axis; backward routes to the argmax (lowest index on ties)."""
+    axis = _check_axis(x, axis, "max_axis")
+
+    def backward(g):
+        if x.requires_grad:
+            arg = np.argmax(x.data, axis=axis)
+            gx = np.zeros_like(x.data)
+            np.put_along_axis(
+                gx, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis
+            )
+            _accumulate(x, gx, owned=True)
+
+    return _make(np.max(x.data, axis=axis), (x,), backward)
+
+
+def max_pool_mlp(x, w, b, state, train, slope, graph):
+    """The max-pool layer's calibration and pooling as two nodes: shared_mlp
+    over every edge of `graph`, then the maximum over each row's K edges."""
+    return max_axis(shared_mlp(x, w, b, state, train, slope, graph), axis=1)

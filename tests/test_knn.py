@@ -31,7 +31,13 @@ from meshseg.tensor import (
     sum_all,
 )
 from meshseg.verify import desk_arch_spec
-from reference import batch_norm, edge_tensors, gather_neighbors, leaky_relu
+from reference import (
+    batch_norm,
+    edge_tensors,
+    gather_neighbors,
+    leaky_relu,
+    max_pool_mlp,
+)
 
 
 def brute_force_knn(features, k, include_self=False):
@@ -393,6 +399,15 @@ def test_scatter_sum_is_the_row_major_sequential_sum(case):
     assert np.all(got[unnamed] == 0)
 
 
+@pytest.mark.parametrize("case", sorted(scatter_tables()))
+def test_in_degree_counts_each_cells_namings(case):
+    table = scatter_tables()[case]
+    graph = KnnGraph(table)
+    assert graph.in_degree.dtype == np.int64
+    assert np.array_equal(graph.in_degree, np.bincount(table.reshape(-1),
+                                                        minlength=table.shape[0]))
+
+
 def test_scatter_levels_order_cells_by_falling_in_degree():
     graph = KnnGraph(np.array([[1, 2], [2, 1], [1, 2], [2, 2], [1, 3], [4, 1]]))
     cells, levels = graph.scatter
@@ -506,3 +521,152 @@ def test_edge_shared_mlp_gradient_matches_fd(train):
 
     inputs = [t64(raw), t64(w), t64(b), t64(state.gamma.data), t64(state.beta.data)]
     assert gradient_check(f, inputs) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the max-pool layer's pooled node against the composed reference
+# ---------------------------------------------------------------------------
+
+# mixed signs, both zeros: the pooled node takes the min where gamma < 0
+POOL_GAMMA = [1.3, -0.7, 0.0, -0.0, 2.0, -1e-3]
+# no zero: there the max over K is a kink in gamma, where finite differences
+# fail and the pooled node takes the one-sided derivative (the largest
+# centred edge) while max_axis takes edge 0 of K equal outputs
+GRAD_GAMMA = [1.3, -0.7, 0.4, -1.1, 2.0, -0.2]
+
+
+def pool_case(seed, dtype, m=40, d=3, k=5, gamma=POOL_GAMMA):
+    """(features, graph, weight, bias, bn state) with hand-set BN values."""
+    rng = np.random.default_rng(seed)
+    out = len(gamma)
+    x = rng.normal(size=(m, d))
+    graph = KnnGraph(rng.integers(0, m, size=(m, k)))
+    w, b = rng.normal(size=(2 * d, out)), rng.normal(size=out)
+    state = BatchNormState(out, dtype=dtype)
+    state.gamma.data = np.array(gamma, dtype=dtype)
+    state.beta.data = (rng.normal(size=out) * 0.3).astype(dtype)
+    state.running_mean = (rng.normal(size=out) * 0.2).astype(dtype)
+    state.running_var = rng.uniform(0.5, 2.0, size=out).astype(dtype)
+    return x, graph, w, b, state
+
+
+def pool_tensors(x, w, b, state, dtype):
+    """Fresh leaves and a copy of the BN state, so two runs never share."""
+    twin = BatchNormState(state.channels, dtype=dtype)
+    twin.gamma = Tensor(state.gamma.data.copy(), requires_grad=True)
+    twin.beta = Tensor(state.beta.data.copy(), requires_grad=True)
+    twin.running_mean = state.running_mean.copy()
+    twin.running_var = state.running_var.copy()
+    return (Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype),
+            Tensor(b, requires_grad=True, dtype=dtype), twin)
+
+
+def pool_layer(w, b, state, dtype):
+    layer = GraphMaxPoolLayer("n", w.shape[0] // 2, w.shape[1], np.random.default_rng(0),
+                              slope=0.2, dtype=dtype)
+    _, layer.calibrate.weight, layer.calibrate.bias, layer.calibrate.bn = pool_tensors(
+        np.zeros((1, 1)), w, b, state, dtype)
+    return layer
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.99])
+@pytest.mark.parametrize("train", [True, False])
+def test_pooled_mlp_is_bit_identical_to_the_max_of_the_edge_mlp(train, slope, dtype):
+    raw, graph, w, b, state = pool_case(80, dtype)
+    x, wt, bt, st = pool_tensors(raw, w, b, state, dtype)
+    x2, wt2, bt2, st2 = pool_tensors(raw, w, b, state, dtype)
+    got = shared_mlp(x, wt, bt, st, train, slope, graph, pool=True)
+    want = max_pool_mlp(x2, wt2, bt2, st2, train, slope, graph)
+    assert got.data.dtype == dtype and got.data.shape == (40, len(POOL_GAMMA))
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(st.running_mean, st2.running_mean)
+    assert np.array_equal(st.running_var, st2.running_var)
+    with no_tape():
+        free = shared_mlp(x, wt, bt, pool_tensors(raw, w, b, state, dtype)[3], train,
+                          slope, graph, pool=True)
+    assert np.array_equal(free.data, want.data) and not free.requires_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_max_pool_layer_is_bit_identical_to_the_reference(dtype, monkeypatch):
+    import meshseg.layers as layers_mod
+
+    raw, graph, w, b, state = pool_case(81, dtype)
+    layer = pool_layer(w, b, state, dtype)
+    want = max_pool_mlp(*pool_tensors(raw, w, b, state, dtype), False, 0.2, graph)
+    calls = []
+    real = layers_mod.SharedMLP.__call__
+
+    def counting(block, *args, **kwargs):
+        calls.append(1)
+        return real(block, *args, **kwargs)
+
+    monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
+    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 64)
+    with no_tape():
+        got = layer.forward(Tensor(raw, dtype=dtype), graph)
+    assert len(calls) >= 3
+    assert np.array_equal(got.data, want.data)
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_pooled_mlp_gradients_match_the_reference_and_fd(train):
+    raw, graph, w, b, state = pool_case(82, np.float64, m=10, k=3, gamma=GRAD_GAMMA)
+    upstream = Tensor(np.random.default_rng(83).normal(size=(10, len(POOL_GAMMA))))
+    layer = pool_layer(w, b, state, np.float64)
+    cal = layer.calibrate
+
+    def f(feats, weight, bias, gamma, beta):
+        cal.weight, cal.bias, cal.bn.gamma, cal.bn.beta = weight, bias, gamma, beta
+        return mul(layer.forward(feats, graph, train), upstream).sum()
+
+    x, wt, bt, st = pool_tensors(raw, w, b, state, np.float64)
+    inputs = [x, wt, bt, st.gamma, st.beta]
+    assert gradient_check(f, inputs) <= 1e-4
+    x2, wt2, bt2, st2 = pool_tensors(raw, w, b, state, np.float64)
+    mul(max_pool_mlp(x2, wt2, bt2, st2, train, 0.2, graph), upstream).sum().backward()
+    for got, want in zip(inputs, (x2, wt2, bt2, st2.gamma, st2.beta)):
+        assert relative_gap(got.grad, want.grad) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [True, False])
+def test_pooled_mlp_routes_a_tie_to_its_first_column(train, dtype):
+    # cells 1 and 2 are equal rows, so every edge to them ties exactly: row 0
+    # names 1 before 2 and row 3 names 2 before 1; row 5 names cell 4 twice
+    raw, _, w, b, state = pool_case(84, dtype, m=8, k=3, gamma=GRAD_GAMMA)
+    raw[2] = raw[1]
+    table = np.random.default_rng(85).integers(0, 8, size=(8, 3))
+    table[0], table[3], table[5] = [1, 2, 6], [7, 2, 1], [4, 4, 0]
+    graph = KnnGraph(table)
+    upstream = Tensor(np.random.default_rng(86).normal(size=(8, len(POOL_GAMMA))),
+                      dtype=dtype)
+    x, wt, bt, st = pool_tensors(raw, w, b, state, dtype)
+    x2, wt2, bt2, st2 = pool_tensors(raw, w, b, state, dtype)
+    mul(shared_mlp(x, wt, bt, st, train, 0.2, graph, pool=True), upstream).sum().backward()
+    mul(max_pool_mlp(x2, wt2, bt2, st2, train, 0.2, graph), upstream).sum().backward()
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in ((x, x2), (wt, wt2), (bt, bt2), (st.gamma, st2.gamma),
+                      (st.beta, st2.beta)):
+        assert relative_gap(got.grad, want.grad) <= tol
+    # the tie is real and decides the rows of cells 1 and 2
+    assert not np.allclose(x.grad[1], x.grad[2])
+
+
+def test_first_hits_keep_the_lowest_index_as_argmax_does():
+    from meshseg.tensor import _first_hits
+
+    centred = np.array([[[1.0, 5.0, np.nan], [3.0, 5.0, 2.0], [3.0, 1.0, np.nan]],
+                        [[0.0, 2.0, 1.0], [1.0, 3.0, 0.0], [2.0, 1.0, 4.0]]])
+    top = centred.max(axis=1)
+    hit = _first_hits(centred, top)
+    want = np.zeros_like(hit)
+    np.put_along_axis(want, np.argmax(centred, axis=1)[:, None, :], True, axis=1)
+    assert np.array_equal(hit, want)
+    assert hit[0, :, 2].tolist() == [True, False, False]  # the first NaN
+    assert hit[1].sum() == 3  # one hit per (row, channel), no fallback needed

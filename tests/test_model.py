@@ -353,10 +353,10 @@ def test_chunked_predict_matches_taped_eval_bit_for_bit(variant, dtype, monkeypa
     chunks = {}
     real = layers_mod.SharedMLP.__call__
 
-    def counting(block, x, train=False, graph=None, chunk=None):
+    def counting(block, x, train=False, graph=None, chunk=None, pool=False):
         if graph is not None:  # one calibration per chunk of a graph layer
             chunks[block.name] = chunks.get(block.name, 0) + 1
-        return real(block, x, train, graph, chunk)
+        return real(block, x, train, graph, chunk, pool)
 
     monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
     monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 512)

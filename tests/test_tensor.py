@@ -11,12 +11,10 @@ from meshseg.tensor import (
     UsageError,
     _leaky_factor,
     _linear,
-    _normalize,
     affine,
     concat_channels,
     gradient_check,
     log_softmax_axis,
-    max_axis,
     mul,
     no_tape,
     shared_mlp,
@@ -24,7 +22,7 @@ from meshseg.tensor import (
     sum_axis,
     taping,
 )
-from reference import batch_norm, gather_neighbors, leaky_relu, sub
+from reference import batch_norm, gather_neighbors, leaky_relu, max_axis, normalize, sub
 
 
 def t64(a, grad=True):
@@ -491,7 +489,7 @@ def test_shared_mlp_leaky_relu_is_bit_identical_to_the_factor_product(slope, dty
     state.gamma.data = np.array([1.3, 0.0, 1e-39, 0.7], dtype=dtype)
     state.beta.data = np.array([0.1, -0.0, 0.0, -0.2], dtype=dtype)
     out = shared_mlp(x, w, b, state, train=False, slope=slope).data
-    xhat, _ = _normalize(_linear(x.data, w.data, b.data), state, False)
+    xhat, _ = normalize(_linear(x.data, w.data, b.data), state, False)
     y = xhat * state.gamma.data
     y += state.beta.data
     want = y * _leaky_factor(y < 0, y.dtype.type(slope))
