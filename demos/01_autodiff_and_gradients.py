@@ -5,7 +5,7 @@ import numpy as np
 
 from meshseg.knn import KnnGraph
 from meshseg.tensor import (
-    BatchNormState, Tensor, gradient_check, mul, shared_mlp, softmax_axis,
+    BatchNormState, Tensor, gradient_check, log_softmax_axis, mul, shared_mlp,
 )
 
 # A tensor is a numpy array plus a tape node.  Ops build the graph; a
@@ -15,9 +15,10 @@ loss = mul(x, x).sum()
 loss.backward()
 print("d/dx sum(x^2) at [1,2]  ->", x.grad, "(expect [2, 4])")
 
-# softmax along an axis: non-negative, rows sum to one
-s = softmax_axis(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64), axis=0)
-print("softmax([1,2,3])        ->", np.round(s.data, 5))
+# log softmax along an axis, as the loss uses it: its exp is non-negative
+# and sums to one
+s = log_softmax_axis(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64), axis=0)
+print("exp(log_softmax([1,2,3])) ->", np.round(np.exp(s.data), 5))
 
 # a KnnGraph's table of cell ids is checked once when built; gather reads
 # per-cell rows out along its edges, and scatter_sum, the transpose that

@@ -1,11 +1,12 @@
-# The two aggregation layers, step by step: KNN graph construction, the
-# split edge affine, attention weights, and max-pooling on a toy feature set.
+# The two aggregation layers, step by step: KNN graph construction,
+# attention weights from a split edge affine, and max-pooling on a toy
+# feature set.
 
 import numpy as np
 
 from meshseg.knn import build_knn_graph
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer
-from meshseg.tensor import Tensor, edge_affine
+from meshseg.tensor import Tensor
 
 rng = np.random.default_rng(3)
 features = rng.normal(size=(10, 4)).astype(np.float32)
@@ -15,28 +16,30 @@ print("neighbor table (cell -> 3 nearest in feature space):")
 for i, row in enumerate(graph.indices[:5]):
     print(f"  cell {i}: {row.tolist()}")
 
-# an affine map over a (center, neighbor) pair is split into a center half
-# and a neighbor half; each half projects every cell once, and the neighbor
+# attention layer: an affine map scores each (center, neighbor) pair
+# [x_i - x_j (+) x_j] per channel, and a softmax over the K neighbors turns
+# the scores into weights.  The map is split into a center half and a
+# neighbor half; each half projects every cell once, and the neighbor
 # projections are gathered along the edges, so the (M, K, 2d) pair is never
-# built
+# built (here row 0's pairs are built by hand, only to check one row)
 x = Tensor(features)
-w = Tensor(rng.normal(size=(8, 5)).astype(np.float32))
-b = Tensor(np.zeros(5, dtype=np.float32))
-edges = edge_affine(x, graph, w, b)
-i, j = 0, graph.indices[0, 0]
-pair = np.concatenate([features[i], features[j]]) @ w.data + b.data
-print("edge affine:", edges.data.shape)
-print(f"edge (0, 0) against [x_0 (+) x_{j}] @ W: "
-      f"max diff {np.abs(edges.data[0, 0] - pair).max():.1e}")
-
-# attention layer: neighbors are calibrated against their center, scored,
-# softmax-normalized per channel, and summed
 att = GraphAttentionLayer("att", in_dim=4, out_dim=6, rng=np.random.default_rng(0))
+weights = att.weights(x, graph)
+nbrs = features[graph.indices[0]]
+scores = (np.concatenate([features[0] - nbrs, nbrs], axis=1) @ att.att_weight.data
+          + att.att_bias.data)
+by_hand = np.exp(scores - scores.max(axis=0))
+by_hand /= by_hand.sum(axis=0)
+print("attention weights:", weights.shape)
+print(f"row 0 against softmax over k of [x_0 - x_j (+) x_j] @ W + b: "
+      f"max diff {np.abs(weights[0] - by_hand).max():.1e}")
+print("per-channel weight sums for cell 0:",
+      np.round(weights[0].sum(axis=0), 6), "(each is 1)")
+
+# the layer sums the calibrated neighbors (each calibrated against its
+# center) with these weights, in one tape node
 out = att.forward(x, graph)
 print("attention output:", out.data.shape)
-weights = att.weights(x, graph)
-print("per-channel weight sums for cell 0:",
-      np.round(weights.data[0].sum(axis=0), 6), "(each is 1)")
 
 # max-pool layer: channel-wise maximum over the same calibrated neighbors,
 # the boundary-sensitive aggregation of the normal stream

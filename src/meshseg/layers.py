@@ -3,14 +3,15 @@
 Both aggregation layers first calibrate each neighbor against its center
 through a shared MLP on the concatenated pair.  The attention layer then
 takes a convex combination of calibrated neighbors, with per-channel
-weights normalized over the neighborhood.  The max-pool layer's MLP pools
-instead (`SharedMLP(..., pool=True)`, one tape node): batch statistics
-come from every edge, the pre-activation is max-pooled over the K edges,
-and batch norm's affine and LeakyReLU run on the pooled rows only, which
-equals the channel-wise maximum of the calibrated neighbors bit for bit.
-Neither layer builds the (M, K, 2d) pair or gathers neighbor features:
-each affine map over a pair projects the cells and gathers the
-projections (tensor.edge_affine).
+weights normalized over the neighborhood, in one tape node
+(tensor.attend).  The max-pool layer's MLP pools instead
+(`SharedMLP(..., pool=True)`, one tape node): batch statistics come from
+every edge, the pre-activation is max-pooled over the K edges, and batch
+norm's affine and LeakyReLU run on the pooled rows only, which equals the
+channel-wise maximum of the calibrated neighbors bit for bit.  So a layer
+puts two nodes on the tape either way.  Neither layer builds the
+(M, K, 2d) pair or gathers neighbor features: each affine map over a pair
+projects the cells and gathers the projections (tensor._linear).
 
 A tape-free eval-mode call aggregates balanced chunks of rows in turn, so
 it never holds more than about _CHUNK_ELEMS per-edge values of one array;
@@ -27,17 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from meshseg.tensor import (
-    BatchNormState,
-    Parameter,
-    Tensor,
-    edge_affine,
-    mul,
-    shared_mlp,
-    softmax_axis,
-    sum_axis,
-    taping,
-)
+from meshseg import tensor  # weights() looks up tensor.edge_softmax as attend does
+from meshseg.tensor import BatchNormState, Parameter, Tensor, attend, shared_mlp, taping
 
 _CHUNK_ELEMS = 1 << 21  # per-edge values of the widest array in one eval chunk
 
@@ -124,15 +116,14 @@ class GraphAttentionLayer(_GraphLayer):
         super().__init__(name, in_dim, out_dim, rng, slope, dtype)
         self.att_weight, self.att_bias = _init_affine(rng, 2 * in_dim, out_dim, dtype)
 
-    def weights(self, features, graph, chunk=None):
-        """(M, K, out_dim) attention weights; each channel sums to 1 over K."""
-        scores = edge_affine(features, graph, self.att_weight, self.att_bias,
-                             diff=True, chunk=chunk)
-        return softmax_axis(scores, axis=1)
+    def weights(self, features, graph):
+        """(M, K, out_dim) array of the attention weights that `attend` pools
+        with; each channel sums to 1 over K."""
+        return tensor.edge_softmax(features, graph, self.att_weight, self.att_bias)
 
     def _aggregate(self, features, graph, train, chunk=None):
-        calibrated = self.calibrate(features, train, graph, chunk)
-        return sum_axis(mul(self.weights(features, graph, chunk), calibrated), axis=1)
+        return attend(features, graph, self.att_weight, self.att_bias,
+                      self.calibrate(features, train, graph, chunk), chunk)
 
     def forward(self, features, graph, train=False):
         return self._apply(features, graph, train)

@@ -189,6 +189,8 @@ def make_dataset(spec, n_train, n_test, out_dir):
     if n_train < 1 or n_test < 1:
         raise GenerationError(
             f"n_train and n_test must be >= 1, got {n_train} and {n_test}")
+    if spec.seed < 0:  # np.random.SeedSequence rejects it
+        raise GenerationError(f"seed must be >= 0, got {spec.seed}")
     out_dir = str(out_dir)
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     if os.path.exists(manifest_path):

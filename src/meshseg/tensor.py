@@ -3,11 +3,12 @@
 Covers exactly the operations the segmentation network runs:
 
 - elementwise `mul`, channel concatenation and the per-row `affine`;
-- reductions: sum, softmax and log softmax along an axis;
-- the edge path of the graph layers: `edge_affine`, the affine map of
-  every (centre, neighbour) pair [x_i (+) x_j] or [x_i - x_j (+) x_j] of a
-  KnnGraph, and `shared_mlp`, affine -> batch norm (`BatchNormState`, with
-  running statistics) -> LeakyReLU as one node with a hand-written
+- reductions: the total sum, and log softmax along an axis;
+- the edge path of the graph layers, over the (centre, neighbour) pairs
+  [x_i (+) x_j] or [x_i - x_j (+) x_j] of a KnnGraph: `shared_mlp`, affine
+  -> batch norm (`BatchNormState`, with running statistics) -> LeakyReLU,
+  and `attend`, per-edge values weighted by a softmax over each row's K
+  edges (`edge_softmax`) and summed, each one node with a hand-written
   backward.  An edge affine never builds the pair: it projects the cells,
   then gathers the projections along the edges, and its backward sums the
   edge gradients back onto the cells with the graph's scatter, so neither
@@ -260,16 +261,17 @@ def _check_edges(op, x, graph):
 
 
 def _edge_halves(w, d, diff):
-    """Centre and neighbour blocks of an edge weight, see edge_affine."""
+    """Centre and neighbour blocks of an edge weight, see _linear."""
     top, bottom = w[:d], w[d:]
     return top, (bottom - top if diff else bottom)
 
 
 def _linear(x, w, b, graph=None, diff=False, chunk=None):
-    """Forward of affine (graph None) and of edge_affine, on arrays.
+    """Forward of affine (graph None) and of the edge affine, on arrays.
 
-    The edge form projects the cells, then gathers: x @ bottom is made once
-    per cell and read out along the edges, x @ top + b once per centre row.
+    The edge form maps each pair [x_i (+) x_j], or [x_i - x_j (+) x_j] with
+    `diff`, of `graph` without building it: x @ bottom is made once per
+    cell and read out along the edges, x @ top + b once per centre row.
     With `chunk` (rows, cells), which tape-free eval passes, only the edges
     of centre rows `rows` are formed; `cells` keeps each weight's cell
     projection for the other chunks of the same pass.
@@ -336,23 +338,36 @@ def affine(x, w, b):
     return _make(_linear(x.data, w.data, b.data), (x, w, b), backward)
 
 
-def edge_affine(x, graph, w, b, diff=False, chunk=None):
-    """Affine map of every (centre, neighbour) pair of a KnnGraph, (M, K, out).
+def edge_softmax(x, graph, w, b, chunk=None):
+    """(M, K, out) array of attention weights: the edge affine of each pair
+    [x_i - x_j (+) x_j] (see _linear, `chunk` included), softmaxed over K."""
+    d = _check_edges("edge_softmax", x, graph)
+    _check_weights("edge_softmax", 2 * d, w, b)
+    p = _linear(x.data, w.data, b.data, graph, True, chunk)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
-    Row (i, k) of the input is [x_i (+) x_j], or [x_i - x_j (+) x_j] with
-    `diff`, where j is row i's k-th neighbour and x is (M, d).  The pair is
-    never built: the affine is linear, so x @ w[:d] + b is made once per
-    centre row and broadcast over K, and x @ w[d:] (less x @ w[:d] with
-    `diff`) once per cell and gathered.  `chunk` restricts the output to
-    some centre rows, see _linear.
-    """
-    d = _check_edges("edge_affine", x, graph)
-    _check_weights("edge_affine", 2 * d, w, b)
+
+def attend(x, graph, w, b, values, chunk=None):
+    """(M, out) sum over K of the (M, K, out) `values` weighted by
+    edge_softmax(x, graph, w, b), one node.  It keeps the weights as its one
+    per-edge array; backward reads `values` from its parent."""
+    p = edge_softmax(x, graph, w, b, chunk)
+    if values.data.shape != p.shape:
+        raise DimensionError(f"attend: values {values.data.shape} vs weights {p.shape}")
 
     def backward(g):
-        _edge_backward(*_edge_sums(g, graph), x, w, b, diff)
+        g = g[:, None, :]
+        if values.requires_grad:
+            _accumulate(values, g * p, owned=True)
+        gs = g * values.data
+        gs -= (gs * p).sum(axis=1, keepdims=True)
+        gs *= p
+        _edge_backward(*_edge_sums(gs, graph), x, w, b, diff=True)
 
-    return _make(_linear(x.data, w.data, b.data, graph, diff, chunk), (x, w, b), backward)
+    return _make((p * values.data).sum(axis=1), (x, w, b, values), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -368,31 +383,8 @@ def _check_axis(x, axis, op):
     return axis
 
 
-def sum_axis(x, axis):
-    axis = _check_axis(x, axis, "sum_axis")
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
-
-    return _make(x.data.sum(axis=axis), (x,), backward)
-
-
-def softmax_axis(x, axis):
-    axis = _check_axis(x, axis, "softmax_axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, y * (g - (g * y).sum(axis=axis, keepdims=True)), owned=True)
-
-    return _make(y, (x,), backward)
-
-
 def log_softmax_axis(x, axis):
-    """Numerically stable log softmax; companion of softmax_axis for losses."""
+    """Numerically stable log softmax along an axis, for losses."""
     axis = _check_axis(x, axis, "log_softmax_axis")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -517,7 +509,7 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
     """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
 
     With a KnnGraph `graph` the rows are the graph's (centre, neighbour)
-    pairs [x_i (+) x_j] and the affine is split as in edge_affine, `chunk`
+    pairs [x_i (+) x_j] and the affine is split as in _linear, `chunk`
     included.  The node keeps only the normalized pre-activation and the
     sign mask; its backward reuses the gamma/beta gradient sums for the
     batch-statistics term.

@@ -47,14 +47,16 @@ class TrainConfig:
                             ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        # Adam divides by 1 - beta ** t and by sqrt(v) + eps; lr0 <= 0 climbs the loss
+        # Adam divides by 1 - beta ** t and by sqrt(v) + eps; lr0 <= 0 climbs the
+        # loss; augmentation draws from uniform(-r, r), whose span 2r must be finite
+        span = "in [0, max float / 2]", lambda v: v >= 0 and math.isfinite(2 * v)
         for name, want, ok in (("lr0", "> 0", lambda v: v > 0),
                                ("beta1", "in [0, 1)", lambda v: 0 <= v < 1),
                                ("beta2", "in [0, 1)", lambda v: 0 <= v < 1),
                                ("eps", "> 0", lambda v: v > 0),
                                ("decay_factor", "> 0", lambda v: v > 0),
-                               ("translation_range", ">= 0", lambda v: v >= 0),
-                               ("rotation_range", ">= 0", lambda v: v >= 0)):
+                               ("translation_range", *span),
+                               ("rotation_range", *span)):
             value = getattr(self, name)
             if not (math.isfinite(value) and ok(value)):
                 raise ConfigError(f"{name} must be finite and {want}, got {value}")

@@ -165,7 +165,7 @@ def check_attention_normalization():
                                     np.random.default_rng(trial))
         features = rng.normal(size=(m, d)).astype(np.float32)
         graph = build_knn_graph(features, k)
-        weights = layer.weights(Tensor(features), graph).data
+        weights = layer.weights(Tensor(features), graph)
         if weights.min() < 0:
             return CheckResult("attention normalization", False,
                                f"negative weight in trial {trial}")

@@ -1,12 +1,16 @@
 """Composed reference ops that the fused ops are checked against.
 
-The model runs `shared_mlp` and `edge_affine`, which fuse several steps
-into one tape node.  These are the unfused steps, each its own node with
-the plain textbook backward: `leaky_relu(batch_norm(affine(...)))` is
+The model runs `shared_mlp` and `attend`, which fuse several steps into
+one tape node.  These are the unfused steps, each its own node with the
+plain textbook backward: `leaky_relu(batch_norm(affine(...)))` is
 `shared_mlp`, and `edge_tensors` builds the (centre, neighbour) pairs that
-`edge_affine` never materialises, from the neighbour rows that
-`gather_neighbors` gathers.  `max_pool_mlp` is `shared_mlp(..., pool=True)`
-composed: the edge MLP, then `max_axis` over the K edges.
+the edge path never materialises, from the neighbour rows that
+`gather_neighbors` gathers.  `edge_affine` is the affine map of every pair
+as its own node, projected and gathered as the model's edge path does.
+`max_pool_mlp` is `shared_mlp(..., pool=True)` composed: the edge MLP,
+then `max_axis` over the K edges.  `attention_pool` is `attend` composed:
+`edge_affine`, `softmax_axis` over the K edges, `mul` by the values and
+`sum_axis`.
 """
 
 from __future__ import annotations
@@ -16,10 +20,16 @@ import numpy as np
 from meshseg.tensor import (
     DimensionError,
     _accumulate,
-    _check_axis,
     _centre,
+    _check_axis,
+    _check_edges,
+    _check_weights,
+    _edge_backward,
+    _edge_sums,
+    _linear,
     _make,
     concat_channels,
+    mul,
     shared_mlp,
 )
 
@@ -136,3 +146,49 @@ def max_pool_mlp(x, w, b, state, train, slope, graph):
     """The max-pool layer's calibration and pooling as two nodes: shared_mlp
     over every edge of `graph`, then the maximum over each row's K edges."""
     return max_axis(shared_mlp(x, w, b, state, train, slope, graph), axis=1)
+
+
+def edge_affine(x, graph, w, b, diff=False):
+    """Affine map of every (centre, neighbour) pair of a KnnGraph, (M, K, out).
+
+    Row (i, k) of the input is [x_i (+) x_j], or [x_i - x_j (+) x_j] with
+    `diff`, where j is row i's k-th neighbour and x is (M, d).  The pair is
+    never built: the cells are projected, then gathered (tensor._linear).
+    """
+    d = _check_edges("edge_affine", x, graph)
+    _check_weights("edge_affine", 2 * d, w, b)
+
+    def backward(g):
+        _edge_backward(*_edge_sums(g, graph), x, w, b, diff)
+
+    return _make(_linear(x.data, w.data, b.data, graph, diff), (x, w, b), backward)
+
+
+def sum_axis(x, axis):
+    axis = _check_axis(x, axis, "sum_axis")
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+
+    return _make(x.data.sum(axis=axis), (x,), backward)
+
+
+def softmax_axis(x, axis):
+    axis = _check_axis(x, axis, "softmax_axis")
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, y * (g - (g * y).sum(axis=axis, keepdims=True)), owned=True)
+
+    return _make(y, (x,), backward)
+
+
+def attention_pool(x, graph, w, b, values):
+    """The attention layer's pooling as four nodes: scores of every
+    [x_i - x_j (+) x_j], their softmax over K, times `values`, summed over K."""
+    weights = softmax_axis(edge_affine(x, graph, w, b, diff=True), axis=1)
+    return sum_axis(mul(weights, values), axis=1)

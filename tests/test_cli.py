@@ -239,6 +239,7 @@ BAD_INPUTS = {
                            EVAL, "manifest.tsv:2"),
     "synth-no-training-meshes": ({}, ["synth", "--out", "{dir}", "--n-train", "0"],
                                  "n_train"),
+    "synth-negative-seed": ({}, ["synth", "--out", "{dir}", "--seed", "-1"], "seed"),
     "mesh-fewer-cells-than-k": ({"m.obj": TRIANGLE_OBJ}, PREDICT, "k=4"),
     "checkpoint-nan-parameter": ({"m.obj": GRID_OBJ},
                                  [a.replace("{ckpt}", "{nan_ckpt}") for a in PREDICT],
@@ -324,6 +325,9 @@ BAD_TRAIN_VALUES = {
     "train.lr0=nan": "lr0 must be finite and > 0, got nan",
     "train.eps=0": "eps must be finite and > 0, got 0.0",
     "train.seed=-1": "seed must be >= 0, got -1",  # was a numpy ValueError traceback
+    # uniform(-r, r) overflowed its span 2r: an OverflowError traceback
+    "train.translation_range=1e308":
+        "translation_range must be finite and in [0, max float / 2], got 1e+308",
     # NaN was reported as non-finite KNN input; -1 was a numpy traceback
     "model.leaky_slope=nan": "leaky_slope must be finite and in [0, 1), got nan",
     "model.leaky_slope=-0.1": "leaky_slope must be finite and in [0, 1), got -0.1",
@@ -431,17 +435,25 @@ def test_verify_quick(capsys):
 
 
 def test_verify_catches_broken_softmax(monkeypatch, capsys):
-    # mutation oracle: denormalize the attention softmax and the
-    # normalization check must fail with a nonzero exit
-    import meshseg.layers as layers_mod
-    from meshseg.tensor import softmax_axis
+    # mutation oracle: denormalize the attention softmax, which both the
+    # layer's pooling and its weights() read, and the normalization check
+    # must fail with a nonzero exit
+    import meshseg.tensor as tensor_mod
+    from meshseg.knn import build_knn_graph
+    from meshseg.layers import GraphAttentionLayer
 
-    def broken(x, axis):
-        out = softmax_axis(x, axis)
-        out.data = out.data * 1.01
-        return out
+    real = tensor_mod.edge_softmax
 
-    monkeypatch.setattr(layers_mod, "softmax_axis", broken)
+    def broken(*args):
+        return real(*args) * 1.01
+
+    features = np.random.default_rng(0).normal(size=(12, 3)).astype(np.float32)
+    graph = build_knn_graph(features, 4)
+    layer = GraphAttentionLayer("a", 3, 5, np.random.default_rng(1))
+    before = layer.forward(tensor_mod.Tensor(features), graph).data
+    monkeypatch.setattr(tensor_mod, "edge_softmax", broken)
+    # the patch reaches the weights the layer pools with
+    assert not np.array_equal(layer.forward(tensor_mod.Tensor(features), graph).data, before)
     code = main(["verify", "--quick"])
     out = capsys.readouterr().out
     assert code == 1

@@ -21,9 +21,10 @@ from meshseg.tensor import (
     BatchNormState,
     DimensionError,
     Tensor,
+    _toposort,
     affine,
+    attend,
     concat_channels,
-    edge_affine,
     gradient_check,
     mul,
     no_tape,
@@ -32,7 +33,9 @@ from meshseg.tensor import (
 )
 from meshseg.verify import desk_arch_spec
 from reference import (
+    attention_pool,
     batch_norm,
+    edge_affine,
     edge_tensors,
     gather_neighbors,
     leaky_relu,
@@ -670,3 +673,94 @@ def test_first_hits_keep_the_lowest_index_as_argmax_does():
     assert np.array_equal(hit, want)
     assert hit[0, :, 2].tolist() == [True, False, False]  # the first NaN
     assert hit[1].sum() == 3  # one hit per (row, channel), no fallback needed
+
+
+# ---------------------------------------------------------------------------
+# the attention layer's pooling node against the composed reference
+# ---------------------------------------------------------------------------
+
+def attention_case(seed, dtype, m=40, d=3, k=5, out=6):
+    """(features, graph, calibration weight, bias and bn state, attention
+    weight and bias)."""
+    raw, graph, w, b, state = pool_case(seed, dtype, m, d, k, gamma=GRAD_GAMMA[:out])
+    rng = np.random.default_rng(seed + 1)
+    return raw, graph, w, b, state, rng.normal(size=(2 * d, out)), rng.normal(size=out)
+
+
+def attention_run(pooling, raw, graph, w, b, state, w_att, b_att, train, dtype, upstream):
+    """Output and input gradients of `pooling` over the calibrated edges."""
+    x, wt, bt, st = pool_tensors(raw, w, b, state, dtype)
+    wa = Tensor(w_att, requires_grad=True, dtype=dtype)
+    ba = Tensor(b_att, requires_grad=True, dtype=dtype)
+    values = shared_mlp(x, wt, bt, st, train, 0.2, graph)
+    out = pooling(x, graph, wa, ba, values)
+    mul(out, Tensor(upstream, dtype=dtype)).sum().backward()
+    return out.data, [t.grad for t in (x, wt, bt, st.gamma, st.beta, wa, ba)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [True, False])
+def test_attend_is_bit_identical_to_the_composed_reference(train, dtype):
+    raw, graph, w, b, state, w_att, b_att = attention_case(90, dtype)
+    upstream = np.random.default_rng(91).normal(size=(40, 6))
+    got, got_grads = attention_run(attend, raw, graph, w, b, state, w_att, b_att,
+                                   train, dtype, upstream)
+    want, want_grads = attention_run(attention_pool, raw, graph, w, b, state, w_att,
+                                     b_att, train, dtype, upstream)
+    assert got.dtype == dtype and got.shape == (40, 6)
+    assert np.array_equal(got, want)
+    for g, h in zip(got_grads, want_grads):
+        assert g.dtype == dtype and np.array_equal(g, h)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_attention_layer_is_bit_identical_to_taped_eval(dtype, monkeypatch):
+    import meshseg.layers as layers_mod
+
+    raw, graph, w, b, state, w_att, b_att = attention_case(92, dtype)
+    layer = GraphAttentionLayer("c", 3, 6, np.random.default_rng(0), dtype=dtype)
+    _, layer.calibrate.weight, layer.calibrate.bias, layer.calibrate.bn = pool_tensors(
+        np.zeros((1, 1)), w, b, state, dtype)
+    layer.att_weight = Tensor(w_att, requires_grad=True, dtype=dtype)
+    layer.att_bias = Tensor(b_att, requires_grad=True, dtype=dtype)
+    taped = layer.forward(Tensor(raw, dtype=dtype), graph)
+    assert taped.requires_grad  # the parameters put the call on the tape
+    calls = []
+    real = layers_mod.SharedMLP.__call__
+
+    def counting(block, *args, **kwargs):
+        calls.append(1)
+        return real(block, *args, **kwargs)
+
+    monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
+    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 64)
+    with no_tape():
+        got = layer.forward(Tensor(raw, dtype=dtype), graph)
+    assert len(calls) >= 3
+    assert np.array_equal(got.data, taped.data)
+
+
+def test_attend_gradient_matches_fd():
+    raw, graph, _, _, _, w_att, b_att = attention_case(93, np.float64, m=8, k=3, out=4)
+    rng = np.random.default_rng(94)
+    values = rng.normal(size=(8, 3, 4))
+    upstream = Tensor(rng.normal(size=(8, 4)))
+
+    def f(x, wt, bt, v):
+        return mul(attend(x, graph, wt, bt, v), upstream).sum()
+
+    assert gradient_check(f, [t64(raw), t64(w_att), t64(b_att), t64(values)]) <= 1e-4
+
+
+def test_attention_layer_puts_two_nodes_on_the_tape():
+    raw, graph = attention_case(95, np.float32)[:2]
+    layer = GraphAttentionLayer("c", 3, 6, np.random.default_rng(0))
+    x = Tensor(raw, requires_grad=True)
+    out = layer.forward(x, graph, train=True)
+    nodes = [n for n in _toposort(out) if n._backward is not None]
+    assert len(nodes) == 2
+    # attend over (x, att weight, att bias, calibrated edges); calibrate over x
+    calibrated = out._parents[3]
+    assert nodes == [calibrated, out]
+    assert out._parents[:3] == (x, layer.att_weight, layer.att_bias)
+    assert calibrated._parents[:3] == (x, layer.calibrate.weight, layer.calibrate.bias)

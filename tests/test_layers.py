@@ -10,7 +10,7 @@ def leaky(x, slope=0.2):
 
 
 def attention_weights(layer, features, graph):
-    return layer.weights(Tensor(features, dtype=np.float64), graph).data
+    return layer.weights(Tensor(features, dtype=np.float64), graph)
 
 
 def scripted_layer(features, idx, w_cal, b_cal, bn, w_att, b_att, mode):

@@ -14,7 +14,8 @@ from meshseg.model import (
     save_checkpoint,
     variant_config,
 )
-from meshseg.tensor import BN_EPS, Tensor, gradient_check, softmax_axis
+from meshseg.tensor import BN_EPS, Tensor, gradient_check
+from reference import softmax_axis
 
 
 def tiny_config(**overrides):

@@ -18,11 +18,18 @@ from meshseg.tensor import (
     mul,
     no_tape,
     shared_mlp,
-    softmax_axis,
-    sum_axis,
     taping,
 )
-from reference import batch_norm, gather_neighbors, leaky_relu, max_axis, normalize, sub
+from reference import (
+    batch_norm,
+    gather_neighbors,
+    leaky_relu,
+    max_axis,
+    normalize,
+    softmax_axis,
+    sub,
+    sum_axis,
+)
 
 
 def t64(a, grad=True):

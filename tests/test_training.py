@@ -268,7 +268,8 @@ def test_mixed_cell_counts_train_one_mesh_per_batch():
     ("epochs", -1), ("batch_size", 0), ("batch_size", -2), ("decay_every", 0),
     ("lr0", 0.0), ("lr0", float("inf")), ("beta1", -0.1), ("beta2", 1.0),
     ("eps", 0.0), ("decay_factor", 0.0), ("translation_range", -1.0),
-    ("rotation_range", float("nan"))])
+    ("rotation_range", float("nan")), ("translation_range", 1e308),
+    ("rotation_range", 1e308)])
 def test_out_of_range_train_config_rejected(field, value):
     bad = quick_config(**{field: value})
     with pytest.raises(ConfigError) as exc:
