@@ -15,7 +15,9 @@ Covers exactly the operations the segmentation network runs:
   direction runs a product with M * K rows.  `shared_mlp(..., pool=True)`
   also max-pools over each row's K edges: it pools the centred
   pre-activation and normalises only the pooled rows, and its backward
-  routes each pooled gradient to its edge with an equality mask.
+  routes each pooled gradient to its edge with an equality mask.  Tape-free
+  eval folds batch norm's running statistics into the affine, so there
+  `shared_mlp` is one affine and LeakyReLU per edge.
 
 Two precisions are supported: float32 for training and float64 for
 gradient verification.
@@ -274,7 +276,8 @@ def _linear(x, w, b, graph=None, diff=False, chunk=None):
     cell and read out along the edges, x @ top + b once per centre row.
     With `chunk` (rows, cells), which tape-free eval passes, only the edges
     of centre rows `rows` are formed; `cells` keeps each weight's cell
-    projection for the other chunks of the same pass.
+    projection, and each fold of _folded_mlp, for the other chunks of the
+    same pass.
     """
     if graph is None:
         return _matmul(x, w) + b
@@ -291,12 +294,10 @@ def _linear_backward(g, x, w, b):
     """Accumulate the gradients of affine's tensor inputs; `g` is owned."""
     if x.requires_grad:
         _accumulate(x, _matmul(g, w.data.T), owned=True)
-    gflat = g.reshape(-1, g.shape[-1])
     if w.requires_grad:
-        xflat = x.data.reshape(-1, x.data.shape[-1])
-        _accumulate(w, _matmul(xflat.T, gflat), owned=True)
+        _accumulate(w, _matmul(x.data.T, g), owned=True)
     if b.requires_grad:
-        _accumulate(b, gflat.sum(axis=0), owned=True)
+        _accumulate(b, g.sum(axis=0), owned=True)
 
 
 def _edge_sums(g, graph):
@@ -325,12 +326,10 @@ def _edge_backward(g_centre, g_cells, x, w, b, diff=False):
 
 
 def affine(x, w, b):
-    """x @ w + b applied to the last axis; x is 2-D or 3-D, w is (in, out)."""
-    if x.data.ndim not in (2, 3) or w.data.ndim != 2:
-        raise DimensionError(
-            f"affine: expected 2-D/3-D input and 2-D weight, got {x.data.shape} and {w.data.shape}"
-        )
-    _check_weights("affine", x.data.shape[-1], w, b)
+    """x @ w + b for (M, in) rows x and an (in, out) weight w."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"affine: expected 2-D input, got {x.data.shape}")
+    _check_weights("affine", x.data.shape[1], w, b)
 
     def backward(g):
         _linear_backward(g, x, w, b)
@@ -505,6 +504,25 @@ def _first_hits(centred, top):
     return hit
 
 
+def _folded_mlp(x, w, b, state, slope, graph, chunk, pool):
+    """shared_mlp's tape-free eval forward on arrays.  The running statistics
+    are folded into the affine, w * scale and (b - mean) * scale + beta with
+    scale = gamma * inv_std, so each edge sees one affine and LeakyReLU.
+    The fold absorbs gamma's sign, so pooling is a plain max over K.  The
+    chunks of one layer call share one fold, kept in `cells` under the
+    batch-norm state, and its cell projection."""
+    rows, cells = chunk or (slice(None), {})
+    if state not in cells:
+        b_centred, inv_std = _centre(b, state, False)
+        scale = state.gamma.data * inv_std
+        cells[state] = (w * scale, b_centred * scale + state.beta.data)
+    y = _linear(x, *cells[state], graph, chunk=(rows, cells))
+    if pool:
+        y = y.max(axis=1)
+    np.maximum(y, y * y.dtype.type(slope), out=y)
+    return y
+
+
 def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=False):
     """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
 
@@ -526,14 +544,20 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
     the centred pre-activation as its one per-edge array.  Where gamma is
     zero every edge gives the same output, and the gamma gradient is the
     one-sided one of the largest centred edge.
+
+    Tape-free eval (not `train`, inside no_tape()) records no node and
+    folds the running statistics into the affine instead (_folded_mlp):
+    the same function, with different rounding.
     """
     if graph is None:
-        if x.data.ndim not in (2, 3):
-            raise DimensionError(f"shared_mlp: expected 2-D/3-D input, got {x.data.shape}")
-        in_dim = x.data.shape[-1]
+        if x.data.ndim != 2:
+            raise DimensionError(f"shared_mlp: expected 2-D input, got {x.data.shape}")
+        in_dim = x.data.shape[1]
     else:
         in_dim = 2 * _check_edges("shared_mlp", x, graph)
     _check_weights("shared_mlp", in_dim, w, b)
+    if not train and not taping():
+        return Tensor(_folded_mlp(x.data, w.data, b.data, state, slope, graph, chunk, pool))
     gamma, beta = state.gamma, state.beta
     centred, inv_std = _centre(_linear(x.data, w.data, b.data, graph, chunk=chunk),
                                state, train)

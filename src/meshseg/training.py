@@ -185,13 +185,30 @@ def parse_log(path):
     return rows
 
 
+MAX_TRANSLATION_RADII = 4096  # see prepare_training_meshes
+
+
 def _epoch_rng(seed, epoch):
     return np.random.default_rng([seed, epoch])
 
 
 def prepare_training_meshes(meshes, config):
-    """Centred copies of the meshes, in input order; `config` is not read."""
-    return [transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes]
+    """Centred copies of the meshes, in input order.
+
+    With augmentation on, `config.translation_range` may be at most
+    MAX_TRANSLATION_RADII times the smallest mesh radius.  There float32
+    still spaces coordinates less than a 2000th of that radius apart; far
+    beyond it a translated mesh's faces collapse to zero area.
+    """
+    dataset = [transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes]
+    if config.augment and dataset:
+        radius = min(float(np.linalg.norm(m.vertices, axis=1).max()) for m in dataset)
+        limit = MAX_TRANSLATION_RADII * radius
+        if config.translation_range > limit:
+            raise ConfigError(
+                f"translation_range must be at most {limit:.4g} ({MAX_TRANSLATION_RADII} "
+                f"radii of the smallest training mesh), got {config.translation_range}")
+    return dataset
 
 
 def train(model, meshes, config, checkpoint_path=None, log_fh=None, adam=None):

@@ -27,7 +27,7 @@ from meshseg.model import (
     save_checkpoint,
 )
 from meshseg.synth import ArchSpec, _derived_seed, generate
-from meshseg.tensor import Tensor, gradient_check
+from meshseg.tensor import Tensor, gradient_check, no_tape
 from meshseg.training import (
     TrainConfig,
     augment_mesh,
@@ -179,7 +179,28 @@ def check_attention_normalization():
 # Criterion 3: aggregation invariance under neighbor permutation
 # ---------------------------------------------------------------------------
 
+def _trained_batch_norm(layer, rng):
+    """Give a layer's calibration batch norm what training leaves behind:
+    gamma of both signs and running statistics away from (0, 1)."""
+    bn = layer.calibrate.bn
+    c = bn.channels
+    bn.gamma.data = (rng.uniform(0.5, 1.5, size=c) * rng.choice([-1, 1], size=c)
+                     ).astype(np.float32)
+    bn.beta.data = rng.normal(scale=0.3, size=c).astype(np.float32)
+    bn.running_mean = rng.normal(scale=0.5, size=c).astype(np.float32)
+    bn.running_var = rng.uniform(0.5, 2.0, size=c).astype(np.float32)
+
+
+def _permutation_gaps(att, pool, features, graph, permuted):
+    """(attention max diff, max-pool bit-identical) between the two graphs."""
+    a1, a2, p1, p2 = (layer.forward(Tensor(features), g).data
+                      for layer in (att, pool) for g in (graph, permuted))
+    return float(np.abs(a1 - a2).max()), bool(np.array_equal(p1, p2))
+
+
 def check_aggregation_invariance():
+    """Taped layers as built, then tape-free eval layers (batch norm folded
+    into the affine) with trained-looking batch norm."""
     rng = np.random.default_rng(21)
     att_worst, pool_exact = 0.0, True
     for trial in range(20):
@@ -187,22 +208,23 @@ def check_aggregation_invariance():
         features = rng.normal(size=(m, d)).astype(np.float32)
         graph = build_knn_graph(features, k)
         permuted = graph.permuted_neighbors(np.random.default_rng(trial))
-
         att = GraphAttentionLayer("a", d, 5, np.random.default_rng(trial + 50))
-        a1 = att.forward(Tensor(features), graph).data
-        a2 = att.forward(Tensor(features), permuted).data
-        att_worst = max(att_worst, float(np.abs(a1 - a2).max()))
-
         pool = GraphMaxPoolLayer("p", d, 5, np.random.default_rng(trial + 90))
-        p1 = pool.forward(Tensor(features), graph).data
-        p2 = pool.forward(Tensor(features), permuted).data
-        pool_exact = pool_exact and np.array_equal(p1, p2)
+        gaps = [_permutation_gaps(att, pool, features, graph, permuted)]
+        bn_rng = np.random.default_rng(trial + 130)
+        _trained_batch_norm(att, bn_rng)
+        _trained_batch_norm(pool, bn_rng)
+        with no_tape():
+            gaps.append(_permutation_gaps(att, pool, features, graph, permuted))
+        for att_gap, exact in gaps:
+            att_worst = max(att_worst, att_gap)
+            pool_exact = pool_exact and exact
     passed = pool_exact and att_worst <= 1e-6
     return CheckResult(
         "aggregation invariance",
         passed,
         f"max-pool bit-identical: {pool_exact}; attention max diff "
-        f"{att_worst:.2e} (tolerance 1e-6)",
+        f"{att_worst:.2e} (tolerance 1e-6); taped and tape-free",
     )
 
 

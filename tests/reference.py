@@ -2,15 +2,17 @@
 
 The model runs `shared_mlp` and `attend`, which fuse several steps into
 one tape node.  These are the unfused steps, each its own node with the
-plain textbook backward: `leaky_relu(batch_norm(affine(...)))` is
-`shared_mlp`, and `edge_tensors` builds the (centre, neighbour) pairs that
-the edge path never materialises, from the neighbour rows that
-`gather_neighbors` gathers.  `edge_affine` is the affine map of every pair
-as its own node, projected and gathered as the model's edge path does.
-`max_pool_mlp` is `shared_mlp(..., pool=True)` composed: the edge MLP,
-then `max_axis` over the K edges.  `attention_pool` is `attend` composed:
-`edge_affine`, `softmax_axis` over the K edges, `mul` by the values and
-`sum_axis`.
+plain textbook backward: `leaky_relu(batch_norm(affine_last_axis(...)))`
+is `shared_mlp`, and `edge_tensors` builds the (centre, neighbour) pairs
+that the edge path never materialises, from the neighbour rows that
+`gather_neighbors` gathers.  `affine_last_axis` maps those (M, K, in)
+pairs, which `tensor.affine` does not take.  `edge_affine` is the affine
+map of every pair as its own node, projected and gathered as the model's
+edge path does.  `max_pool_mlp` is `shared_mlp(..., pool=True)` composed:
+the edge MLP, then `max_axis` over the K edges.  `attention_pool` is
+`attend` composed: `edge_affine`, `softmax_axis` over the K edges, `mul`
+by the values and `sum_axis`.  `folded_mlp` is the tape-free eval
+`shared_mlp`, batch norm folded into the affine, written out on arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from meshseg.tensor import (
+    BN_EPS,
     DimensionError,
     _accumulate,
     _centre,
@@ -28,10 +31,20 @@ from meshseg.tensor import (
     _edge_sums,
     _linear,
     _make,
+    _matmul,
     concat_channels,
     mul,
     shared_mlp,
 )
+
+# Tape-free eval folds batch norm into the affine, so it differs from taped
+# eval by rounding: the largest relative gap either may show, per dtype.
+TAPED_EVAL_GAP = {np.float32: 3e-7, np.float64: 1e-10}
+
+
+def relative_gap(got, want):
+    """Largest |got - want|, relative to the largest |want| or to 1."""
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
 
 
 def sub(a, b):
@@ -146,6 +159,43 @@ def max_pool_mlp(x, w, b, state, train, slope, graph):
     """The max-pool layer's calibration and pooling as two nodes: shared_mlp
     over every edge of `graph`, then the maximum over each row's K edges."""
     return max_axis(shared_mlp(x, w, b, state, train, slope, graph), axis=1)
+
+
+def affine_last_axis(x, w, b):
+    """x @ w + b over the last axis of an x of any rank, such as the (M, K, in)
+    pairs of edge_tensors; `tensor.affine` takes (M, in) rows only."""
+    _check_weights("affine_last_axis", x.data.shape[-1], w, b)
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, _matmul(g, w.data.T), owned=True)
+        gflat = g.reshape(-1, g.shape[-1])
+        if w.requires_grad:
+            xflat = x.data.reshape(-1, x.data.shape[-1])
+            _accumulate(w, _matmul(xflat.T, gflat), owned=True)
+        if b.requires_grad:
+            _accumulate(b, gflat.sum(axis=0), owned=True)
+
+    return _make(_matmul(x.data, w.data) + b.data, (x, w, b), backward)
+
+
+def folded_mlp(x, w, b, state, slope, graph=None, pool=False):
+    """shared_mlp's tape-free eval forward written out on arrays: batch norm's
+    running statistics folded into the affine, w * scale and
+    (b - mean) * scale + beta with scale = gamma / sqrt(var + eps), then
+    LeakyReLU.  With a graph the rows are the pairs [x_i (+) x_j]: the
+    neighbour half projects the cells and is gathered, the centre half is
+    added per row; with `pool` as well, the maximum over the K edges."""
+    scale = state.gamma.data * (1.0 / np.sqrt(state.running_var + b.dtype.type(BN_EPS)))
+    w, b = w.data * scale, (b.data - state.running_mean) * scale + state.beta.data
+    if graph is None:
+        y = _matmul(x.data, w) + b
+    else:
+        d = x.data.shape[1]
+        y = graph.gather(_matmul(x.data, w[d:])) + (_matmul(x.data, w[:d]) + b)[:, None, :]
+    if pool:
+        y = y.max(axis=1)
+    return np.maximum(y, y * y.dtype.type(slope))
 
 
 def edge_affine(x, graph, w, b, diff=False):

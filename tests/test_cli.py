@@ -220,7 +220,13 @@ ONE_ROW = "m.obj\tm.labels\ttest\t0\n"
 GRID_OBJ = "".join(f"v {i} {j} 0\n" for i in range(3) for j in range(3)) + "".join(
     f"f {a} {a + 3} {a + 1}\nf {a + 1} {a + 3} {a + 4}\n" for a in (1, 2, 4, 5))
 
-# case -> (files to write, command line, location the error must name)
+TRAIN_FILES = {"m.obj": GRID_OBJ, "m.labels": "0\n1\n" * 4,
+               "manifest.tsv": "m.obj\tm.labels\ttrain\t0\n"}
+TRAIN = ["train", "--manifest", "{dir}/manifest.tsv", "--out", "{dir}/run",
+         "--set", "model.k_neighbors=4", "--set"]
+
+# case -> (files to write, command line, location the error must name[,
+# exit code 2 for a usage error])
 BAD_INPUTS = {
     "obj-face-index": ({"m.obj": VERTICES + "f 1 2 x\n"}, PREDICT, "m.obj:4"),
     "obj-face-index-beyond-int64": ({"m.obj": VERTICES + "f 1 2 99999999999999999999\n"},
@@ -256,6 +262,15 @@ BAD_INPUTS = {
     "out-ply-is-a-directory": ({"m.obj": GRID_OBJ},
                                [a.replace("{dir}/out.ply", "{dir}") for a in PREDICT],
                                "Is a directory"),
+    # a translation this far beyond the mesh's size collapsed every face
+    # (1e30: one warning per face, then training on the wreck, exit 0) or
+    # overflowed the float32 features (8.98e307: a numpy warning first);
+    # both are usage errors, exit 2
+    "translation-collapses-mesh": (TRAIN_FILES, TRAIN + ["train.translation_range=1e30"],
+                                   "translation_range must be at most", 2),
+    "translation-overflows-features": (TRAIN_FILES,
+                                       TRAIN + ["train.translation_range=8.98e307"],
+                                       "translation_range must be at most", 2),
 }
 
 
@@ -302,13 +317,14 @@ def run_cli(argv, expected_code, prefix):
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_error_line(case, tiny_checkpoint, edited_checkpoints, tmp_path):
-    files, argv, location = BAD_INPUTS[case]
+    files, argv, location, *usage = BAD_INPUTS[case]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     ext = "ply" if "m.ply" in files else "obj"
     argv = [a.format(ckpt=tiny_checkpoint, dir=tmp_path, ext=ext, **edited_checkpoints)
             for a in argv]
-    assert location in run_cli(argv, 1, "error: ")
+    code, prefix = (2, "usage error: ") if usage == [2] else (1, "error: ")
+    assert location in run_cli(argv, code, prefix)
 
 
 # --set value -> what the usage error must name; each used to crash or to

@@ -22,7 +22,6 @@ from meshseg.tensor import (
     DimensionError,
     Tensor,
     _toposort,
-    affine,
     attend,
     concat_channels,
     gradient_check,
@@ -33,13 +32,17 @@ from meshseg.tensor import (
 )
 from meshseg.verify import desk_arch_spec
 from reference import (
+    TAPED_EVAL_GAP,
+    affine_last_axis,
     attention_pool,
     batch_norm,
     edge_affine,
     edge_tensors,
+    folded_mlp,
     gather_neighbors,
     leaky_relu,
     max_pool_mlp,
+    relative_gap,
 )
 
 
@@ -465,7 +468,7 @@ def test_edge_affine_matches_edge_tensors_then_affine(diff):
     concat, delta = edge_tensors(x2, graph)
     # the attention score input: (center - neighbor) (+) neighbor
     pair = concat_channels([delta, gather_neighbors(x2, graph)]) if diff else concat
-    ref = affine(pair, wt2, bt2)
+    ref = affine_last_axis(pair, wt2, bt2)
     assert np.abs(split.data - ref.data).max() <= 1e-10
     mul(split, upstream).sum().backward()
     mul(ref, upstream).sum().backward()
@@ -501,7 +504,7 @@ def test_edge_shared_mlp_matches_composed_ops_on_edge_tensors(train):
 
     fused = shared_mlp(x, wt, bt, state, train, graph=graph)
     concat, _ = edge_tensors(x2, graph)
-    ref = leaky_relu(batch_norm(affine(concat, wt2, bt2), state2, train), 0.2)
+    ref = leaky_relu(batch_norm(affine_last_axis(concat, wt2, bt2), state2, train), 0.2)
     assert np.abs(fused.data - ref.data).max() <= 1e-10
     mul(fused, upstream).sum().backward()
     mul(ref, upstream).sum().backward()
@@ -585,19 +588,38 @@ def test_pooled_mlp_is_bit_identical_to_the_max_of_the_edge_mlp(train, slope, dt
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(st.running_mean, st2.running_mean)
     assert np.array_equal(st.running_var, st2.running_var)
-    with no_tape():
+    with no_tape():  # eval folds batch norm into the affine, so taped eval differs
         free = shared_mlp(x, wt, bt, pool_tensors(raw, w, b, state, dtype)[3], train,
                           slope, graph, pool=True)
-    assert np.array_equal(free.data, want.data) and not free.requires_grad
+        edges = shared_mlp(x, wt, bt, pool_tensors(raw, w, b, state, dtype)[3], train,
+                           slope, graph)
+    assert np.array_equal(free.data, edges.data.max(axis=1)) and not free.requires_grad
+    if train:
+        assert np.array_equal(free.data, want.data)
+    else:
+        assert relative_gap(free.data, want.data) <= TAPED_EVAL_GAP[dtype]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_chunked_max_pool_layer_is_bit_identical_to_the_reference(dtype, monkeypatch):
-    import meshseg.layers as layers_mod
-
+def test_chunked_max_pool_layer_is_bit_identical_to_the_reference(dtype):
     raw, graph, w, b, state = pool_case(81, dtype)
     layer = pool_layer(w, b, state, dtype)
-    want = max_pool_mlp(*pool_tensors(raw, w, b, state, dtype), False, 0.2, graph)
+    one, calls = chunked_forward(layer, raw, graph, dtype, 1 << 30)
+    assert calls == 1
+    got, calls = chunked_forward(layer, raw, graph, dtype, 64)
+    assert calls >= 3
+    assert np.array_equal(got, one)
+    x, wt, bt, st = pool_tensors(raw, w, b, state, dtype)
+    assert np.array_equal(got, folded_mlp(x, wt, bt, st, 0.2, graph, pool=True))
+    want = max_pool_mlp(x, wt, bt, st, False, 0.2, graph)
+    assert relative_gap(got, want.data) <= TAPED_EVAL_GAP[dtype]
+
+
+def chunked_forward(layer, raw, graph, dtype, budget):
+    """(output, calibration calls) of a tape-free eval forward with
+    `_CHUNK_ELEMS` set to `budget`; the calls count the chunks."""
+    import meshseg.layers as layers_mod
+
     calls = []
     real = layers_mod.SharedMLP.__call__
 
@@ -605,16 +627,41 @@ def test_chunked_max_pool_layer_is_bit_identical_to_the_reference(dtype, monkeyp
         calls.append(1)
         return real(block, *args, **kwargs)
 
-    monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
-    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 64)
+    with pytest.MonkeyPatch.context() as mp, no_tape():
+        mp.setattr(layers_mod.SharedMLP, "__call__", counting)
+        mp.setattr(layers_mod, "_CHUNK_ELEMS", budget)
+        out = layer.forward(Tensor(raw, dtype=dtype), graph)
+    return out.data, len(calls)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("form", ["rows", "edges", "pooled"])
+def test_tape_free_mlp_is_the_written_out_fold_bit_for_bit(form, dtype):
+    # gamma of both signs and both zeros, running statistics away from (0, 1)
+    raw, graph, w, b, state = pool_case(87, dtype)
+    x, wt, bt, st = pool_tensors(raw, w, b, state, dtype)
+    if form == "rows":
+        wt, graph = Tensor(w[:3], dtype=dtype), None  # rows of x, no pairs
     with no_tape():
-        got = layer.forward(Tensor(raw, dtype=dtype), graph)
-    assert len(calls) >= 3
-    assert np.array_equal(got.data, want.data)
+        got = shared_mlp(x, wt, bt, st, False, 0.2, graph, pool=form == "pooled")
+    want = folded_mlp(x, wt, bt, st, 0.2, graph, pool=form == "pooled")
+    assert got.data.dtype == dtype and not got.requires_grad
+    assert np.array_equal(got.data, want)
 
 
-def relative_gap(got, want):
-    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tape_free_aggregation_is_invariant_to_neighbour_order(dtype):
+    raw, graph, w, b, state, w_att, b_att = attention_case(96, dtype)
+    permuted = graph.permuted_neighbors(np.random.default_rng(97))
+    assert not np.array_equal(permuted.indices, graph.indices)
+    pool = pool_layer(w, b, state, dtype)
+    att = attention_layer(w, b, state, w_att, b_att, dtype)
+    assert (state.gamma.data < 0).any()
+    for budget in (1 << 30, 64):
+        p1, p2 = (chunked_forward(pool, raw, g, dtype, budget)[0] for g in (graph, permuted))
+        assert np.array_equal(p1, p2)
+        a1, a2 = (chunked_forward(att, raw, g, dtype, budget)[0] for g in (graph, permuted))
+        assert np.abs(a1 - a2).max() <= 1e-6
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -713,31 +760,39 @@ def test_attend_is_bit_identical_to_the_composed_reference(train, dtype):
         assert g.dtype == dtype and np.array_equal(g, h)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_chunked_attention_layer_is_bit_identical_to_taped_eval(dtype, monkeypatch):
-    import meshseg.layers as layers_mod
-
-    raw, graph, w, b, state, w_att, b_att = attention_case(92, dtype)
-    layer = GraphAttentionLayer("c", 3, 6, np.random.default_rng(0), dtype=dtype)
+def attention_layer(w, b, state, w_att, b_att, dtype):
+    layer = GraphAttentionLayer("c", w.shape[0] // 2, w.shape[1], np.random.default_rng(0),
+                                dtype=dtype)
     _, layer.calibrate.weight, layer.calibrate.bias, layer.calibrate.bn = pool_tensors(
         np.zeros((1, 1)), w, b, state, dtype)
     layer.att_weight = Tensor(w_att, requires_grad=True, dtype=dtype)
     layer.att_bias = Tensor(b_att, requires_grad=True, dtype=dtype)
+    return layer
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_attention_layer_is_bit_identical_to_one_chunk(dtype):
+    raw, graph, w, b, state, w_att, b_att = attention_case(92, dtype)
+    layer = attention_layer(w, b, state, w_att, b_att, dtype)
     taped = layer.forward(Tensor(raw, dtype=dtype), graph)
     assert taped.requires_grad  # the parameters put the call on the tape
-    calls = []
-    real = layers_mod.SharedMLP.__call__
+    one, calls = chunked_forward(layer, raw, graph, dtype, 1 << 30)
+    assert calls == 1
+    got, calls = chunked_forward(layer, raw, graph, dtype, 64)
+    assert calls >= 3
+    assert np.array_equal(got, one)
+    assert relative_gap(got, taped.data) <= TAPED_EVAL_GAP[dtype]
 
-    def counting(block, *args, **kwargs):
-        calls.append(1)
-        return real(block, *args, **kwargs)
 
-    monkeypatch.setattr(layers_mod.SharedMLP, "__call__", counting)
-    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 64)
-    with no_tape():
-        got = layer.forward(Tensor(raw, dtype=dtype), graph)
-    assert len(calls) >= 3
-    assert np.array_equal(got.data, taped.data)
+def test_tape_free_layer_folds_once_for_all_its_chunks(monkeypatch):
+    import meshseg.tensor as tensor_mod
+
+    raw, graph, w, b, state, w_att, b_att = attention_case(98, np.float32)
+    layer = attention_layer(w, b, state, w_att, b_att, np.float32)
+    folds, real = [], tensor_mod._centre
+    monkeypatch.setattr(tensor_mod, "_centre", lambda *args: folds.append(1) or real(*args))
+    _, calls = chunked_forward(layer, raw, graph, np.float32, 64)
+    assert calls >= 3 and len(folds) == 1
 
 
 def test_attend_gradient_matches_fd():

@@ -15,7 +15,7 @@ from meshseg.model import (
     variant_config,
 )
 from meshseg.tensor import BN_EPS, Tensor, gradient_check
-from reference import softmax_axis
+from reference import TAPED_EVAL_GAP, relative_gap, softmax_axis
 
 
 def tiny_config(**overrides):
@@ -338,18 +338,25 @@ def test_train_forward_without_tape_updates_bn_like_the_taped_one(monkeypatch):
         assert np.array_equal(a.running_var, b.running_var), name
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
-def test_chunked_predict_matches_taped_eval_bit_for_bit(variant, dtype, monkeypatch):
-    import meshseg.layers as layers_mod
-
-    model = build_variant(variant_config(tiny_config(), variant), dtype=dtype)
+def trained_looking(model, dtype):
+    """`model` with random running statistics, which eval mode must read."""
     rng = np.random.default_rng(11)
-    for st in model.bn_states().values():  # eval mode must read these
+    for st in model.bn_states().values():
         st.running_mean = rng.normal(size=st.channels).astype(dtype)
         st.running_var = rng.uniform(0.5, 2.0, size=st.channels).astype(dtype)
+    return model
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
+def test_chunked_predict_matches_one_chunk_bit_for_bit(variant, dtype, monkeypatch):
+    import meshseg.layers as layers_mod
+
+    model = trained_looking(build_variant(variant_config(tiny_config(), variant),
+                                          dtype=dtype), dtype)
     feats = [random_features(60, seed=s) for s in (12, 13)]
-    ref = model.forward(feats, train=False).data
+    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 1 << 30)
+    _, one = predict_logits(model, feats, monkeypatch)
 
     chunks = {}
     real = layers_mod.SharedMLP.__call__
@@ -365,7 +372,20 @@ def test_chunked_predict_matches_taped_eval_bit_for_bit(variant, dtype, monkeypa
     assert len(chunks) == 3 * len(model.streams)
     assert min(chunks.values()) >= 3, chunks
     assert logits.data.dtype == dtype
-    assert np.array_equal(logits.data, ref)
+    assert np.array_equal(logits.data, one.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
+def test_tape_free_predict_is_taped_eval_up_to_rounding(variant, dtype, monkeypatch):
+    # tape-free eval folds batch norm into the affine; taped eval normalises
+    model = trained_looking(build_variant(variant_config(tiny_config(), variant),
+                                          dtype=dtype), dtype)
+    feats = [random_features(60, seed=s) for s in (12, 13)]
+    taped = model.forward(feats, train=False)
+    assert taped.requires_grad
+    _, logits = predict_logits(model, feats, monkeypatch)
+    assert relative_gap(logits.data, taped.data) <= TAPED_EVAL_GAP[dtype]
 
 
 def test_chunks_are_balanced_and_never_one_row(monkeypatch):
@@ -385,15 +405,19 @@ def test_chunks_are_balanced_and_never_one_row(monkeypatch):
     for m in (2, 3, 5, 17, 64, 101):
         graph = KnnGraph(np.zeros((m, 1), dtype=np.int64))
         x = Tensor(np.random.default_rng(m).normal(size=(m, 2)).astype(np.float32))
-        ref = layer.forward(x, graph).data
-        for budget in (1, 7, 20, 64, 1 << 21):
+        taped = layer.forward(x, graph).data
+        for budget in (1 << 30, 1, 7, 20, 64, 1 << 21):
             monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", budget)
             sizes.clear()
             with no_tape():
                 out = layer.forward(x, graph)
             assert sum(sizes) == m and min(sizes) >= 2, (m, budget, sizes)
             assert max(sizes) - min(sizes) <= 1
-            assert np.array_equal(out.data, ref)
+            if budget == 1 << 30:
+                one = out.data
+                assert len(sizes) == 1
+            assert np.array_equal(out.data, one)
+            assert relative_gap(out.data, taped) <= TAPED_EVAL_GAP[np.float32]
 
 
 def test_predict_holds_less_than_half_the_taped_peak_and_never_sorts(monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,25 @@ def test_out_of_range_train_config_rejected(field, value):
     with pytest.raises(ConfigError):  # train checks before it touches the model
         train(small_model(), small_meshes(), bad)
     assert quick_config(epochs=0).validate().epochs == 0
+
+
+def test_translation_beyond_the_mesh_radius_bound_rejected():
+    meshes = small_meshes()
+    dataset = training_mod.prepare_training_meshes(meshes, quick_config())
+    radius = min(np.linalg.norm(m.vertices, axis=1).max() for m in dataset)
+    limit = training_mod.MAX_TRANSLATION_RADII * radius
+    # float32 still resolves a 2000th of the radius at the bound
+    assert np.spacing(np.float32(limit + radius)) <= radius / 2000
+    ok = quick_config(augment=True, translation_range=limit, epochs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no face collapses at the bound
+        assert len(train(small_model(), meshes, ok)[0]) == 1
+    for r in (limit * 1.01, 1e30, 8.98e307):
+        bad = quick_config(augment=True, translation_range=r)
+        with pytest.raises(ConfigError, match="translation_range must be at most"):
+            train(small_model(), meshes, bad)
+        # without augmentation no mesh is translated
+        assert training_mod.prepare_training_meshes(meshes, quick_config(translation_range=r))
 
 
 def test_missing_labels_rejected():
