@@ -12,7 +12,8 @@ edge path does.  `max_pool_mlp` is `shared_mlp(..., pool=True)` composed:
 the edge MLP, then `max_axis` over the K edges.  `attention_pool` is
 `attend` composed: `edge_affine`, `softmax_axis` over the K edges, `mul`
 by the values and `sum_axis`.  `folded_mlp` is the tape-free eval
-`shared_mlp`, batch norm folded into the affine, written out on arrays.
+`shared_mlp`, batch norm folded into the affine, written out on arrays;
+`exact_fold_statistics` sets batch-norm statistics whose fold is exact.
 """
 
 from __future__ import annotations
@@ -40,6 +41,23 @@ from meshseg.tensor import (
 # Tape-free eval folds batch norm into the affine, so it differs from taped
 # eval by rounding: the largest relative gap either may show, per dtype.
 TAPED_EVAL_GAP = {np.float32: 3e-7, np.float64: 1e-10}
+
+
+def exact_fold_statistics(state, rng):
+    """Give `state` statistics whose fold into the affine is exact: gamma of
+    both signs and the inverse standard deviation powers of two, mean and
+    beta zero.  Scaling by a power of two commutes with every rounding, so
+    there tape-free eval is taped eval bit for bit."""
+    dtype = state.gamma.data.dtype
+    eps = dtype.type(BN_EPS)
+    c = state.channels
+    state.gamma.data = rng.choice([-2.0, -0.5, 0.25, 1.0, 4.0], size=c).astype(dtype)
+    state.beta.data = np.zeros(c, dtype=dtype)
+    state.running_mean = np.zeros(c, dtype=dtype)
+    state.running_var = (4.0 ** rng.integers(-1, 2, size=c)).astype(dtype) - eps
+    _, inv_std = _centre(np.zeros((1, c), dtype=dtype), state, False)
+    assert np.array_equal(np.frexp(inv_std)[0], np.full(c, 0.5)), inv_std
+    return state
 
 
 def relative_gap(got, want):

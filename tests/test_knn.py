@@ -38,6 +38,7 @@ from reference import (
     batch_norm,
     edge_affine,
     edge_tensors,
+    exact_fold_statistics,
     folded_mlp,
     gather_neighbors,
     leaky_relu,
@@ -782,6 +783,20 @@ def test_chunked_attention_layer_is_bit_identical_to_one_chunk(dtype):
     assert calls >= 3
     assert np.array_equal(got, one)
     assert relative_gap(got, taped.data) <= TAPED_EVAL_GAP[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_attention_layer_is_bit_identical_to_taped_eval(dtype):
+    # where the fold is exact, the chunked tape-free layer is taped eval's arithmetic
+    raw, graph, w, b, state, w_att, b_att = attention_case(92, dtype)
+    exact_fold_statistics(state, np.random.default_rng(93))
+    assert (state.gamma.data < 0).any() and (state.gamma.data > 0).any()
+    layer = attention_layer(w, b, state, w_att, b_att, dtype)
+    taped = layer.forward(Tensor(raw, dtype=dtype), graph)
+    assert taped.requires_grad
+    got, calls = chunked_forward(layer, raw, graph, dtype, 64)
+    assert calls >= 3
+    assert np.array_equal(got, taped.data)
 
 
 def test_tape_free_layer_folds_once_for_all_its_chunks(monkeypatch):

@@ -15,7 +15,7 @@ from meshseg.model import (
     variant_config,
 )
 from meshseg.tensor import BN_EPS, Tensor, gradient_check
-from reference import TAPED_EVAL_GAP, relative_gap, softmax_axis
+from reference import TAPED_EVAL_GAP, exact_fold_statistics, relative_gap, softmax_axis
 
 
 def tiny_config(**overrides):
@@ -347,16 +347,9 @@ def trained_looking(model, dtype):
     return model
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
-def test_chunked_predict_matches_one_chunk_bit_for_bit(variant, dtype, monkeypatch):
+def chunked_predict(model, feats, monkeypatch):
+    """Tape-free logits of `feats` with every graph layer in >= 3 chunks."""
     import meshseg.layers as layers_mod
-
-    model = trained_looking(build_variant(variant_config(tiny_config(), variant),
-                                          dtype=dtype), dtype)
-    feats = [random_features(60, seed=s) for s in (12, 13)]
-    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 1 << 30)
-    _, one = predict_logits(model, feats, monkeypatch)
 
     chunks = {}
     real = layers_mod.SharedMLP.__call__
@@ -371,8 +364,39 @@ def test_chunked_predict_matches_one_chunk_bit_for_bit(variant, dtype, monkeypat
     _, logits = predict_logits(model, feats, monkeypatch)
     assert len(chunks) == 3 * len(model.streams)
     assert min(chunks.values()) >= 3, chunks
-    assert logits.data.dtype == dtype
-    assert np.array_equal(logits.data, one.data)
+    return logits.data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
+def test_chunked_predict_matches_one_chunk_bit_for_bit(variant, dtype, monkeypatch):
+    import meshseg.layers as layers_mod
+
+    model = trained_looking(build_variant(variant_config(tiny_config(), variant),
+                                          dtype=dtype), dtype)
+    feats = [random_features(60, seed=s) for s in (12, 13)]
+    monkeypatch.setattr(layers_mod, "_CHUNK_ELEMS", 1 << 30)
+    _, one = predict_logits(model, feats, monkeypatch)
+    logits = chunked_predict(model, feats, monkeypatch)
+    assert logits.dtype == dtype
+    assert np.array_equal(logits, one.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", sorted(VARIANT_OVERRIDES))
+def test_chunked_predict_matches_taped_eval_bit_for_bit(variant, dtype, monkeypatch):
+    # where the fold is exact, every other step of the tape-free path
+    # (gather, chunking, pooling, attention, fusion) is taped eval's arithmetic
+    model = build_variant(variant_config(tiny_config(), variant), dtype=dtype)
+    rng = np.random.default_rng(11)
+    for st in model.bn_states().values():
+        exact_fold_statistics(st, rng)
+    feats = [random_features(60, seed=s) for s in (12, 13)]
+    taped = model.forward(feats, train=False)
+    assert taped.requires_grad
+    logits = chunked_predict(model, feats, monkeypatch)
+    assert logits.dtype == dtype
+    assert np.array_equal(logits, taped.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
