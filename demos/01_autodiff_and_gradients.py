@@ -4,21 +4,26 @@
 import numpy as np
 
 from meshseg.knn import KnnGraph
-from meshseg.tensor import (
-    BatchNormState, Tensor, gradient_check, log_softmax_axis, mul, shared_mlp,
-)
+from meshseg.model import cross_entropy
+from meshseg.tensor import BatchNormState, Tensor, gradient_check, shared_mlp
 
 # A tensor is a numpy array plus a tape node.  Ops build the graph; a
 # scalar's backward() fills every leaf's .grad.
-x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
-loss = mul(x, x).sum()
+x = Tensor(np.array([[1.0, 2.0, 3.0]]), requires_grad=True, dtype=np.float64)
+loss = x.sum()
 loss.backward()
-print("d/dx sum(x^2) at [1,2]  ->", x.grad, "(expect [2, 4])")
+print("d/dx sum(x) at [1,2,3]   ->", x.grad.reshape(-1), "(expect [1, 1, 1])")
 
-# log softmax along an axis, as the loss uses it: its exp is non-negative
-# and sums to one
-s = log_softmax_axis(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64), axis=0)
-print("exp(log_softmax([1,2,3])) ->", np.round(np.exp(s.data), 5))
+# the per-cell cross-entropy is one tape node with a hand-written backward:
+# its gradient is softmax(x) minus the one-hot label, and it agrees with
+# central differences
+x.grad = None
+loss = cross_entropy(x, np.array([2]))
+loss.backward()
+print("cross_entropy([1,2,3], 2) ->", round(loss.item(), 5), "| gradient",
+      np.round(x.grad.reshape(-1), 5), "| one node over x:", loss._parents == (x,))
+err = gradient_check(lambda t: cross_entropy(t, np.array([2])), [x])
+print(f"cross_entropy           -> max relative gradient error {err:.2e}")
 
 # a KnnGraph's table of cell ids is checked once when built; gather reads
 # per-cell rows out along its edges, and scatter_sum, the transpose that
@@ -30,18 +35,18 @@ print("gather [[1],[2],[1]]    ->", graph.gather(cells).reshape(-1),
 
 # the same harness the acceptance suite uses: max relative error between
 # analytic gradients and central differences (step 1e-5, float64), here on
-# the per-row MLP every layer runs: affine -> batch norm -> LeakyReLU as one
-# node with a hand-written backward
+# the per-row MLP every layer runs, affine -> batch norm -> LeakyReLU as one
+# node with a hand-written backward, under the loss
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
 b = Tensor(np.zeros(4), requires_grad=True, dtype=np.float64)
 state = BatchNormState(4, dtype=np.float64)
 inp = Tensor(rng.normal(size=(6, 3)), requires_grad=True, dtype=np.float64)
+labels = np.arange(6) % 4
 
 def f(inp_, w_, b_, gamma, beta):
     state.gamma, state.beta = gamma, beta
-    h = shared_mlp(inp_, w_, b_, state, train=True)
-    return mul(h, h).sum()
+    return cross_entropy(shared_mlp(inp_, w_, b_, state, train=True), labels)
 
 err = gradient_check(f, [inp, w, b, state.gamma, state.beta])
 print(f"shared_mlp (train mode) -> max relative gradient error {err:.2e}")

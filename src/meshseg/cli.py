@@ -93,6 +93,7 @@ def cmd_synth(args):
 def cmd_train(args):
     model_cfg, train_cfg = _resolve_configs(args)
     meshes = _load_split(args.manifest, args.split)
+    training.prepare_training_meshes(meshes, train_cfg)  # fails before --out is touched
 
     if args.resume:
         model, adam = training.resume(args.resume, train_cfg)

@@ -29,8 +29,7 @@ from meshseg.tensor import (
     Tensor,
     affine,
     concat_channels,
-    log_softmax_axis,
-    mul,
+    log_softmax_nll,
     no_tape,
 )
 
@@ -299,7 +298,8 @@ def variant_config(base, name):
 # ---------------------------------------------------------------------------
 
 def cross_entropy(logits, labels, reduction="sum"):
-    """Cross-entropy of per-cell logits against integer labels.
+    """Cross-entropy of per-cell logits against integer labels, one tape
+    node (tensor.log_softmax_nll).
 
     Default reduction sums over cells; "mean" divides by the cell count,
     which keeps learning-rate behavior independent of mesh size.
@@ -312,14 +312,9 @@ def cross_entropy(logits, labels, reduction="sum"):
     if bad.any():
         i = int(np.nonzero(bad)[0][0])
         raise DataError(f"cell {i} label {labels[i]} outside [0, {c})")
-    onehot = np.zeros((m, c), dtype=logits.data.dtype)
-    onehot[np.arange(m), labels] = 1.0
-    total = mul(mul(log_softmax_axis(logits, axis=1), Tensor(onehot)), -1.0).sum()
-    if reduction == "mean":
-        return total * (1.0 / m)
-    if reduction == "sum":
-        return total
-    raise ValueError(f"unknown reduction {reduction!r}")
+    if reduction not in ("sum", "mean"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return log_softmax_nll(logits, labels, 1.0 / m if reduction == "mean" else 1.0)
 
 
 # ---------------------------------------------------------------------------

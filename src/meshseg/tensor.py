@@ -2,8 +2,9 @@
 
 Covers exactly the operations the segmentation network runs:
 
-- elementwise `mul`, channel concatenation and the per-row `affine`;
-- reductions: the total sum, and log softmax along an axis;
+- channel concatenation, the per-row `affine` and the total sum;
+- the loss, `log_softmax_nll`: each row's negative log softmax at its
+  label, summed and scaled, one node with a hand-written backward;
 - the edge path of the graph layers, over the (centre, neighbour) pairs
   [x_i (+) x_j] or [x_i - x_j (+) x_j] of a KnnGraph: `shared_mlp`, affine
   -> batch norm (`BatchNormState`, with running statistics) -> LeakyReLU,
@@ -44,11 +45,7 @@ class DimensionError(ValueError):
 
 
 class UsageError(ValueError):
-    """Operation called outside its contract (wrong axis, non-scalar output, ...)."""
-
-
-class EmptyReductionError(ValueError):
-    """Reduction requested over an axis of extent zero."""
+    """Operation called outside its contract (non-scalar output, ...)."""
 
 
 class StatisticsError(ValueError):
@@ -103,13 +100,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar; the named functions below are the actual ops.
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
     def sum(self):
         return sum_all(self)
@@ -175,36 +165,9 @@ def _make(data, parents, backward):
     return out
 
 
-def _check_same_shape(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-
 # ---------------------------------------------------------------------------
-# Elementwise and linear ops
+# Channel, linear and edge ops
 # ---------------------------------------------------------------------------
-
-def mul(a, b):
-    """Elementwise product; `b` may be a python scalar."""
-    if np.isscalar(b):
-        s = a.dtype.type(b)
-
-        def backward_scalar(g):
-            if a.requires_grad:
-                _accumulate(a, g * s, owned=True)
-
-        return _make(a.data * s, (a,), backward_scalar)
-
-    _check_same_shape(a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data, owned=True)
-        if b.requires_grad:
-            _accumulate(b, g * a.data, owned=True)
-
-    return _make(a.data * b.data, (a, b), backward)
-
 
 def concat_channels(tensors):
     """Concatenate along the channel (last) axis."""
@@ -373,26 +336,30 @@ def attend(x, graph, w, b, values, chunk=None):
 # Reductions
 # ---------------------------------------------------------------------------
 
-def _check_axis(x, axis, op):
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise UsageError(f"{op}: axis {axis} invalid for shape {x.data.shape}")
-    axis = axis % x.data.ndim
-    if x.data.shape[axis] == 0:
-        raise EmptyReductionError(f"{op}: axis {axis} of shape {x.data.shape} is empty")
-    return axis
+def log_softmax_nll(logits, labels, scale):
+    """scale * -sum_i log softmax(logits_i)[labels_i] over (M, C) logits and
+    M integer labels in [0, C), one node: the classification loss.
 
-
-def log_softmax_axis(x, axis):
-    """Numerically stable log softmax along an axis, for losses."""
-    axis = _check_axis(x, axis, "log_softmax_axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    Each -log p goes into a +0.0 (M, C) array that is summed whole, then
+    scaled: the rounding of a sum over the full one-hot product, which a sum
+    of the M picked values alone would change.  The node keeps the log
+    softmax; backward is softmax * gs less gs at the labels, gs = g * scale."""
+    x = logits.data
+    scale = x.dtype.type(scale)
+    shifted = x - x.max(axis=1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = (np.arange(len(labels)), labels)
+    nll = np.zeros_like(ls)
+    nll[picked] = -ls[picked]
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g - np.exp(ls) * g.sum(axis=axis, keepdims=True), owned=True)
+        if logits.requires_grad:
+            gs = g * scale
+            gx = np.exp(ls) * gs
+            gx[picked] -= gs
+            _accumulate(logits, gx, owned=True)
 
-    return _make(ls, (x,), backward)
+    return _make(nll.sum() * scale, (logits,), backward)
 
 
 def sum_all(x):

@@ -193,34 +193,15 @@ def _epoch_rng(seed, epoch):
 
 
 def prepare_training_meshes(meshes, config):
-    """Centred copies of the meshes, in input order.
+    """Centred copies of the meshes, in input order, once the config and the
+    meshes pass every check `train` makes before it touches the model.
 
+    The meshes must be a non-empty, labelled set; with batch_size > 1 they
+    must also share one cell count, as any of them may meet in a batch.
     With augmentation on, `config.translation_range` may be at most
     MAX_TRANSLATION_RADII times the smallest mesh radius.  There float32
     still spaces coordinates less than a 2000th of that radius apart; far
     beyond it a translated mesh's faces collapse to zero area.
-    """
-    dataset = [transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes]
-    if config.augment and dataset:
-        radius = min(float(np.linalg.norm(m.vertices, axis=1).max()) for m in dataset)
-        limit = MAX_TRANSLATION_RADII * radius
-        if config.translation_range > limit:
-            raise ConfigError(
-                f"translation_range must be at most {limit:.4g} ({MAX_TRANSLATION_RADII} "
-                f"radii of the smallest training mesh), got {config.translation_range}")
-    return dataset
-
-
-def train(model, meshes, config, checkpoint_path=None, log_fh=None, adam=None):
-    """Mini-batch training; returns (per-epoch records, adam).
-
-    `meshes` must carry labels; with batch_size > 1 they must also share
-    one cell count, as any of them may meet in a batch.  With
-    `checkpoint_path`, model and optimizer state are written there after
-    every epoch.  Training runs from `adam.state.epoch`, 0 for a new
-    optimizer, to `config.epochs`; to resume, pass the `adam` that `resume`
-    returns, and the per-epoch RNG streams make the continuation identical
-    to an uninterrupted run.
     """
     config.validate()
     if not meshes:
@@ -234,7 +215,27 @@ def train(model, meshes, config, checkpoint_path=None, log_fh=None, adam=None):
             f"with batch_size > 1 every mesh must share a cell count, got "
             f"{sorted(cell_counts)}"
         )
+    dataset = [transform_mesh(m, translation=-cell_centroid_mean(m)) for m in meshes]
+    if config.augment:
+        radius = min(float(np.linalg.norm(m.vertices, axis=1).max()) for m in dataset)
+        limit = MAX_TRANSLATION_RADII * radius
+        if config.translation_range > limit:
+            raise ConfigError(
+                f"translation_range must be at most {limit:.4g} ({MAX_TRANSLATION_RADII} "
+                f"radii of the smallest training mesh), got {config.translation_range}")
+    return dataset
 
+
+def train(model, meshes, config, checkpoint_path=None, log_fh=None, adam=None):
+    """Mini-batch training; returns (per-epoch records, adam).
+
+    `meshes` and `config` must pass prepare_training_meshes' checks.  With
+    `checkpoint_path`, model and optimizer state are written there after
+    every epoch.  Training runs from `adam.state.epoch`, 0 for a new
+    optimizer, to `config.epochs`; to resume, pass the `adam` that `resume`
+    returns, and the per-epoch RNG streams make the continuation identical
+    to an uninterrupted run.
+    """
     dataset = prepare_training_meshes(meshes, config)
     if adam is None:
         adam = Adam(model.parameters(), config.beta1, config.beta2, config.eps)

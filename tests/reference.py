@@ -1,19 +1,22 @@
 """Composed reference ops that the fused ops are checked against.
 
-The model runs `shared_mlp` and `attend`, which fuse several steps into
-one tape node.  These are the unfused steps, each its own node with the
-plain textbook backward: `leaky_relu(batch_norm(affine_last_axis(...)))`
-is `shared_mlp`, and `edge_tensors` builds the (centre, neighbour) pairs
-that the edge path never materialises, from the neighbour rows that
-`gather_neighbors` gathers.  `affine_last_axis` maps those (M, K, in)
-pairs, which `tensor.affine` does not take.  `edge_affine` is the affine
-map of every pair as its own node, projected and gathered as the model's
-edge path does.  `max_pool_mlp` is `shared_mlp(..., pool=True)` composed:
-the edge MLP, then `max_axis` over the K edges.  `attention_pool` is
-`attend` composed: `edge_affine`, `softmax_axis` over the K edges, `mul`
-by the values and `sum_axis`.  `folded_mlp` is the tape-free eval
-`shared_mlp`, batch norm folded into the affine, written out on arrays;
-`exact_fold_statistics` sets batch-norm statistics whose fold is exact.
+The model runs `shared_mlp`, `attend` and `log_softmax_nll`, which fuse
+several steps into one tape node.  These are the unfused steps, each its
+own node with the plain textbook backward: `leaky_relu(batch_norm(
+affine_last_axis(...)))` is `shared_mlp`, and `edge_tensors` builds the
+(centre, neighbour) pairs that the edge path never materialises, from the
+neighbour rows that `gather_neighbors` gathers.  `affine_last_axis` maps
+those (M, K, in) pairs, which `tensor.affine` does not take.  `edge_affine`
+is the affine map of every pair as its own node, projected and gathered as
+the model's edge path does.  `max_pool_mlp` is `shared_mlp(..., pool=True)`
+composed: the edge MLP, then `max_axis` over the K edges.
+`attention_pool` is `attend` composed: `edge_affine`, `softmax_axis` over
+the K edges, `mul` by the values and `sum_axis`.  `composed_cross_entropy`
+is `model.cross_entropy` composed: `log_softmax_axis`, `mul` by a one-hot
+leaf and by -1, the total sum and, for the mean, `mul` by 1/m.
+`folded_mlp` is the tape-free eval `shared_mlp`, batch norm folded into
+the affine, written out on arrays; `exact_fold_statistics` sets
+batch-norm statistics whose fold is exact.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 from meshseg.tensor import (
     BN_EPS,
     DimensionError,
+    Tensor,
+    UsageError,
     _accumulate,
     _centre,
-    _check_axis,
     _check_edges,
     _check_weights,
     _edge_backward,
@@ -34,7 +38,6 @@ from meshseg.tensor import (
     _make,
     _matmul,
     concat_channels,
-    mul,
     shared_mlp,
 )
 
@@ -63,6 +66,69 @@ def exact_fold_statistics(state, rng):
 def relative_gap(got, want):
     """Largest |got - want|, relative to the largest |want| or to 1."""
     return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+class EmptyReductionError(ValueError):
+    """Reduction requested over an axis of extent zero."""
+
+
+def _check_same_shape(a, b, op):
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"{op}: shape mismatch: {a.data.shape} vs {b.data.shape}")
+
+
+def _check_axis(x, axis, op):
+    if not -x.data.ndim <= axis < x.data.ndim:
+        raise UsageError(f"{op}: axis {axis} invalid for shape {x.data.shape}")
+    axis = axis % x.data.ndim
+    if x.data.shape[axis] == 0:
+        raise EmptyReductionError(f"{op}: axis {axis} of shape {x.data.shape} is empty")
+    return axis
+
+
+def mul(a, b):
+    """Elementwise product; `b` may be a python scalar."""
+    if np.isscalar(b):
+        s = a.dtype.type(b)
+
+        def backward_scalar(g):
+            if a.requires_grad:
+                _accumulate(a, g * s, owned=True)
+
+        return _make(a.data * s, (a,), backward_scalar)
+
+    _check_same_shape(a, b, "mul")
+
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g * b.data, owned=True)
+        if b.requires_grad:
+            _accumulate(b, g * a.data, owned=True)
+
+    return _make(a.data * b.data, (a, b), backward)
+
+
+def log_softmax_axis(x, axis):
+    """Numerically stable log softmax along an axis."""
+    axis = _check_axis(x, axis, "log_softmax_axis")
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g - np.exp(ls) * g.sum(axis=axis, keepdims=True), owned=True)
+
+    return _make(ls, (x,), backward)
+
+
+def composed_cross_entropy(logits, labels, reduction="sum"):
+    """model.cross_entropy as five nodes over a one-hot leaf: log softmax,
+    times the one-hot, times -1, summed, and for "mean" times 1/m."""
+    m, c = logits.data.shape
+    onehot = np.zeros((m, c), dtype=logits.data.dtype)
+    onehot[np.arange(m), labels] = 1.0
+    total = mul(mul(log_softmax_axis(logits, axis=1), Tensor(onehot)), -1.0).sum()
+    return mul(total, 1.0 / m) if reduction == "mean" else total
 
 
 def sub(a, b):

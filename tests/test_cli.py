@@ -360,6 +360,54 @@ def test_bad_train_value_is_a_usage_error(setting, dataset, tmp_path):
     assert not out.exists()
 
 
+def mixed_cell_count_manifest(dataset, tmp_path):
+    """A manifest of two training meshes that differ in cell count."""
+    other = tmp_path / "small"
+    assert main(["synth", "--out", str(other), "--n-train", "1", "--n-test", "1",
+                 "--teeth", "2", "--cells", "200", "--seed", "6"]) == 0
+    rows = []
+    for root in (dataset, other):
+        row = (root / "manifest.tsv").read_text().splitlines()[1]  # after the header
+        mesh, labels, split, seed = row.split("\t")
+        assert split == "train"
+        rows.append(f"{root / mesh}\t{root / labels}\t{split}\t{seed}\n")
+    manifest = tmp_path / "mixed.tsv"
+    manifest.write_text("".join(rows))
+    return manifest
+
+
+# training-set check -> (exit code, stderr prefix, text the error must name)
+FAILED_TRAINING_SETS = {
+    "translation-bound": (2, "usage error: ", "translation_range must be at most"),
+    "mixed-cell-counts": (1, "error: ", "must share a cell count"),
+}
+TOO_FAR = ["--set", "train.augment=true", "--set", "train.translation_range=1e30"]
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_TRAINING_SETS))
+def test_failed_training_set_check_leaves_no_out_dir(case, dataset, tmp_path):
+    code, prefix, text = FAILED_TRAINING_SETS[case]
+    if case == "translation-bound":
+        manifest, extra = dataset / "manifest.tsv", TOO_FAR
+    else:
+        manifest, extra = mixed_cell_count_manifest(dataset, tmp_path), []
+    out = tmp_path / "run"
+    assert text in run_cli(["train", "--manifest", manifest, "--out", out, *TINY, *extra],
+                           code, prefix)
+    assert not out.exists()
+
+
+def test_failed_resume_leaves_the_run_as_it_was(dataset, tmp_path):
+    manifest, out = dataset / "manifest.tsv", tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), *TINY]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"resolved.cfg", "train_log.tsv", "model.ckpt"} <= set(before)
+    four = [s if s != "train.epochs=2" else "train.epochs=4" for s in TINY]
+    run_cli(["train", "--manifest", manifest, "--out", out,
+             "--resume", out / "model.ckpt", *four, *TOO_FAR], 2, "usage error: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_zero_epochs_is_valid(dataset, tmp_path):
     code = main(["train", "--manifest", str(dataset / "manifest.tsv"),
                  "--out", str(tmp_path / "run"), *TINY, "--set", "train.epochs=0"])

@@ -25,7 +25,6 @@ from meshseg.tensor import (
     attend,
     concat_channels,
     gradient_check,
-    mul,
     no_tape,
     shared_mlp,
     sum_all,
@@ -43,6 +42,7 @@ from reference import (
     gather_neighbors,
     leaky_relu,
     max_pool_mlp,
+    mul,
     relative_gap,
 )
 

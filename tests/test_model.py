@@ -14,8 +14,14 @@ from meshseg.model import (
     save_checkpoint,
     variant_config,
 )
-from meshseg.tensor import BN_EPS, Tensor, gradient_check
-from reference import TAPED_EVAL_GAP, exact_fold_statistics, relative_gap, softmax_axis
+from meshseg.tensor import BN_EPS, Tensor, _toposort, gradient_check
+from reference import (
+    TAPED_EVAL_GAP,
+    composed_cross_entropy,
+    exact_fold_statistics,
+    relative_gap,
+    softmax_axis,
+)
 
 
 def tiny_config(**overrides):
@@ -648,6 +654,55 @@ def test_loss_gradient_matches_fd():
         [Tensor(logits, requires_grad=True, dtype=np.float64)],
     )
     assert err <= 1e-6
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+# (cells, classes, logits) -> logits; "confident" puts 1e4 on every label,
+# so each cell's loss is exactly zero, and spreads of 1e4 underflow exp
+LOSS_CASES = {
+    "one-cell": (1, 2, lambda rng, labels: rng.normal(size=(1, 2))),
+    "two-classes": (50, 2, lambda rng, labels: rng.normal(size=(50, 2)) * 5),
+    "desk-batch": (4800, 8, lambda rng, labels: rng.normal(size=(4800, 8)) * 3),
+    "underflow": (4800, 8, lambda rng, labels: rng.normal(size=(4800, 8)) * 1e4),
+    "one-cell-underflow": (1, 2, lambda rng, labels: np.array([[0.0, 1e4]])),
+    "confident": (30, 4, lambda rng, labels: 1e4 * np.eye(4)[labels]),
+}
+
+
+@pytest.mark.parametrize("reduction", ["sum", "mean"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(LOSS_CASES))
+def test_loss_is_the_composed_loss_bit_for_bit(case, dtype, reduction):
+    m, c, make = LOSS_CASES[case]
+    rng = np.random.default_rng(17)
+    labels = rng.integers(0, c, size=m)
+    raw = make(rng, labels)
+    got_x, want_x = (Tensor(raw, requires_grad=True, dtype=dtype) for _ in range(2))
+    got = cross_entropy(got_x, labels, reduction)
+    want = composed_cross_entropy(want_x, labels, reduction)
+    assert same_bits(got.data, want.data), (got.data, want.data)
+    got.backward()
+    want.backward()
+    assert same_bits(got_x.grad, want_x.grad)
+    if case == "confident":
+        assert got.data == 0 and not np.signbit(got.data)
+    if "underflow" in case:  # some softmax entry is exactly zero
+        assert (got_x.grad == 0).any()
+
+
+def test_loss_puts_one_node_on_the_tape():
+    logits = Tensor(np.random.default_rng(18).normal(size=(6, 3)), requires_grad=True)
+    for reduction in ("sum", "mean"):
+        loss = cross_entropy(logits, np.arange(6) % 3, reduction)
+        nodes = [n for n in _toposort(loss) if n._backward is not None]
+        assert nodes == [loss]
+        assert loss._parents == (logits,)  # no one-hot leaf
+    with pytest.raises(ValueError, match="unknown reduction 'max'"):
+        cross_entropy(logits, np.arange(6) % 3, "max")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import meshseg
 from meshseg.knn import GatherIndexError, KnnGraph
 from meshseg.tensor import (
     BatchNormState,
     DimensionError,
-    EmptyReductionError,
     StatisticsError,
     Tensor,
     UsageError,
@@ -14,17 +17,18 @@ from meshseg.tensor import (
     affine,
     concat_channels,
     gradient_check,
-    log_softmax_axis,
-    mul,
     no_tape,
     shared_mlp,
     taping,
 )
 from reference import (
+    EmptyReductionError,
     batch_norm,
     gather_neighbors,
     leaky_relu,
+    log_softmax_axis,
     max_axis,
+    mul,
     normalize,
     softmax_axis,
     sub,
@@ -88,6 +92,39 @@ def test_affine_shape_errors():
         affine(t64([[1.0, 2.0]]), t64([[1.0]]), t64([0.0]))
     with pytest.raises(DimensionError):
         affine(t64([[1.0]]), t64([[1.0, 2.0]]), t64([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# every op has a caller
+# ---------------------------------------------------------------------------
+
+def top_level_names(node):
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_public_tensor_name_has_a_src_caller():
+    # an op that only tests call belongs in tests/reference.py
+    src = Path(meshseg.__file__).parent
+    tensor = ast.parse((src / "tensor.py").read_text())
+    public = {n for stmt in tensor.body for n in top_level_names(stmt)
+              if not n.startswith("_")}
+    used = set()
+    for path in sorted(src.glob("*.py")):
+        tree = tensor if path.name == "tensor.py" else ast.parse(path.read_text())
+        for stmt in tree.body:
+            own = top_level_names(stmt) if tree is tensor else set()
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name not in own:
+                    used.add(name)
+    assert "shared_mlp" in public and "Tensor" in public
+    assert not public - used, f"tensor.py names no src/ code uses: {sorted(public - used)}"
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +405,7 @@ def test_forward_determinism():
 
 def test_sub_and_scalar_mul():
     a, b = t64([3.0, 5.0]), t64([1.0, 2.0])
-    out = sub(a, b) * 2.0
+    out = mul(sub(a, b), 2.0)
     out.sum().backward()
     assert out.data.tolist() == [4.0, 6.0]
     assert a.grad.tolist() == [2.0, 2.0]
