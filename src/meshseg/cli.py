@@ -35,6 +35,7 @@ from meshseg.model import (
     DataError,
     ModelConfig,
     build_variant,
+    check_cells,
     load_model,
     save_checkpoint,
     variant_config,
@@ -93,13 +94,13 @@ def cmd_synth(args):
 def cmd_train(args):
     model_cfg, train_cfg = _resolve_configs(args)
     meshes = _load_split(args.manifest, args.split)
-    training.prepare_training_meshes(meshes, train_cfg)  # fails before --out is touched
-
     if args.resume:
         model, adam = training.resume(args.resume, train_cfg)
         model_cfg = model.config
     else:
         model, adam = build_variant(model_cfg), None
+    # fails before --out is touched
+    training.prepare_training_meshes(meshes, train_cfg, model_cfg)
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
@@ -155,6 +156,10 @@ def cmd_ablate(args):
         variant_config(model_cfg, name)  # validate all before training any
     train_meshes = _load_split(args.manifest, "train")
     test_meshes = _load_split(args.manifest, "test")
+    # every variant shares k and num_classes; fails before --out is touched
+    training.prepare_training_meshes(train_meshes, train_cfg, model_cfg)
+    for mesh in test_meshes:
+        check_cells(mesh.num_cells, model_cfg.k_neighbors)
     os.makedirs(args.out, exist_ok=True)
 
     rows = []

@@ -13,18 +13,16 @@ puts two nodes on the tape either way.  Neither layer builds the
 (M, K, 2d) pair or gathers neighbor features: each affine map over a pair
 projects the cells and gathers the projections (tensor._linear).
 
-A tape-free eval-mode call aggregates balanced chunks of rows in turn, so
-it never holds more than about _CHUNK_ELEMS per-edge values of one array.
-Its MLPs fold batch norm's running statistics into their affine
-(tensor.shared_mlp); each fold, and each edge weight's projection of
-every cell, is made once per call, not once per chunk.  A cell's output
-depends only on its own row and its neighbours' rows, so the chunked
-result is bit-identical to the whole batch in one chunk.  It differs from
-the taped eval-mode forward, which normalises after the affine, by
-rounding, and so by a near-tied neighbour swapped in a later layer's
-graph.  Training (batch norm needs whole-batch statistics) and
-taped calls (the backward sums over the whole neighbor table) aggregate
-the whole batch at once.  The graph checks its table when built and the
+In eval mode the MLPs fold batch norm's running statistics into their
+affine (tensor.shared_mlp).  A tape-free eval-mode call aggregates
+balanced chunks of rows in turn, so it never holds more than about
+_CHUNK_ELEMS per-edge values of one array; each fold, and each edge
+weight's projection of every cell, is made once per call, not once per
+chunk.  A cell's output depends only on its own row and its neighbours'
+rows, so the chunked result is bit-identical to the whole batch in one
+chunk, and so to the taped eval-mode forward.  Training (batch norm needs
+whole-batch statistics) and taped calls (the backward sums over the whole
+neighbor table) aggregate the whole batch at once.  The graph checks its table when built and the
 feature rows at every edge op, so a chunk's gather is in range by
 construction.
 """

@@ -49,6 +49,8 @@ CHECKPOINT_MAGIC = b"TSGC"
 CHECKPOINT_VERSION = 1
 OPTIMIZER_PREFIX = "optimizer."
 COUNTER_LIMIT = 2 ** 24  # float32 holds every integer below this exactly
+MAX_WIDTH = 1 << 12  # widest layer: 8 times full.cfg's widest, 512
+MAX_CLASSES = 1 << 10  # most classes; a full dentition needs 17
 
 
 class ConfigError(ValueError):
@@ -91,8 +93,12 @@ class ModelConfig:
             raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if not self.stream_widths:
             raise ConfigError("stream_widths must name at least one layer")
-        if min(*self.stream_widths, self.fusion_width, *self.head_widths) < 1:
-            raise ConfigError("every layer width must be >= 1")
+        widths = (*self.stream_widths, self.fusion_width, *self.head_widths)
+        if not 1 <= min(widths) <= max(widths) <= MAX_WIDTH:
+            raise ConfigError(f"every layer width must be in [1, {MAX_WIDTH}], got {widths}")
+        if self.num_classes > MAX_CLASSES:
+            raise ConfigError(
+                f"num_classes must be at most {MAX_CLASSES}, got {self.num_classes}")
         if not (math.isfinite(self.leaky_slope) and 0 <= self.leaky_slope < 1):
             raise ConfigError(
                 f"leaky_slope must be finite and in [0, 1), got {self.leaky_slope}")
@@ -223,11 +229,9 @@ class TwoStreamNet:
                 f"cells per mesh differ across the batch: {sorted(sizes)}"
             )
         m = sizes.pop()
-        if m <= self.config.k_neighbors:
-            raise DataError(
-                f"mesh with {m} cells cannot support k={self.config.k_neighbors}"
-            )
-        x = np.concatenate(blocks, axis=0).astype(self.dtype)
+        check_cells(m, self.config.k_neighbors)
+        with np.errstate(over="ignore"):  # an overflow is caught as non-finite
+            x = np.concatenate(blocks, axis=0).astype(self.dtype)
         if not np.isfinite(x).all():
             raise DataError("non-finite feature values")
         return x, m
@@ -297,6 +301,25 @@ def variant_config(base, name):
 # Loss
 # ---------------------------------------------------------------------------
 
+def check_cells(m, k):
+    """Raise DataError unless a mesh of `m` cells has more than k, as every
+    cell's k-neighbour graph needs."""
+    if m <= k:
+        raise DataError(f"mesh with {m} cells cannot support k={k}")
+
+
+def check_labels(labels, m, c):
+    """`labels` as an array, once it holds one class in [0, c) per cell of m."""
+    labels = np.asarray(labels)
+    if labels.shape != (m,):
+        raise DataError(f"{labels.shape} labels for {m} cells")
+    bad = (labels < 0) | (labels >= c)
+    if bad.any():
+        i = int(np.nonzero(bad)[0][0])
+        raise DataError(f"cell {i} label {labels[i]} outside [0, {c})")
+    return labels
+
+
 def cross_entropy(logits, labels, reduction="sum"):
     """Cross-entropy of per-cell logits against integer labels, one tape
     node (tensor.log_softmax_nll).
@@ -304,14 +327,8 @@ def cross_entropy(logits, labels, reduction="sum"):
     Default reduction sums over cells; "mean" divides by the cell count,
     which keeps learning-rate behavior independent of mesh size.
     """
-    labels = np.asarray(labels)
     m, c = logits.data.shape
-    if labels.shape != (m,):
-        raise DataError(f"{labels.shape} labels for {m} cells")
-    bad = (labels < 0) | (labels >= c)
-    if bad.any():
-        i = int(np.nonzero(bad)[0][0])
-        raise DataError(f"cell {i} label {labels[i]} outside [0, {c})")
+    labels = check_labels(labels, m, c)
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}")
     return log_softmax_nll(logits, labels, 1.0 / m if reduction == "mean" else 1.0)

@@ -18,8 +18,11 @@ from meshseg.mesh import TriangleMesh, save_labels, save_obj
 from meshseg.model import DataError
 
 
+MAX_CELLS = 1 << 20  # largest cells_target: 65 times the paper's 16,000-cell meshes
+
+
 class GenerationError(ValueError):
-    """Infeasible arch geometry (teeth would overlap)."""
+    """Infeasible arch geometry (teeth would overlap) or spec out of range."""
 
 
 @dataclass
@@ -118,10 +121,19 @@ def _classify_faces(faces, u_flat, s_flat, layout):
     return vclass[faces].max(axis=1)
 
 
-def generate(spec):
-    """Deterministic labeled arch mesh; cell count within ~10% of target."""
+def _check_spec(spec):
     if spec.num_teeth < 1:
         raise GenerationError("num_teeth must be >= 1")
+    if spec.cells_target > MAX_CELLS:
+        raise GenerationError(
+            f"cells_target must be at most {MAX_CELLS}, got {spec.cells_target}")
+    if spec.seed < 0:  # numpy's seeding rejects it
+        raise GenerationError(f"seed must be >= 0, got {spec.seed}")
+
+
+def generate(spec):
+    """Deterministic labeled arch mesh; cell count within ~10% of target."""
+    _check_spec(spec)
     rng = np.random.default_rng(spec.seed)
     t_tab, u_tab = _arc_length_table(spec)
     arc_length = u_tab[-1]
@@ -189,8 +201,7 @@ def make_dataset(spec, n_train, n_test, out_dir):
     if n_train < 1 or n_test < 1:
         raise GenerationError(
             f"n_train and n_test must be >= 1, got {n_train} and {n_test}")
-    if spec.seed < 0:  # np.random.SeedSequence rejects it
-        raise GenerationError(f"seed must be >= 0, got {spec.seed}")
+    _check_spec(spec)
     out_dir = str(out_dir)
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     if os.path.exists(manifest_path):

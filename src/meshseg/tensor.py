@@ -14,11 +14,11 @@ Covers exactly the operations the segmentation network runs:
   then gathers the projections along the edges, and its backward sums the
   edge gradients back onto the cells with the graph's scatter, so neither
   direction runs a product with M * K rows.  `shared_mlp(..., pool=True)`
-  also max-pools over each row's K edges: it pools the centred
-  pre-activation and normalises only the pooled rows, and its backward
-  routes each pooled gradient to its edge with an equality mask.  Tape-free
-  eval folds batch norm's running statistics into the affine, so there
-  `shared_mlp` is one affine and LeakyReLU per edge.
+  also max-pools over each row's K edges, and its backward routes each
+  pooled gradient to its edge with an equality mask.  Eval mode folds
+  batch norm's running statistics into the affine, so there `shared_mlp`
+  is one affine and LeakyReLU per edge; train mode pools the centred
+  pre-activation and normalises only the pooled rows.
 
 Two precisions are supported: float32 for training and float64 for
 gradient verification.
@@ -472,49 +472,85 @@ def _first_hits(centred, top):
 
 
 def _folded_mlp(x, w, b, state, slope, graph, chunk, pool):
-    """shared_mlp's tape-free eval forward on arrays.  The running statistics
-    are folded into the affine, w * scale and (b - mean) * scale + beta with
-    scale = gamma * inv_std, so each edge sees one affine and LeakyReLU.
-    The fold absorbs gamma's sign, so pooling is a plain max over K.  The
-    chunks of one layer call share one fold, kept in `cells` under the
-    batch-norm state, and its cell projection."""
+    """shared_mlp in eval mode, one node.  The running statistics are folded
+    into the affine, w' = w * s and b' = (b - mean) * s + beta with
+    s = gamma * inv_std, so each edge sees one affine and LeakyReLU.  The
+    fold absorbs gamma's sign, so pooling is a plain max over K.  The chunks
+    of one tape-free layer call share one fold, kept in `cells` under the
+    batch-norm state, and its cell projection.
+
+    The node keeps the fold and no per-edge array.  Backward recomputes the
+    pre-activation z = x @ w' + b', routes the gradient through LeakyReLU
+    and, with `pool`, to the lowest-index edge holding each row's maximum
+    of z (where gamma is zero every edge ties, so edge 0), then chains the
+    gradients of w' and b' through the fold.
+    """
+    gamma, beta = state.gamma, state.beta
     rows, cells = chunk or (slice(None), {})
     if state not in cells:
-        b_centred, inv_std = _centre(b, state, False)
-        scale = state.gamma.data * inv_std
-        cells[state] = (w * scale, b_centred * scale + state.beta.data)
-    y = _linear(x, *cells[state], graph, chunk=(rows, cells))
+        b_centred, inv_std = _centre(b.data, state, False)
+        scale = gamma.data * inv_std
+        cells[state] = (w.data * scale, b_centred * scale + beta.data, b_centred, inv_std)
+    wf, bf, b_centred, inv_std = cells[state]
+    y = _linear(x.data, wf, bf, graph, chunk=(rows, cells))
     if pool:
         y = y.max(axis=1)
-    np.maximum(y, y * y.dtype.type(slope), out=y)
-    return y
+    slope = y.dtype.type(slope)
+    np.maximum(y, y * slope, out=y)
+
+    def backward(g):
+        z = _linear(x.data, wf, bf, graph)
+        if pool:
+            top = z.max(axis=1)
+            gz = g * _leaky_factor(top < 0, slope)
+            gz = np.where(_first_hits(z, top), gz[:, None, :], gz.dtype.type(0))
+        else:
+            gz = g * _leaky_factor(z < 0, slope)
+        fold = Tensor(wf, requires_grad=True), Tensor(bf, requires_grad=True)
+        if graph is None:
+            _linear_backward(gz, x, *fold)
+        else:
+            _edge_backward(*_edge_sums(gz, graph), x, *fold)
+        g_wf, g_bf = fold[0].grad, fold[1].grad
+        scale = gamma.data * inv_std
+        if w.requires_grad:
+            _accumulate(w, g_wf * scale, owned=True)
+        if b.requires_grad:
+            _accumulate(b, g_bf * scale, owned=True)
+        if gamma.requires_grad:
+            g_gamma = np.einsum("ij,ij->j", w.data, g_wf)
+            g_gamma += b_centred * g_bf
+            g_gamma *= inv_std
+            _accumulate(gamma, g_gamma, owned=True)
+        if beta.requires_grad:
+            _accumulate(beta, g_bf, owned=True)
+
+    return _make(y, (x, w, b, gamma, beta), backward)
 
 
 def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=False):
     """leaky_relu(batch_norm(affine(x, w, b), state, train), slope), one node.
 
     With a KnnGraph `graph` the rows are the graph's (centre, neighbour)
-    pairs [x_i (+) x_j] and the affine is split as in _linear, `chunk`
-    included.  The node keeps only the normalized pre-activation and the
-    sign mask; its backward reuses the gamma/beta gradient sums for the
-    batch-statistics term.
+    pairs [x_i (+) x_j] and the affine is split as in _linear.  With `pool`
+    (and a graph) the node returns the (M, out) maximum over each row's K
+    edges.  Eval mode (not `train`), taped or not, folds the running
+    statistics into the affine (_folded_mlp); `chunk` is for its tape-free
+    row chunks.
 
-    With `pool` (and a graph) the node returns the (M, out) maximum over
-    each row's K edges.  Batch statistics still come from every edge, but the pooling
-    runs on the centred pre-activation and the rest on the pooled rows
-    only: centring, scaling by inv_std > 0, the gamma affine and LeakyReLU
-    (slope in [0, 1)) are each monotone per channel under rounding, so
-    pooling first (the min where gamma < 0) is bit-identical.  The gradient
-    goes to the lowest-index edge holding the pooled value, and the
-    batch-statistics term is summed in closed form per centre row and per
-    cell, so backward forms no (M, K, out) gradient chain; the node keeps
-    the centred pre-activation as its one per-edge array.  Where gamma is
-    zero every edge gives the same output, and the gamma gradient is the
-    one-sided one of the largest centred edge.
-
-    Tape-free eval (not `train`, inside no_tape()) records no node and
-    folds the running statistics into the affine instead (_folded_mlp):
-    the same function, with different rounding.
+    Train mode normalises with batch statistics from every edge.  The node
+    keeps only the normalized pre-activation and the sign mask; its
+    backward reuses the gamma/beta gradient sums for the batch-statistics
+    term.  With `pool` the pooling runs on the centred pre-activation and
+    the rest on the pooled rows only: centring, scaling by inv_std > 0, the
+    gamma affine and LeakyReLU (slope in [0, 1)) are each monotone per
+    channel under rounding, so pooling first (the min where gamma < 0) is
+    bit-identical.  The gradient goes to the lowest-index edge holding the
+    pooled value, and the batch-statistics term is summed in closed form per
+    centre row and per cell, so backward forms no (M, K, out) gradient
+    chain; the node keeps the centred pre-activation as its one per-edge
+    array.  Where gamma is zero every edge gives the same output, and the
+    gamma gradient is the one-sided one of the largest centred edge.
     """
     if graph is None:
         if x.data.ndim != 2:
@@ -523,11 +559,10 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
     else:
         in_dim = 2 * _check_edges("shared_mlp", x, graph)
     _check_weights("shared_mlp", in_dim, w, b)
-    if not train and not taping():
-        return Tensor(_folded_mlp(x.data, w.data, b.data, state, slope, graph, chunk, pool))
+    if not train:
+        return _folded_mlp(x, w, b, state, slope, graph, chunk, pool)
     gamma, beta = state.gamma, state.beta
-    centred, inv_std = _centre(_linear(x.data, w.data, b.data, graph, chunk=chunk),
-                               state, train)
+    centred, inv_std = _centre(_linear(x.data, w.data, b.data, graph), state, True)
     if pool:
         top = _pool_edges(centred, gamma.data)
         xhat = top * inv_std
@@ -554,9 +589,8 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
         n = centred.size // c  # rows (edges) behind the batch statistics
         scale = gamma.data * inv_std
         if not pool:
-            if train:
-                gy -= xhat * (g_gamma / n)
-                gy -= g_beta / n
+            gy -= xhat * (g_gamma / n)
+            gy -= g_beta / n
             gy *= scale
             if graph is None:
                 _linear_backward(gy, x, w, b)
@@ -564,19 +598,15 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
                 _edge_backward(*_edge_sums(gy, graph), x, w, b)
             return
         # Edge (i, k) gets scale * gy_i where it holds row i's pooled value,
-        # less, in train mode, scale * (xhat_ik * g_gamma + g_beta) / n.  The
-        # g_beta term is equal on every edge, so it is summed in closed form:
-        # K times per centre row, in-degree times per cell.
-        if train:
-            edge = centred * (-(scale * inv_std) * (g_gamma / n))
-        else:
-            edge = np.zeros_like(centred)
+        # less scale * (xhat_ik * g_gamma + g_beta) / n.  The g_beta term is
+        # equal on every edge, so it is summed in closed form: K times per
+        # centre row, in-degree times per cell.
+        edge = centred * (-(scale * inv_std) * (g_gamma / n))
         np.add(edge, (gy * scale)[:, None, :], out=edge, where=_first_hits(centred, top))
         g_centre, g_cells = _edge_sums(edge, graph)
-        if train:
-            shift = scale * (g_beta / n)
-            g_centre -= graph.k * shift
-            g_cells -= graph.in_degree[:, None].astype(shift.dtype) * shift
+        shift = scale * (g_beta / n)
+        g_centre -= graph.k * shift
+        g_cells -= graph.in_degree[:, None].astype(shift.dtype) * shift
         _edge_backward(g_centre, g_cells, x, w, b)
 
     return _make(y, (x, w, b, gamma, beta), backward)

@@ -16,6 +16,8 @@ from meshseg.mesh import build_cell_features, cell_centroid_mean, transform_mesh
 from meshseg.model import (
     ConfigError,
     build_variant,
+    check_cells,
+    check_labels,
     cross_entropy,
     load_checkpoint,
     restore_state,
@@ -192,7 +194,7 @@ def _epoch_rng(seed, epoch):
     return np.random.default_rng([seed, epoch])
 
 
-def prepare_training_meshes(meshes, config):
+def prepare_training_meshes(meshes, config, model_config=None):
     """Centred copies of the meshes, in input order, once the config and the
     meshes pass every check `train` makes before it touches the model.
 
@@ -201,7 +203,9 @@ def prepare_training_meshes(meshes, config):
     With augmentation on, `config.translation_range` may be at most
     MAX_TRANSLATION_RADII times the smallest mesh radius.  There float32
     still spaces coordinates less than a 2000th of that radius apart; far
-    beyond it a translated mesh's faces collapse to zero area.
+    beyond it a translated mesh's faces collapse to zero area.  With a
+    `model_config`, each mesh must also have more cells than its k and
+    labels in [0, num_classes), the checks a training step would fail.
     """
     config.validate()
     if not meshes:
@@ -209,6 +213,9 @@ def prepare_training_meshes(meshes, config):
     for i, m in enumerate(meshes):
         if m.labels is None:
             raise TrainingError(f"mesh {i} has no labels")
+        if model_config is not None:
+            check_cells(m.num_cells, model_config.k_neighbors)
+            check_labels(m.labels, m.num_cells, model_config.num_classes)
     cell_counts = {m.num_cells for m in meshes}
     if config.batch_size > 1 and len(cell_counts) != 1:
         raise TrainingError(
@@ -229,14 +236,14 @@ def prepare_training_meshes(meshes, config):
 def train(model, meshes, config, checkpoint_path=None, log_fh=None, adam=None):
     """Mini-batch training; returns (per-epoch records, adam).
 
-    `meshes` and `config` must pass prepare_training_meshes' checks.  With
-    `checkpoint_path`, model and optimizer state are written there after
-    every epoch.  Training runs from `adam.state.epoch`, 0 for a new
-    optimizer, to `config.epochs`; to resume, pass the `adam` that `resume`
-    returns, and the per-epoch RNG streams make the continuation identical
-    to an uninterrupted run.
+    `meshes`, `config` and the model's config must pass
+    prepare_training_meshes' checks.  With `checkpoint_path`, model and
+    optimizer state are written there after every epoch.  Training runs
+    from `adam.state.epoch`, 0 for a new optimizer, to `config.epochs`; to
+    resume, pass the `adam` that `resume` returns, and the per-epoch RNG
+    streams make the continuation identical to an uninterrupted run.
     """
-    dataset = prepare_training_meshes(meshes, config)
+    dataset = prepare_training_meshes(meshes, config, model.config)
     if adam is None:
         adam = Adam(model.parameters(), config.beta1, config.beta2, config.eps)
     records = []

@@ -199,8 +199,8 @@ def _permutation_gaps(att, pool, features, graph, permuted):
 
 
 def check_aggregation_invariance():
-    """Taped layers as built, then tape-free eval layers (batch norm folded
-    into the affine) with trained-looking batch norm."""
+    """Eval-mode layers (batch norm folded into the affine): taped as
+    built, then tape-free with trained-looking batch norm."""
     rng = np.random.default_rng(21)
     att_worst, pool_exact = 0.0, True
     for trial in range(20):

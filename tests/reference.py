@@ -3,7 +3,8 @@
 The model runs `shared_mlp`, `attend` and `log_softmax_nll`, which fuse
 several steps into one tape node.  These are the unfused steps, each its
 own node with the plain textbook backward: `leaky_relu(batch_norm(
-affine_last_axis(...)))` is `shared_mlp`, and `edge_tensors` builds the
+affine_last_axis(...)))` is `shared_mlp` (in eval mode up to the rounding
+of the fold), and `edge_tensors` builds the
 (centre, neighbour) pairs that the edge path never materialises, from the
 neighbour rows that `gather_neighbors` gathers.  `affine_last_axis` maps
 those (M, K, in) pairs, which `tensor.affine` does not take.  `edge_affine`
@@ -14,9 +15,9 @@ composed: the edge MLP, then `max_axis` over the K edges.
 the K edges, `mul` by the values and `sum_axis`.  `composed_cross_entropy`
 is `model.cross_entropy` composed: `log_softmax_axis`, `mul` by a one-hot
 leaf and by -1, the total sum and, for the mean, `mul` by 1/m.
-`folded_mlp` is the tape-free eval `shared_mlp`, batch norm folded into
-the affine, written out on arrays; `exact_fold_statistics` sets
-batch-norm statistics whose fold is exact.
+`folded_mlp` is the eval-mode `shared_mlp`, batch norm folded into the
+affine, written out on arrays.  `relative_gap` is the error measure of the
+comparisons that are not bit for bit.
 """
 
 from __future__ import annotations
@@ -40,27 +41,6 @@ from meshseg.tensor import (
     concat_channels,
     shared_mlp,
 )
-
-# Tape-free eval folds batch norm into the affine, so it differs from taped
-# eval by rounding: the largest relative gap either may show, per dtype.
-TAPED_EVAL_GAP = {np.float32: 3e-7, np.float64: 1e-10}
-
-
-def exact_fold_statistics(state, rng):
-    """Give `state` statistics whose fold into the affine is exact: gamma of
-    both signs and the inverse standard deviation powers of two, mean and
-    beta zero.  Scaling by a power of two commutes with every rounding, so
-    there tape-free eval is taped eval bit for bit."""
-    dtype = state.gamma.data.dtype
-    eps = dtype.type(BN_EPS)
-    c = state.channels
-    state.gamma.data = rng.choice([-2.0, -0.5, 0.25, 1.0, 4.0], size=c).astype(dtype)
-    state.beta.data = np.zeros(c, dtype=dtype)
-    state.running_mean = np.zeros(c, dtype=dtype)
-    state.running_var = (4.0 ** rng.integers(-1, 2, size=c)).astype(dtype) - eps
-    _, inv_std = _centre(np.zeros((1, c), dtype=dtype), state, False)
-    assert np.array_equal(np.frexp(inv_std)[0], np.full(c, 0.5)), inv_std
-    return state
 
 
 def relative_gap(got, want):
@@ -155,10 +135,10 @@ def leaky_relu(x, slope=0.2):
     return _make(np.where(mask, x.data, x.dtype.type(slope) * x.data), (x,), backward)
 
 
-def repeat_rows(x, k):
+def _repeat_rows(x, k):
     """(M, d) -> (M, k, d), each row repeated k times; backward sums over k."""
     if x.data.ndim != 2:
-        raise DimensionError(f"repeat_rows: x must be 2-D, got {x.data.shape}")
+        raise DimensionError(f"_repeat_rows: x must be 2-D, got {x.data.shape}")
 
     def backward(g):
         if x.requires_grad:
@@ -219,7 +199,7 @@ def gather_neighbors(features, graph):
 def edge_tensors(features, graph):
     """Edge inputs for one layer: (center (+) neighbor, center - neighbor)."""
     neighbors = gather_neighbors(features, graph)
-    centers = repeat_rows(features, graph.k)
+    centers = _repeat_rows(features, graph.k)
     return concat_channels([centers, neighbors]), sub(centers, neighbors)
 
 
@@ -264,7 +244,7 @@ def affine_last_axis(x, w, b):
 
 
 def folded_mlp(x, w, b, state, slope, graph=None, pool=False):
-    """shared_mlp's tape-free eval forward written out on arrays: batch norm's
+    """shared_mlp's eval-mode forward written out on arrays: batch norm's
     running statistics folded into the affine, w * scale and
     (b - mean) * scale + beta with scale = gamma / sqrt(var + eps), then
     LeakyReLU.  With a graph the rows are the pairs [x_i (+) x_j]: the

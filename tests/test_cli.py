@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,11 @@ BAD_INPUTS = {
     "synth-no-training-meshes": ({}, ["synth", "--out", "{dir}", "--n-train", "0"],
                                  "n_train"),
     "synth-negative-seed": ({}, ["synth", "--out", "{dir}", "--seed", "-1"], "seed"),
+    # left an empty train/ directory behind
+    "synth-no-teeth": ({}, ["synth", "--out", "{dir}/data", "--teeth", "0"], "num_teeth"),
+    # a _ArrayMemoryError traceback
+    "synth-too-many-cells": ({}, ["synth", "--out", "{dir}/data", "--cells", "100000000000"],
+                             "cells_target must be at most"),
     "mesh-fewer-cells-than-k": ({"m.obj": TRIANGLE_OBJ}, PREDICT, "k=4"),
     "checkpoint-nan-parameter": ({"m.obj": GRID_OBJ},
                                  [a.replace("{ckpt}", "{nan_ckpt}") for a in PREDICT],
@@ -253,6 +259,13 @@ BAD_INPUTS = {
     "checkpoint-overflowing-weight": ({"m.obj": GRID_OBJ},
                                       [a.replace("{ckpt}", "{huge_ckpt}") for a in PREDICT],
                                       "KNN input"),
+    # layers this wide were a _ArrayMemoryError traceback
+    "checkpoint-too-wide": ({"m.obj": GRID_OBJ},
+                            [a.replace("{ckpt}", "{wide_ckpt}") for a in PREDICT],
+                            "layer width must be in [1, "),
+    # numpy's overflow warning came before the error line
+    "mesh-beyond-float32": ({"m.obj": GRID_OBJ.replace(" 0\n", "e39 0\n")}, PREDICT,
+                            "non-finite feature values"),
     # an OSError other than a missing or existing file used to escape as a traceback
     "checkpoint-is-a-directory": ({"m.obj": GRID_OBJ},
                                   [a.replace("{ckpt}", "{dir}") for a in PREDICT],
@@ -297,6 +310,14 @@ def edited_checkpoints(tmp_path_factory):
         next(p for p in model.parameters() if p.name == name).tensor.data[...] = value
         paths[key] = tmp_path_factory.mktemp("ckpt") / f"{key}.ckpt"
         save_checkpoint(model, paths[key])
+    # a config JSON naming a layer no machine can allocate
+    raw = paths["nan_ckpt"].read_bytes()
+    (n,) = struct.unpack("<I", raw[6:10])
+    config = raw[10:10 + n].replace(b'"fusion_width": 16', b'"fusion_width": 100000000000000')
+    assert config != raw[10:10 + n]
+    paths["wide_ckpt"] = paths["nan_ckpt"].with_name("wide_ckpt.ckpt")
+    paths["wide_ckpt"].write_bytes(raw[:6] + struct.pack("<I", len(config)) + config
+                                   + raw[10 + n:])
     return paths
 
 
@@ -325,6 +346,7 @@ def test_bad_input_is_one_error_line(case, tiny_checkpoint, edited_checkpoints, 
             for a in argv]
     code, prefix = (2, "usage error: ") if usage == [2] else (1, "error: ")
     assert location in run_cli(argv, code, prefix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)  # nothing written
 
 
 # --set value -> what the usage error must name; each used to crash or to
@@ -348,6 +370,10 @@ BAD_TRAIN_VALUES = {
     "model.leaky_slope=nan": "leaky_slope must be finite and in [0, 1), got nan",
     "model.leaky_slope=-0.1": "leaky_slope must be finite and in [0, 1), got -0.1",
     "model.seed=-1": "seed must be >= 0, got -1",
+    # weights or logits this large were a _ArrayMemoryError or a ValueError traceback
+    "model.fusion_width=100000000000000": "every layer width must be in [1, 4096]",
+    "model.head_widths=16,5000": "every layer width must be in [1, 4096]",
+    "model.num_classes=99999999999999999999": "num_classes must be at most 1024",
 }
 
 
@@ -360,39 +386,50 @@ def test_bad_train_value_is_a_usage_error(setting, dataset, tmp_path):
     assert not out.exists()
 
 
-def mixed_cell_count_manifest(dataset, tmp_path):
-    """A manifest of two training meshes that differ in cell count."""
+def mixed_cell_count_manifest(dataset, tmp_path, small_split="train"):
+    """A manifest of a training mesh of `dataset` and a mesh of about 200
+    cells in `small_split`."""
     other = tmp_path / "small"
     assert main(["synth", "--out", str(other), "--n-train", "1", "--n-test", "1",
                  "--teeth", "2", "--cells", "200", "--seed", "6"]) == 0
     rows = []
-    for root in (dataset, other):
-        row = (root / "manifest.tsv").read_text().splitlines()[1]  # after the header
-        mesh, labels, split, seed = row.split("\t")
-        assert split == "train"
+    for root, want in ((dataset, "train"), (other, small_split)):
+        lines = (root / "manifest.tsv").read_text().splitlines()[1:]  # after the header
+        mesh, labels, split, seed = next(r for r in lines if r.split("\t")[2] == want).split("\t")
         rows.append(f"{root / mesh}\t{root / labels}\t{split}\t{seed}\n")
     manifest = tmp_path / "mixed.tsv"
     manifest.write_text("".join(rows))
     return manifest
 
 
-# training-set check -> (exit code, stderr prefix, text the error must name)
-FAILED_TRAINING_SETS = {
-    "translation-bound": (2, "usage error: ", "translation_range must be at most"),
-    "mixed-cell-counts": (1, "error: ", "must share a cell count"),
-}
 TOO_FAR = ["--set", "train.augment=true", "--set", "train.translation_range=1e30"]
+# training-set check -> (command, split of a ~200-cell mesh added to one
+# training mesh or None for the 300-cell dataset, extra arguments, exit code,
+# stderr prefix, text the error must name); the model-versus-data ones used
+# to fail at the first training step or after the first variant's training,
+# once --out was made
+FAILED_TRAINING_SETS = {
+    "translation-bound": ("train", None, TOO_FAR, 2, "usage error: ",
+                          "translation_range must be at most"),
+    "mixed-cell-counts": ("train", "train", [], 1, "error: ", "must share a cell count"),
+    "k-beyond-cells": ("train", None, ["--set", "model.k_neighbors=5000"], 1, "error: ",
+                       "cells cannot support k=5000"),
+    "label-beyond-classes": ("train", None, ["--set", "model.num_classes=2"], 1, "error: ",
+                             "label 2 outside [0, 2)"),
+    "ablate-k-beyond-cells": ("ablate", None, ["--set", "model.k_neighbors=5000"], 1,
+                              "error: ", "cells cannot support k=5000"),
+    "ablate-k-beyond-test-cells": ("ablate", "test", ["--set", "model.k_neighbors=250"], 1,
+                                   "error: ", "cells cannot support k=250"),
+}
 
 
 @pytest.mark.parametrize("case", sorted(FAILED_TRAINING_SETS))
 def test_failed_training_set_check_leaves_no_out_dir(case, dataset, tmp_path):
-    code, prefix, text = FAILED_TRAINING_SETS[case]
-    if case == "translation-bound":
-        manifest, extra = dataset / "manifest.tsv", TOO_FAR
-    else:
-        manifest, extra = mixed_cell_count_manifest(dataset, tmp_path), []
+    command, small_split, extra, code, prefix, text = FAILED_TRAINING_SETS[case]
+    manifest = mixed_cell_count_manifest(dataset, tmp_path, small_split) \
+        if small_split else dataset / "manifest.tsv"
     out = tmp_path / "run"
-    assert text in run_cli(["train", "--manifest", manifest, "--out", out, *TINY, *extra],
+    assert text in run_cli([command, "--manifest", manifest, "--out", out, *TINY, *extra],
                            code, prefix)
     assert not out.exists()
 

@@ -24,6 +24,7 @@ from meshseg.tensor import (
 from reference import (
     EmptyReductionError,
     batch_norm,
+    folded_mlp,
     gather_neighbors,
     leaky_relu,
     log_softmax_axis,
@@ -125,6 +126,23 @@ def test_every_public_tensor_name_has_a_src_caller():
                     used.add(name)
     assert "shared_mlp" in public and "Tensor" in public
     assert not public - used, f"tensor.py names no src/ code uses: {sorted(public - used)}"
+
+
+def test_every_public_reference_name_has_a_test_caller():
+    # a reference helper whose last test is gone goes with it
+    tests = Path(__file__).parent
+    reference = ast.parse((tests / "reference.py").read_text())
+    public = {n for stmt in reference.body for n in top_level_names(stmt)
+              if not n.startswith("_")}
+    used = set()
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert "folded_mlp" in public and "mul" in public
+    assert not public - used, f"reference.py names no test uses: {sorted(public - used)}"
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +550,16 @@ def test_shared_mlp_leaky_relu_is_bit_identical_to_the_factor_product(slope, dty
     # in float32
     state.gamma.data = np.array([1.3, 0.0, 1e-39, 0.7], dtype=dtype)
     state.beta.data = np.array([0.1, -0.0, 0.0, -0.2], dtype=dtype)
-    out = shared_mlp(x, w, b, state, train=False, slope=slope).data
-    xhat, _ = normalize(_linear(x.data, w.data, b.data), state, False)
+    out = shared_mlp(x, w, b, state, train=True, slope=slope).data
+    xhat, _ = normalize(_linear(x.data, w.data, b.data), state, True)
     y = xhat * state.gamma.data
     y += state.beta.data
     want = y * _leaky_factor(y < 0, y.dtype.type(slope))
     assert out.dtype == dtype and out.tobytes() == want.tobytes()
     assert np.signbit(out[:, 1]).any() and not np.signbit(out[:, 1]).all()
+    # eval mode is the fold written out, on the running statistics just made
+    out = shared_mlp(x, w, b, state, train=False, slope=slope).data
+    assert out.dtype == dtype and out.tobytes() == folded_mlp(x, w, b, state, slope).tobytes()
 
 
 def test_shared_mlp_train_needs_two_rows():
