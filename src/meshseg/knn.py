@@ -4,12 +4,18 @@ A graph equals the float64 brute force over the caller's values, ties
 broken toward the lower index, and is built in bounded memory.  Each block
 is centred on its float64 column mean and cast to float32, so float32
 rounding does not grow with the block's distance from the origin.  Rows
-are taken in chunks of about _CHUNK_ELEMS // M, in one buffer per
-build_block_knn_graph call.  BLAS writes a chunk's float32 distances
-|b|^2 - 2ab to all M columns, and one reduction takes
-the minimum of each group of _GROUP strided columns; the k-th smallest
-group minimum bounds the row's k-th distance from above.  Only the members
-of the groups under that bound are read again: they give the exact k-th
+and columns are sorted by their projection p onto the block's top
+principal axis, and rows are taken in chunks of about _ROWS, in one buffer
+per build_block_knn_graph call.  |p_i - p_j| never exceeds the distance
+between rows i and j, so a column whose projection lies farther from every
+row of a chunk than that row's k-th distance bound is neither a neighbour
+of any of them nor tied with one; the columns left form one contiguous
+run of the sorted order.  This is the bounding test of k-d trees (Friedman,
+Bentley & Finkel 1977) on one axis.  BLAS writes a chunk's float32
+distances |b|^2 - 2ab to those columns only, and one reduction takes the
+minimum of each group of _GROUP strided columns; the k-th smallest group
+minimum bounds the row's k-th distance from above.  Only the members of
+the groups under that bound are read again: they give the exact k-th
 value, every column within twice the rounding bound of it is a candidate,
 and the candidates are ranked by exact float64 distances.  Peak memory is
 O(_CHUNK_ELEMS + M d) per call, never M x M.
@@ -38,6 +44,9 @@ _CHUNK_ELEMS = 1 << 20  # float32 distances held per row chunk (4 MB)
 _GROUP = 8  # strided columns per group whose minimum bounds a row's k-th
 _F32_EPS = float(np.finfo(np.float32).eps)
 _SQ_LIMIT = float(np.finfo(np.float32).max) / 4  # keeps every e_ij finite
+_F32_TINY = float(np.finfo(np.float32).tiny)  # smallest normal float32
+_F64_EPS = float(np.finfo(np.float64).eps)
+_ROWS = 192  # rows per chunk, fewer when a chunk's columns would overflow buf
 
 
 class GraphConfigError(ValueError):
@@ -164,14 +173,37 @@ def build_knn_graph(features, k, include_self=False):
 def _knn_indices(features, k, include_self, buf):
     """The (M, k) table of one build_block_knn_graph block.  `buf`, a flat
     float32 scratch of at least max(_CHUNK_ELEMS, M + _GROUP) values, holds
-    each row chunk's distances."""
+    each row chunk's distances.
+
+    Bound.  v is the top eigenvector of the centred block's Gram matrix,
+    p = c v the float64 projections of the centred rows c, sorted.  A row
+    chunk is a run of sorted rows.  Its first product covers the run's own
+    columns, widened on each side by 5/4 of the last chunk's reach in
+    columns plus k + 1; the group bound u_i on it gives U_i = u_i +
+    |a_i|^2 + E_i >= row i's k-th oracle distance (E_i is the candidate
+    margin below, so k columns have D <= U_i).  A column j with |p_i - p_j| > ||v|| (1 +
+    (d + 4) eps64) sqrt(U_i) + delta then has D_ij > U_i, so it is neither a
+    neighbour of row i nor tied with its k-th.  delta = (d + 16) eps64
+    sqrt(d) max|c| + 2^-500 covers float64 rounding, with u = eps64 / 2:
+    centring moves each row by <= u |c_i|, the d-term dot product moves p_i
+    by <= d u |c_i| ||v||, the oracle's d differences, squares and sums
+    shrink D_ij by a factor >= 1 - (d + 2) u, and forming the test's own
+    bounds costs a few u of |p| and of the reach (the factor on sqrt(U_i));
+    2^-500 exceeds what an underflowing product or square root can lose.
+    Columns outside the hull of the chunk's intervals p_i -+ reach_i are
+    skipped, and the rest, one searchsorted run, get a second product only
+    if the first did not cover them.  Candidates map back to original ids
+    and are sorted, so the stable float64 re-rank breaks ties toward the
+    lower index as the oracle does.
+    """
     x = np.asarray(features)
     m, dim = x.shape
     if k < 1 or k >= m:
         raise GraphConfigError(f"k={k} must satisfy 1 <= k < M={m}")
     x64 = x.astype(np.float64, copy=False)
     with np.errstate(all="ignore"):  # NaN, inf and overflow are rejected below
-        a = (x64 - x64.mean(axis=0)).astype(np.float32)
+        c = x64 - x64.mean(axis=0)
+        a = c.astype(np.float32)
         sq = np.einsum("ij,ij->i", a, a)
         top = sq.max()
     if not top <= _SQ_LIMIT:
@@ -182,7 +214,7 @@ def _knn_indices(features, k, include_self, buf):
     # the caller's rows and e_ij = |a_j|^2 - 2 a_i.a_j its float32 stand-in
     # on the centred rows a, short of the row constant |a_i|^2, which ranks
     # nothing.  Then |e_ij + |a_i|^2 - D_ij| <= E_i with
-    # E_i = (dim + 5) * eps32 * (|a_i|^2 + max_j |a_j|^2), the sum of:
+    # E_i = (dim + 5) * (eps32 * (|a_i|^2 + max_j |a_j|^2) + tiny32), the sum of:
     #   (dim + 2) * eps32 * (...)  the expanded formula in float32: dim-term
     #                              norm and dot product (the factor -2 is a
     #                              power of two, so exact) plus one addition;
@@ -190,39 +222,50 @@ def _knn_indices(features, k, include_self, buf):
     #                              each off by <= eps32/2 of its norm, which
     #                              moves |a_i - a_j|^2 by <= 2 eps32 (..);
     #   1 * eps32 * (...)          spare for the oracle's own float64 rounding
-    #                              and the float32 norms that scale the bound.
+    #                              and the float32 norms that scale the bound;
+    #   (dim + 5) * tiny32         the smallest normal float32 per step, more
+    #                              than a result lost to underflow is off by.
     # If t_i is row i's k-th smallest e_ij, k columns have D <= t_i + E_i, so
     # every oracle neighbour, and every column tied with the k-th, has
     # e_ij <= t_i + 2 E_i: those columns, with the limit rounded up to
     # float32, are the candidates.
-    margin = (2 * (dim + 5) * _F32_EPS) * (sq.astype(np.float64) + float(top))
-    # Groups.  Column c lies in group c % g of g >= k + 1 groups of s
-    # strided columns; columns M .. s * g - 1 are +inf padding.  The k-th
-    # smallest group minimum u_i >= t_i, since k groups each hold a column
-    # <= u_i, so every candidate lies in a group whose minimum is within the
-    # limit of u_i + 2 E_i; t_i and the candidates are found among those
-    # groups' members alone.  Strides keep u_i tight: nearby cell ids tend
-    # to be nearby in space, and striding spreads them over many groups.
-    s = min(_GROUP, m // (k + 1))
-    g = -(-m // s)
-    at = np.zeros((dim, s * g), dtype=np.float32)
+    margin = (2 * (dim + 5)) * (_F32_EPS * (sq.astype(np.float64) + float(top)) + _F32_TINY)
+    v = _principal_axis(c)
+    p = c @ v
+    scale = float(np.linalg.norm(v)) * (1 + (dim + 4) * _F64_EPS)
+    delta = (dim + 16) * _F64_EPS * np.sqrt(dim) * max(c.max(), -c.min()) + 2.0 ** -500
+    del c  # the rows stay as x64 and, sorted, as a
+    order = np.argsort(p, kind="stable")
+    p, a, sq, margin = p[order], a[order], sq[order], margin[order]
+    # Groups.  A product covers s * g sorted columns from c0; column c0 + c
+    # lies in group c % g of g >= k + 1 groups of s strided columns, and
+    # columns past M are +inf padding.  The k-th smallest group minimum
+    # u_i >= t_i, since k groups each hold a column <= u_i, so every
+    # candidate lies in a group whose minimum is within the limit of
+    # u_i + 2 E_i; t_i and the candidates are found among those groups'
+    # members alone.  Strides keep u_i tight: sorted neighbours are near in
+    # p, and striding spreads them over many groups.
+    at = np.zeros((dim, m + _GROUP), dtype=np.float32)
     np.multiply(a.T, -2, out=at[:, :m])
-    sq_pad = np.full(s * g, np.inf, dtype=np.float32)
+    sq_pad = np.full(m + _GROUP, np.inf, dtype=np.float32)
     sq_pad[:m] = sq
-    rows = max(1, _CHUNK_ELEMS // (s * g))
-    need = min(rows, m) * s * g  # <= max(_CHUNK_ELEMS, M + _GROUP), as s * g < M + s
-    buf = buf[:need].reshape(-1, s * g)
     out = np.empty((m, k), dtype=np.int64)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        n = hi - lo
-        e = np.matmul(a[lo:hi], at, out=buf[:n])
-        e += sq_pad
-        if not include_self:
-            e[np.arange(n), np.arange(lo, hi)] = np.inf
-        e = e.reshape(n, s, g)
-        group_min = e.min(axis=1)
-        upper = np.partition(group_min, k - 1, axis=1)[:, k - 1]
+    lo = left = right = 0
+    while lo < m:
+        n = max(1, min(_ROWS, m - lo, len(buf) // (min(m, _ROWS + left + right) + _GROUP)))
+        hi = lo + n
+        c0, s, g = _columns(lo - left, hi + right, m, k)
+        e, group_min, upper = _distances(a[lo:hi], at, sq_pad, c0, s, g, k, buf, lo,
+                                         include_self)
+        reach = scale * np.sqrt(np.maximum(upper + sq[lo:hi] + margin[lo:hi] / 2, 0)) + delta
+        need0, need1 = _kept_columns(p, lo, hi, reach)
+        left, right = (lo - need0) * 5 // 4 + k + 1, (need1 - hi) * 5 // 4 + k + 1
+        if need0 < c0 or need1 > c0 + s * g:
+            c0, s, g = _columns(need0, need1, m, k)
+            hi = min(hi, lo + len(buf) // (s * g))
+            n = hi - lo
+            e, group_min, upper = _distances(a[lo:hi], at, sq_pad, c0, s, g, k, buf, lo,
+                                             include_self)
         # flatnonzero: several times faster than a 2-d nonzero
         r, q = np.divmod(np.flatnonzero(
             group_min <= _f32_above(upper + margin[lo:hi])[:, None]), g)
@@ -230,9 +273,47 @@ def _knn_indices(features, k, include_self, buf):
         kth = np.partition(vals.reshape(n, -1), k - 1, axis=1)[:, k - 1]
         hit = np.flatnonzero(vals <= _f32_above(kth + margin[lo:hi])[:, None, None])
         cols = _pad_rows(r, n, q, 0)[:, :, None] + g * np.arange(s)
-        hits = (hit // vals[0].size) * m + cols.ravel()[hit]
-        out[lo:hi] = _rerank(x64, lo, hi, np.sort(hits), k)
+        cols = order[c0 + cols.ravel()[hit]]
+        hits = (hit // vals[0].size) * m + cols
+        out[order[lo:hi]] = _rerank(x64, order[lo:hi], np.sort(hits), k)
+        lo = hi
     return out
+
+
+def _principal_axis(c):
+    """Top eigenvector of the (d, d) Gram matrix of the centred rows c."""
+    return np.linalg.eigh(c.T @ c)[1][:, -1]
+
+
+def _kept_columns(p, lo, hi, reach):
+    """need0, need1: the sorted columns whose projection p lies within
+    reach[i] of p[lo + i] for some row of the chunk lo:hi."""
+    return (int(np.searchsorted(p, (p[lo:hi] - reach).min(), "left")),
+            int(np.searchsorted(p, (p[lo:hi] + reach).max(), "right")))
+
+
+def _columns(c0, c1, m, k):
+    """(start, s, g): a run of s * g sorted columns covering c0:c1, s
+    strided columns in each of g >= k + 1 groups, padded past M."""
+    c0, c1 = max(c0, 0), min(c1, m)
+    w = max(c1 - c0, k + 1)
+    s = min(_GROUP, w // (k + 1))
+    g = -(-w // s)
+    return max(0, min(c0, m - s * g)), s, g
+
+
+def _distances(rows, at, sq_pad, c0, s, g, k, buf, lo, include_self):
+    """(e, group minima, k-th smallest group minimum) of `rows`: e, (n, s, g)
+    in buf, holds the float32 |b|^2 - 2ab to sorted columns c0 : c0 + s g,
+    +inf at a row's own column unless include_self."""
+    n, width = len(rows), s * g
+    e = np.matmul(rows, at[:, c0:c0 + width], out=buf[:n * width].reshape(n, width))
+    e += sq_pad[c0:c0 + width]
+    if not include_self:
+        e[np.arange(n), np.arange(lo - c0, lo - c0 + n)] = np.inf
+    e = e.reshape(n, s, g)
+    group_min = e.min(axis=1)
+    return e, group_min, np.partition(group_min, k - 1, axis=1)[:, k - 1]
 
 
 def _f32_above(x):
@@ -249,8 +330,8 @@ def _pad_rows(r, n, values, fill):
     return out
 
 
-def _rerank(x64, lo, hi, hits, k):
-    """Rows lo:hi of the graph from their candidates' flat (row, column) ids.
+def _rerank(x64, rows, hits, k):
+    """The graph's `rows` from their candidates' flat (row, column) ids.
 
     Distances are the oracle's own float64 ((x_j - x_i) ** 2).sum(); each
     row's candidates are in index order, so a stable sort breaks ties
@@ -260,12 +341,12 @@ def _rerank(x64, lo, hi, hits, k):
     """
     m, dim = x64.shape
     r, c = np.divmod(hits, m)
-    cand = _pad_rows(r, hi - lo, c, -1)
+    cand = _pad_rows(r, len(rows), c, -1)
     width = cand.shape[1]
     dist = np.empty(cand.shape)
-    centres = x64[lo:hi, None, :]
+    centres = x64[rows, None, :]
     step = max(1, (_CHUNK_ELEMS >> 4) // (width * max(dim, 1)))
-    for s in range(0, hi - lo, step):
+    for s in range(0, len(rows), step):
         diff = np.take(x64, cand[s:s + step], axis=0)
         diff -= centres[s:s + step]
         np.square(diff, out=diff)

@@ -197,7 +197,8 @@ def _derived_seed(seed, split_id, index):
 
 def make_dataset(spec, n_train, n_test, out_dir):
     """Write train/test obj + .labels pairs and a manifest; each mesh's
-    seed, recorded in the manifest, is derived from `spec.seed`."""
+    seed, recorded in the manifest, is derived from `spec.seed`.  A call
+    that fails removes every file and directory it made."""
     if n_train < 1 or n_test < 1:
         raise GenerationError(
             f"n_train and n_test must be >= 1, got {n_train} and {n_test}")
@@ -206,23 +207,47 @@ def make_dataset(spec, n_train, n_test, out_dir):
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     if os.path.exists(manifest_path):
         raise FileExistsError(f"{manifest_path} already exists")
-    entries = []
-    for split_id, (split, count) in enumerate((("train", n_train), ("test", n_test))):
-        split_dir = os.path.join(out_dir, split)
-        os.makedirs(split_dir, exist_ok=True)
-        for i in range(count):
-            mesh_seed = _derived_seed(spec.seed, split_id, i)
-            mesh = generate(replace(spec, seed=mesh_seed))
-            rel_mesh = os.path.join(split, f"arch_{i:03d}.obj")
-            rel_labels = os.path.join(split, f"arch_{i:03d}.labels")
-            save_obj(mesh, os.path.join(out_dir, rel_mesh))
-            save_labels(mesh.labels, os.path.join(out_dir, rel_labels))
-            entries.append(ManifestEntry(rel_mesh, rel_labels, split, mesh_seed))
-    with open(manifest_path, "w") as fh:
-        fh.write("# mesh\tlabels\tsplit\tseed\n")
-        for e in entries:
-            fh.write(f"{e.mesh_path}\t{e.labels_path}\t{e.split}\t{e.seed}\n")
+    made = []  # paths this call created, each after its directory
+    try:
+        entries = []
+        for split_id, (split, count) in enumerate((("train", n_train), ("test", n_test))):
+            _make_dirs(os.path.join(out_dir, split), made)
+            for i in range(count):
+                mesh_seed = _derived_seed(spec.seed, split_id, i)
+                mesh = generate(replace(spec, seed=mesh_seed))
+                rel_mesh = os.path.join(split, f"arch_{i:03d}.obj")
+                rel_labels = os.path.join(split, f"arch_{i:03d}.labels")
+                mesh_path, labels_path = (os.path.join(out_dir, rel)
+                                          for rel in (rel_mesh, rel_labels))
+                made += [p for p in (mesh_path, labels_path) if not os.path.exists(p)]
+                save_obj(mesh, mesh_path)
+                save_labels(mesh.labels, labels_path)
+                entries.append(ManifestEntry(rel_mesh, rel_labels, split, mesh_seed))
+        made.append(manifest_path)
+        with open(manifest_path, "w") as fh:
+            fh.write("# mesh\tlabels\tsplit\tseed\n")
+            for e in entries:
+                fh.write(f"{e.mesh_path}\t{e.labels_path}\t{e.split}\t{e.seed}\n")
+    except BaseException:
+        for path in reversed(made):
+            if os.path.isdir(path):
+                os.rmdir(path)
+            elif os.path.exists(path):
+                os.remove(path)
+        raise
     return manifest_path, entries
+
+
+def _make_dirs(path, made):
+    """os.makedirs(path), appending each directory it creates to `made`."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.isdir(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    for path in reversed(missing):
+        os.mkdir(path)
+        made.append(path)
 
 
 def read_manifest(path):

@@ -249,6 +249,9 @@ BAD_INPUTS = {
     "synth-negative-seed": ({}, ["synth", "--out", "{dir}", "--seed", "-1"], "seed"),
     # left an empty train/ directory behind
     "synth-no-teeth": ({}, ["synth", "--out", "{dir}/data", "--teeth", "0"], "num_teeth"),
+    # a spec that fails in generate, not in the checks before it: an empty train/ was left
+    "synth-classes-empty": ({}, ["synth", "--out", "{dir}/small", "--n-train", "1",
+                                 "--n-test", "1", "--teeth", "2", "--cells", "20"], "classes"),
     # a _ArrayMemoryError traceback
     "synth-too-many-cells": ({}, ["synth", "--out", "{dir}/data", "--cells", "100000000000"],
                              "cells_target must be at most"),

@@ -173,7 +173,7 @@ def rotated(coords):
 @pytest.mark.parametrize("move", ["shift-10", "shift-100", "shift-1000", "rotate"])
 def test_moved_arch_matches_brute_force(arch_coords, move, include_self):
     m = arch_coords.shape[0]
-    assert m % (knn._CHUNK_ELEMS // m)  # the last row chunk is a short one
+    assert m % knn._ROWS  # the last row chunk is a short one
     if move == "rotate":
         feats = rotated(arch_coords)
     else:
@@ -244,6 +244,135 @@ def test_peak_memory_is_bounded_by_the_row_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# the principal-axis bound: layouts that defeat it, and proof that it prunes
+# ---------------------------------------------------------------------------
+
+def _two_clusters():
+    rng = np.random.default_rng(31)
+    return np.concatenate([rng.normal(size=(300, 3)) * 1e-3,
+                           rng.normal(size=(300, 3)) * 1e-3 + 1e3])
+
+
+def _one_line():
+    # two rows at each of 300 unit-spaced points of one line, shuffled: the
+    # k-th neighbour lies along the axis, so the bound is tight, and
+    # projections and distances tie exactly
+    t = np.random.default_rng(32).permutation(np.arange(600.0) // 2)
+    return t[:, None] * np.array([[1.0, 2.0, -2.0]])
+
+
+def _isotropic_grid():
+    # a full 9 x 9 x 9 integer grid: all three eigenvalues are equal
+    return np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+
+
+BOUND_ADVERSARIAL = {
+    "two-tight-clusters-far-apart": _two_clusters,
+    "points-on-one-line": _one_line,
+    "offset-1e6-unit-spread": lambda: (
+        np.random.default_rng(33).normal(size=(700, 4)) + 1e6).astype(np.float32),
+    "integer-grid-without-a-unique-top-axis": _isotropic_grid,
+    "rows-at-1e-22": lambda: np.random.default_rng(34).normal(size=(600, 3)) * 1e-22,
+}
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("case", sorted(BOUND_ADVERSARIAL))
+def test_bound_adversarial_layouts_match_brute_force(case, include_self):
+    feats = BOUND_ADVERSARIAL[case]()
+    assert len(feats) > 2 * knn._ROWS  # several row chunks
+    graph = build_knn_graph(feats, 7, include_self)
+    assert np.array_equal(graph.indices, brute_force_knn(feats, 7, include_self))
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_sign_flipped_axis_gives_the_same_graph(monkeypatch, include_self):
+    feats = np.random.default_rng(35).integers(0, 5, size=(500, 3)).astype(np.float64)
+    want = build_knn_graph(feats, 6, include_self).indices
+    assert np.array_equal(want, brute_force_knn(feats, 6, include_self))
+    axis = knn._principal_axis
+    monkeypatch.setattr(knn, "_principal_axis", lambda c: -axis(c))
+    assert np.array_equal(build_knn_graph(feats, 6, include_self).indices, want)
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("case", ["points-on-one-line", "integer-grid-without-a-unique-top-axis"])
+def test_kept_columns_hold_every_neighbour_and_tie(monkeypatch, case, include_self):
+    # the bound itself, not only the graph: a product wider than the kept
+    # run would hide a bound that is too tight
+    feats, k = BOUND_ADVERSARIAL[case](), 7
+    axis, kept = knn._principal_axis, knn._kept_columns
+    seen, runs = [], []
+
+    def recording(p, lo, hi, reach):
+        runs.append((lo, hi, kept(p, lo, hi, reach)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(knn, "_principal_axis", lambda c: seen.append(c) or axis(c))
+    monkeypatch.setattr(knn, "_kept_columns", recording)
+    build_knn_graph(feats, k, include_self)
+    order = np.argsort(seen[0] @ axis(seen[0]), kind="stable")
+    position = np.argsort(order)  # sorted position of each original row
+    assert len(runs) > 2
+    for lo, hi, (need0, need1) in runs:
+        for i in order[lo:hi]:
+            d = ((feats - feats[i]) ** 2).sum(axis=1)
+            if not include_self:
+                d[i] = np.inf
+            near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+            assert need0 <= position[near].min() and position[near].max() < need1
+
+
+@pytest.fixture(scope="module")
+def large_arch_graphs():
+    """(features, k, the model's graph) of each KNN call of a desk-model
+    predict on one 3,996-cell arch: the coordinate block and two layers'
+    features."""
+    import meshseg.model as model_mod
+    from meshseg.training import inference_features
+    from meshseg.verify import desk_model_config
+
+    mesh = generate(dataclasses.replace(desk_arch_spec(), cells_target=4000, seed=3))
+    calls, real = [], model_mod.build_block_knn_graph
+
+    def spy(features, block_size, k, include_self=False):
+        graph = real(features, block_size, k, include_self)
+        calls.append((np.array(features), k, graph.indices))
+        return graph
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "build_block_knn_graph", spy)
+        model_mod.build_variant(desk_model_config()).predict(inference_features(mesh))
+    assert len(calls) == 3 and len(calls[0][0]) == 3996
+    return calls
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_large_arch_graphs_match_brute_force(large_arch_graphs, depth, include_self):
+    feats, k, table = large_arch_graphs[depth]
+    want = brute_force_knn(feats, k, include_self)
+    if not include_self:
+        assert np.array_equal(table, want)  # the graph the model built
+    assert np.array_equal(build_knn_graph(feats, k, include_self).indices, want)
+
+
+def test_bound_skips_most_distances_on_a_large_arch(large_arch_graphs, monkeypatch):
+    real = knn._distances
+    for feats, k, _ in large_arch_graphs:
+        products = []
+
+        def counting(rows, at, sq_pad, c0, s, g, *args):
+            products.append(len(rows) * s * g)
+            return real(rows, at, sq_pad, c0, s, g, *args)
+
+        monkeypatch.setattr(knn, "_distances", counting)
+        build_knn_graph(feats, k)
+        m = len(feats)
+        assert sum(products) <= 0.3 * m * m, f"{sum(products) / m**2:.3f} of M^2"
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +896,10 @@ def attention_layer(w, b, state, w_att, b_att, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_chunked_attention_layer_is_bit_identical_to_one_chunk(dtype):
+def test_chunked_attention_layer_is_bit_identical_to_taped_eval(dtype):
+    # taped and tape-free eval both fold batch norm into the affine
     raw, graph, w, b, state, w_att, b_att = attention_case(92, dtype)
+    assert (state.gamma.data < 0).any() and (state.gamma.data > 0).any()
     layer = attention_layer(w, b, state, w_att, b_att, dtype)
     taped = layer.forward(Tensor(raw, dtype=dtype), graph)
     assert taped.requires_grad  # the parameters put the call on the tape
@@ -777,19 +908,6 @@ def test_chunked_attention_layer_is_bit_identical_to_one_chunk(dtype):
     got, calls = chunked_forward(layer, raw, graph, dtype, 64)
     assert calls >= 3
     assert np.array_equal(got, one)
-    assert np.array_equal(got, taped.data)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_chunked_attention_layer_is_bit_identical_to_taped_eval(dtype):
-    # taped and tape-free eval both fold batch norm into the affine
-    raw, graph, w, b, state, w_att, b_att = attention_case(92, dtype)
-    assert (state.gamma.data < 0).any() and (state.gamma.data > 0).any()
-    layer = attention_layer(w, b, state, w_att, b_att, dtype)
-    taped = layer.forward(Tensor(raw, dtype=dtype), graph)
-    assert taped.requires_grad
-    got, calls = chunked_forward(layer, raw, graph, dtype, 64)
-    assert calls >= 3
     assert np.array_equal(got, taped.data)
 
 

@@ -122,3 +122,26 @@ def test_make_dataset_collision(tmp_path):
     make_dataset(small_spec(seed=1), 1, 1, tmp_path)
     with pytest.raises(FileExistsError):
         make_dataset(small_spec(seed=2), 1, 1, tmp_path)
+
+
+@pytest.mark.parametrize("into", ["new-dir", "existing-dir"])
+def test_failed_make_dataset_removes_what_it_made(monkeypatch, tmp_path, into):
+    # the third mesh, the first test mesh, fails after two were written
+    import meshseg.synth as synth_mod
+
+    (tmp_path / "keep.txt").write_text("mine")
+    out = tmp_path / "data" / "run" if into == "new-dir" else tmp_path
+    calls, real = [], synth_mod.generate
+
+    def failing(spec):
+        calls.append(spec)
+        if len(calls) == 3:
+            raise GenerationError("third mesh")
+        return real(spec)
+
+    monkeypatch.setattr(synth_mod, "generate", failing)
+    with pytest.raises(GenerationError, match="third mesh"):
+        make_dataset(small_spec(seed=5), 2, 1, out)
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
+    assert (tmp_path / "keep.txt").read_text() == "mine"
