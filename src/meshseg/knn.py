@@ -125,7 +125,10 @@ class KnnGraph:
         edges name; cells no row names get zero.
 
         Each cell adds its edges one level at a time, so in row-major edge
-        order: a fixed order that depends on nothing but the table.
+        order: a fixed order that depends on nothing but the table.  Every
+        level's rows are taken into one reused scratch; the edge ids are in
+        range by construction, and mode="clip" spares np.take the copy of
+        `out` that its default mode makes.
         """
         cells, levels = self.scatter
         c = g.shape[-1]
@@ -133,8 +136,10 @@ class KnnGraph:
         out = np.zeros((self.num_cells, c), dtype=g.dtype)
         if levels:
             acc = flat[levels[0]]
+            scratch = np.empty_like(acc)
             for ids in levels[1:]:
-                acc[:len(ids)] += flat[ids]
+                acc[:len(ids)] += np.take(flat, ids, axis=0, out=scratch[:len(ids)],
+                                          mode="clip")
             out[cells] = acc
         return out
 

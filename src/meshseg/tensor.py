@@ -23,6 +23,15 @@ Covers exactly the operations the segmentation network runs:
 Two precisions are supported: float32 for training and float64 for
 gradient verification.
 
+Per-edge arrays are the bulk of a training step's memory traffic, so one
+rule holds: an (M, K, c) array is allocated only as a node's output, as a
+gradient the node hands on, or as an array the node keeps for backward.
+Every other per-edge intermediate is formed in row blocks of about _BLOCK
+values through one scratch array per call (`_blocks`), and batch norm
+centres the affine's fresh output in place (`_centre`).  The arithmetic
+and its order are those of the whole-array expressions, so results are
+bit-identical to them.
+
 Tensors are immutable once created except for gradient accumulation.
 Backward runs over a tape in reverse topological order; only first-order
 derivatives are supported.  Inside `no_tape()` no op extends the tape, so
@@ -32,10 +41,12 @@ an inference pass keeps nothing alive for a backward that never comes.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+_BLOCK = 1 << 17  # values per row block of an intermediate: 512 KB in float32
 
 _taping = True  # False inside no_tape()
 
@@ -163,6 +174,38 @@ def _make(data, parents, backward):
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+def _blocks(a):
+    """(rows, scratch) for each block of about _BLOCK values along the
+    leading axis of `a`: `rows` slices that axis, and `scratch` is an
+    uninitialised array of the block's shape and a's dtype.  Every block of
+    one call shares one scratch, so each is used up before the next."""
+    step = max(1, _BLOCK // (math.prod(a.shape[1:]) or 1))
+    scratch = np.empty((min(step, len(a)),) + a.shape[1:], a.dtype)
+    for lo in range(0, len(a), step):
+        yield slice(lo, lo + step), scratch[:min(step, len(a) - lo)]
+
+
+def _leaky_relu(y, slope):
+    """LeakyReLU of the owned `y` in place, max(y, y * slope), which for a
+    slope in [0, 1) is y * _leaky_factor(y < 0, slope) bit for bit."""
+    for rows, t in _blocks(y):
+        np.maximum(y[rows], np.multiply(y[rows], slope, out=t), out=y[rows])
+
+
+def _product_sum(a, b):
+    """(a * b).sum(axis=1), bit for bit, without the full-size product."""
+    out = np.empty(a.shape[:1] + a.shape[2:], a.dtype)
+    for rows, t in _blocks(a):
+        np.multiply(a[rows], b[rows], out=t).sum(axis=1, out=out[rows])
+    return out
+
+
+def _subtract_product(out, a, v):
+    """out -= a * v in place, bit for bit, without the full-size product."""
+    for rows, t in _blocks(out):
+        out[rows] -= np.multiply(a[rows], v, out=t)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +368,11 @@ def attend(x, graph, w, b, values, chunk=None):
         if values.requires_grad:
             _accumulate(values, g * p, owned=True)
         gs = g * values.data
-        gs -= (gs * p).sum(axis=1, keepdims=True)
+        gs -= _product_sum(gs, p)[:, None, :]
         gs *= p
         _edge_backward(*_edge_sums(gs, graph), x, w, b, diff=True)
 
-    return _make((p * values.data).sum(axis=1), (x, w, b, values), backward)
+    return _make(_product_sum(p, values.data), (x, w, b, values), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +445,10 @@ class BatchNormState:
 def _centre(x, state, train):
     """(x - mean, inv_std) per channel over all leading axes.
 
-    Train mode uses the batch statistics and updates the running estimates;
-    eval mode uses the stored running statistics.
+    `x` is centred in place and returned, so the caller passes an array it
+    owns, such as a fresh affine output, never a tensor's `.data`.  Train
+    mode uses the batch statistics and updates the running estimates; eval
+    mode uses the stored running statistics.
     """
     c = x.shape[-1]
     if c != state.channels:
@@ -412,14 +457,15 @@ def _centre(x, state, train):
         )
     eps = x.dtype.type(BN_EPS)
     if not train:
-        return x - state.running_mean, 1.0 / np.sqrt(state.running_var + eps)
+        x -= state.running_mean
+        return x, 1.0 / np.sqrt(state.running_var + eps)
 
     n = x.size // c
     if n < 2:
         raise StatisticsError(f"batch_norm: train mode needs >= 2 rows, got {n}")
     mean = x.reshape(-1, c).mean(axis=0)
-    centred = x - mean
-    flat = centred.reshape(-1, c)
+    x -= mean
+    flat = x.reshape(-1, c)
     var = np.einsum("ij,ij->j", flat, flat) / n  # biased
     inv_std = 1.0 / np.sqrt(var + eps)
     m = BN_MOMENTUM
@@ -430,17 +476,20 @@ def _centre(x, state, train):
     state.running_var = ((1 - m) * state.running_var + m * unbiased).astype(
         state.running_var.dtype
     )
-    return centred, inv_std
+    return x, inv_std
 
 
 def _leaky_factor(negative, slope):
-    """LeakyReLU's derivative, slope where `negative` and 1 elsewhere.
+    """LeakyReLU's derivative, slope where `negative` and 1 elsewhere: a
+    fresh array that the caller owns, so a backward can multiply the
+    upstream gradient into it in place and hand it on.
 
     Built with arithmetic rather than np.where, which branches per element
     and runs several times slower on the random signs of activations.
     """
     factor = negative * slope
-    factor += ~negative
+    for rows, t in _blocks(negative):
+        factor[rows] += np.logical_not(negative[rows], out=t)
     return factor
 
 
@@ -488,7 +537,7 @@ def _folded_mlp(x, w, b, state, slope, graph, chunk, pool):
     gamma, beta = state.gamma, state.beta
     rows, cells = chunk or (slice(None), {})
     if state not in cells:
-        b_centred, inv_std = _centre(b.data, state, False)
+        b_centred, inv_std = _centre(b.data.copy(), state, False)
         scale = gamma.data * inv_std
         cells[state] = (w.data * scale, b_centred * scale + beta.data, b_centred, inv_std)
     wf, bf, b_centred, inv_std = cells[state]
@@ -496,16 +545,18 @@ def _folded_mlp(x, w, b, state, slope, graph, chunk, pool):
     if pool:
         y = y.max(axis=1)
     slope = y.dtype.type(slope)
-    np.maximum(y, y * slope, out=y)
+    _leaky_relu(y, slope)
 
     def backward(g):
         z = _linear(x.data, wf, bf, graph)
         if pool:
             top = z.max(axis=1)
-            gz = g * _leaky_factor(top < 0, slope)
+            gz = _leaky_factor(top < 0, slope)
+            gz *= g
             gz = np.where(_first_hits(z, top), gz[:, None, :], gz.dtype.type(0))
         else:
-            gz = g * _leaky_factor(z < 0, slope)
+            gz = _leaky_factor(z < 0, slope)
+            gz *= g
         fold = Tensor(wf, requires_grad=True), Tensor(bf, requires_grad=True)
         if graph is None:
             _linear_backward(gz, x, *fold)
@@ -573,11 +624,11 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
     y += beta.data
     negative = y < 0
     slope = y.dtype.type(slope)
-    # y * _leaky_factor(negative, slope), bit for bit, for slope in [0, 1)
-    np.maximum(y, y * slope, out=y)
+    _leaky_relu(y, slope)
 
     def backward(g):
-        gy = g * _leaky_factor(negative, slope)
+        gy = _leaky_factor(negative, slope)
+        gy *= g
         c = gy.shape[-1]
         gflat = gy.reshape(-1, c)
         g_gamma = np.einsum("ij,ij->j", gflat, xhat.reshape(-1, c))
@@ -589,7 +640,7 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
         n = centred.size // c  # rows (edges) behind the batch statistics
         scale = gamma.data * inv_std
         if not pool:
-            gy -= xhat * (g_gamma / n)
+            _subtract_product(gy, xhat, g_gamma / n)
             gy -= g_beta / n
             gy *= scale
             if graph is None:

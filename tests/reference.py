@@ -150,8 +150,8 @@ def _repeat_rows(x, k):
 
 def normalize(x, state, train):
     """(xhat, inv_std): the array x normalized per channel over all leading
-    axes, as shared_mlp does before gamma and beta."""
-    xhat, inv_std = _centre(x, state, train)
+    axes, as shared_mlp does before gamma and beta; x itself is unchanged."""
+    xhat, inv_std = _centre(x.copy(), state, train)
     xhat *= inv_std
     return xhat, inv_std
 

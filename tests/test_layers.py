@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from meshseg.knn import build_knn_graph
 from meshseg.layers import GraphAttentionLayer, GraphMaxPoolLayer, SharedMLP
@@ -220,3 +223,33 @@ def test_shared_mlp_parameters_named():
     mlp = SharedMLP("block", 2, 3, np.random.default_rng(0))
     names = [p.name for p in mlp.parameters()]
     assert names == ["block.weight", "block.bias", "block.bn.gamma", "block.bn.beta"]
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+# whole-array intermediates gave 6.50 and 6.34 (attention), 2.79 and 2.45
+# (max-pool, which row blocks do not lower)
+@pytest.mark.parametrize("cls, m, k, d, c, ceiling", [
+    (GraphAttentionLayer, 4800, 12, 32, 64, 6.0),
+    (GraphAttentionLayer, 1200, 32, 128, 256, 6.0),
+    (GraphMaxPoolLayer, 4800, 12, 32, 64, 2.8),
+    (GraphMaxPoolLayer, 1200, 32, 128, 256, 2.46),
+])
+def test_train_step_peak_is_at_most_a_few_per_edge_arrays(cls, m, k, d, c, ceiling):
+    # only node outputs, handed-on gradients and arrays kept for backward
+    # are per-edge; every other intermediate is formed in row blocks
+    rng = np.random.default_rng(60)
+    layer = cls("c1", d, c, rng)
+    graph = build_knn_graph(rng.normal(size=(m, 3)).astype(np.float32), k)
+    graph.scatter, graph.in_degree  # built once per graph, before any layer
+    x = Tensor(rng.normal(size=(m, d)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        layer.forward(x, graph, train=True).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_edge = m * k * c * 4  # bytes of one (M, K, c) float32 array
+    assert peak / per_edge <= ceiling

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import meshseg
+import meshseg.tensor as tensor_mod
 from meshseg.knn import GatherIndexError, KnnGraph
 from meshseg.tensor import (
     BatchNormState,
@@ -13,10 +14,15 @@ from meshseg.tensor import (
     Tensor,
     UsageError,
     _leaky_factor,
+    _leaky_relu,
     _linear,
+    _product_sum,
+    _subtract_product,
     affine,
+    attend,
     concat_channels,
     gradient_check,
+    log_softmax_nll,
     no_tape,
     shared_mlp,
     taping,
@@ -566,3 +572,93 @@ def test_shared_mlp_train_needs_two_rows():
     x, w, b, state = mlp_inputs((1, 3), 2, seed=45)
     with pytest.raises(StatisticsError):
         shared_mlp(x, w, b, state, train=True)
+
+
+# ---------------------------------------------------------------------------
+# row blocks and array ownership
+# ---------------------------------------------------------------------------
+
+def special_values(shape, dtype, seed):
+    """Normal values with +-0.0, NaN, +-inf and float32 subnormals mixed in."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-40, -3e-42])
+    mask = rng.random(shape) < 0.3
+    a[mask] = rng.choice(specials, size=int(mask.sum()))
+    return a.astype(dtype)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block, m, k, c", [
+    (96, 3, 3, 4),  # below one block (8 rows)
+    (96, 8, 3, 4),  # exactly one block
+    (96, 21, 3, 4),  # not a multiple of the block
+    (96, 21, 1, 4),  # one edge per row
+    (None, 1100, 4, 64),  # the module's own block: 512 rows
+])
+def test_row_block_helpers_are_bit_identical_to_whole_array_expressions(
+        block, m, k, c, dtype, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(tensor_mod, "_BLOCK", block)
+    a = special_values((m, k, c), dtype, 1)
+    b = special_values((m, k, c), dtype, 2)
+    v = special_values((c,), dtype, 3)
+    assert _product_sum(a, b).tobytes() == (a * b).sum(axis=1).tobytes()
+    out = a.copy()
+    _subtract_product(out, b, v)
+    assert out.tobytes() == (a - b * v).tobytes()
+    negative = a < 0
+    for slope in (dtype(0.0), dtype(0.2), dtype(0.99)):
+        y = a.copy()
+        _leaky_relu(y, slope)
+        assert y.tobytes() == np.maximum(a, a * slope).tobytes()
+        want = negative * slope
+        want += ~negative
+        assert _leaky_factor(negative, slope).tobytes() == want.tobytes()
+
+
+def test_no_op_mutates_an_array_it_does_not_own():
+    # train-mode batch norm centres its affine's fresh output in place; no
+    # op may write into a tensor's .data, forward or backward
+    rng = np.random.default_rng(50)
+    m, k, d, c = 12, 3, 4, 5
+    graph = KnnGraph(np.array([(np.arange(1, k + 1) + i) % m for i in range(m)]))
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    def state():
+        st = BatchNormState(c, dtype=np.float64)
+        st.gamma.data = rng.uniform(-1.5, 1.5, size=c)
+        st.beta.data = rng.normal(size=c)
+        st.running_mean = rng.normal(size=c)
+        st.running_var = rng.uniform(0.5, 2.0, size=c)
+        return st
+
+    def check(run, *inputs):
+        kept = [t.data.tobytes() for t in inputs]
+        out = run()
+        mul(out, Tensor(rng.normal(size=out.data.shape))).sum().backward()
+        assert [t.data.tobytes() for t in inputs] == kept
+
+    x, edge_w, w, b = leaf(m, d), leaf(2 * d, c), leaf(d, c), leaf(c)
+    values, logits, wide, x3 = leaf(m, k, c), leaf(m, c), leaf(m, 2), leaf(m, k, c)
+    labels = rng.integers(0, c, size=m)
+    check(lambda: affine(x, w, b), x, w, b)
+    check(lambda: concat_channels([x, wide]), x, wide)
+    check(lambda: attend(x, graph, edge_w, b, values), x, edge_w, b, values)
+    check(lambda: log_softmax_nll(logits, labels, 0.5), logits)
+    for train in (True, False):
+        st = state()
+        check(lambda: batch_norm(x3, st, train), x3, st.gamma, st.beta)
+        for wt, kwargs in ((w, {}), (edge_w, {"graph": graph}),
+                           (edge_w, {"graph": graph, "pool": True})):
+            st = state()
+            check(lambda: shared_mlp(x, wt, b, st, train, **kwargs),
+                  x, wt, b, st.gamma, st.beta)
+        a = rng.normal(size=(m, k, c))
+        kept = a.tobytes()
+        normalize(a, state(), train)
+        assert a.tobytes() == kept
