@@ -12,13 +12,16 @@ row of a chunk than that row's k-th distance bound is neither a neighbour
 of any of them nor tied with one; the columns left form one contiguous
 run of the sorted order.  This is the bounding test of k-d trees (Friedman,
 Bentley & Finkel 1977) on one axis.  BLAS writes a chunk's float32
-distances |b|^2 - 2ab to those columns only, and one reduction takes the
-minimum of each group of _GROUP strided columns; the k-th smallest group
-minimum bounds the row's k-th distance from above.  Only the members of
-the groups under that bound are read again: they give the exact k-th
-value, every column within twice the rounding bound of it is a candidate,
-and the candidates are ranked by exact float64 distances.  Peak memory is
-O(_CHUNK_ELEMS + M d) per call, never M x M.
+distances |b|^2 - 2ab to a window of sorted columns around its own, and
+one np.partition finds each row's exact k-th value t_i on that window, an
+upper bound of its k-th distance.  Every column within twice the rounding
+bound of t_i is a candidate, and the candidates are ranked by exact
+float64 distances, in one re-rank for as many chunks as keep rows x
+widest candidate list within _RERANK.  Of a group of equal rows only the
+k + 1 of lowest index can be anyone's neighbour, so the others are never
+candidates.  Peak memory is O(_CHUNK_ELEMS + _RERANK + M d) per call,
+never M x M; a chunk that passes _RERANK on its own is re-ranked alone,
+in chunk x M at most.
 
 Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
@@ -41,12 +44,12 @@ from meshseg.tensor import DimensionError
 
 
 _CHUNK_ELEMS = 1 << 20  # float32 distances held per row chunk (4 MB)
-_GROUP = 8  # strided columns per group whose minimum bounds a row's k-th
 _F32_EPS = float(np.finfo(np.float32).eps)
 _SQ_LIMIT = float(np.finfo(np.float32).max) / 4  # keeps every e_ij finite
 _F32_TINY = float(np.finfo(np.float32).tiny)  # smallest normal float32
 _F64_EPS = float(np.finfo(np.float64).eps)
-_ROWS = 192  # rows per chunk, fewer when a chunk's columns would overflow buf
+_ROWS = 96  # rows per chunk, fewer when a chunk's columns would overflow buf
+_RERANK = 1 << 14  # rows x widest candidate list per re-rank, unless one chunk has more
 
 
 class GraphConfigError(ValueError):
@@ -177,14 +180,14 @@ def build_knn_graph(features, k, include_self=False):
 
 def _knn_indices(features, k, include_self, buf):
     """The (M, k) table of one build_block_knn_graph block.  `buf`, a flat
-    float32 scratch of at least max(_CHUNK_ELEMS, M + _GROUP) values, holds
-    each row chunk's distances.
+    float32 scratch of at least max(_CHUNK_ELEMS, M) values, holds each
+    row chunk's distances.
 
     Bound.  v is the top eigenvector of the centred block's Gram matrix,
     p = c v the float64 projections of the centred rows c, sorted.  A row
     chunk is a run of sorted rows.  Its first product covers the run's own
     columns, widened on each side by 5/4 of the last chunk's reach in
-    columns plus k + 1; the group bound u_i on it gives U_i = u_i +
+    columns plus k + 1; the exact k-th value t_i on it gives U_i = t_i +
     |a_i|^2 + E_i >= row i's k-th oracle distance (E_i is the candidate
     margin below, so k columns have D <= U_i).  A column j with |p_i - p_j| > ||v|| (1 +
     (d + 4) eps64) sqrt(U_i) + delta then has D_ij > U_i, so it is neither a
@@ -197,9 +200,11 @@ def _knn_indices(features, k, include_self, buf):
     2^-500 exceeds what an underflowing product or square root can lose.
     Columns outside the hull of the chunk's intervals p_i -+ reach_i are
     skipped, and the rest, one searchsorted run, get a second product only
-    if the first did not cover them.  Candidates map back to original ids
-    and are sorted, so the stable float64 re-rank breaks ties toward the
-    lower index as the oracle does.
+    if the first did not cover them; t_i is then taken again on it.
+    Candidates map back to original ids and are sorted, so the stable
+    float64 re-rank breaks ties toward the lower index as the oracle does.
+    Chunks' candidates wait for one re-rank until the next chunk would take
+    rows x widest candidate list past _RERANK.
     """
     x = np.asarray(features)
     m, dim = x.shape
@@ -230,10 +235,10 @@ def _knn_indices(features, k, include_self, buf):
     #                              and the float32 norms that scale the bound;
     #   (dim + 5) * tiny32         the smallest normal float32 per step, more
     #                              than a result lost to underflow is off by.
-    # If t_i is row i's k-th smallest e_ij, k columns have D <= t_i + E_i, so
-    # every oracle neighbour, and every column tied with the k-th, has
-    # e_ij <= t_i + 2 E_i: those columns, with the limit rounded up to
-    # float32, are the candidates.
+    # If t_i is the k-th smallest e_ij of any k columns, k columns have
+    # D <= t_i + E_i, so every oracle neighbour, and every column tied with
+    # the k-th, has e_ij <= t_i + 2 E_i: those columns, with the limit
+    # rounded up to float32, are the candidates.
     margin = (2 * (dim + 5)) * (_F32_EPS * (sq.astype(np.float64) + float(top)) + _F32_TINY)
     v = _principal_axis(c)
     p = c @ v
@@ -242,46 +247,35 @@ def _knn_indices(features, k, include_self, buf):
     del c  # the rows stay as x64 and, sorted, as a
     order = np.argsort(p, kind="stable")
     p, a, sq, margin = p[order], a[order], sq[order], margin[order]
-    # Groups.  A product covers s * g sorted columns from c0; column c0 + c
-    # lies in group c % g of g >= k + 1 groups of s strided columns, and
-    # columns past M are +inf padding.  The k-th smallest group minimum
-    # u_i >= t_i, since k groups each hold a column <= u_i, so every
-    # candidate lies in a group whose minimum is within the limit of
-    # u_i + 2 E_i; t_i and the candidates are found among those groups'
-    # members alone.  Strides keep u_i tight: sorted neighbours are near in
-    # p, and striding spreads them over many groups.
-    at = np.zeros((dim, m + _GROUP), dtype=np.float32)
-    np.multiply(a.T, -2, out=at[:, :m])
-    sq_pad = np.full(m + _GROUP, np.inf, dtype=np.float32)
-    sq_pad[:m] = sq
+    at = np.empty((dim, m), dtype=np.float32)
+    np.multiply(a.T, -2, out=at)
+    sq_col = _column_norms(x64, order, p, sq, k)
     out = np.empty((m, k), dtype=np.int64)
-    lo = left = right = 0
+    start, hits, width = 0, [], 0  # candidates of sorted rows start:lo, widest row
+    lo, left, right = 0, k + 1, k + 1
     while lo < m:
-        n = max(1, min(_ROWS, m - lo, len(buf) // (min(m, _ROWS + left + right) + _GROUP)))
+        n = max(1, min(_ROWS, m - lo, len(buf) // min(m, _ROWS + left + right)))
         hi = lo + n
-        c0, s, g = _columns(lo - left, hi + right, m, k)
-        e, group_min, upper = _distances(a[lo:hi], at, sq_pad, c0, s, g, k, buf, lo,
-                                         include_self)
-        reach = scale * np.sqrt(np.maximum(upper + sq[lo:hi] + margin[lo:hi] / 2, 0)) + delta
+        c0, c1 = max(lo - left, 0), min(hi + right, m)
+        e, kth = _distances(a[lo:hi], at, sq_col, c0, c1, k, buf, lo, include_self)
+        reach = scale * np.sqrt(np.maximum(kth + sq[lo:hi] + margin[lo:hi] / 2, 0)) + delta
         need0, need1 = _kept_columns(p, lo, hi, reach)
         left, right = (lo - need0) * 5 // 4 + k + 1, (need1 - hi) * 5 // 4 + k + 1
-        if need0 < c0 or need1 > c0 + s * g:
-            c0, s, g = _columns(need0, need1, m, k)
-            hi = min(hi, lo + len(buf) // (s * g))
-            n = hi - lo
-            e, group_min, upper = _distances(a[lo:hi], at, sq_pad, c0, s, g, k, buf, lo,
-                                             include_self)
+        if need0 < c0 or need1 > c1:
+            c0, c1 = need0, need1
+            hi = min(hi, lo + len(buf) // (c1 - c0))
+            e, kth = _distances(a[lo:hi], at, sq_col, c0, c1, k, buf, lo, include_self)
         # flatnonzero: several times faster than a 2-d nonzero
-        r, q = np.divmod(np.flatnonzero(
-            group_min <= _f32_above(upper + margin[lo:hi])[:, None]), g)
-        vals = _pad_rows(r, n, e[r, :, q], np.inf)  # (n, groups, s)
-        kth = np.partition(vals.reshape(n, -1), k - 1, axis=1)[:, k - 1]
-        hit = np.flatnonzero(vals <= _f32_above(kth + margin[lo:hi])[:, None, None])
-        cols = _pad_rows(r, n, q, 0)[:, :, None] + g * np.arange(s)
-        cols = order[c0 + cols.ravel()[hit]]
-        hits = (hit // vals[0].size) * m + cols
-        out[order[lo:hi]] = _rerank(x64, order[lo:hi], np.sort(hits), k)
+        r, col = np.divmod(np.flatnonzero(
+            e <= _f32_above(kth + margin[lo:hi])[:, None]), c1 - c0)
+        wide = int(np.bincount(r).max())
+        if (hi - start) * max(width, wide) > _RERANK and start < lo:
+            out[order[start:lo]] = _rerank(x64, order[start:lo], hits, k)
+            start, hits, width = lo, [], 0
+        hits.append((lo - start + r) * m + order[c0 + col])
+        width = max(width, wide)
         lo = hi
+    out[order[start:]] = _rerank(x64, order[start:], hits, k)
     return out
 
 
@@ -297,28 +291,36 @@ def _kept_columns(p, lo, hi, reach):
             int(np.searchsorted(p, (p[lo:hi] + reach).max(), "right")))
 
 
-def _columns(c0, c1, m, k):
-    """(start, s, g): a run of s * g sorted columns covering c0:c1, s
-    strided columns in each of g >= k + 1 groups, padded past M."""
-    c0, c1 = max(c0, 0), min(c1, m)
-    w = max(c1 - c0, k + 1)
-    s = min(_GROUP, w // (k + 1))
-    g = -(-w // s)
-    return max(0, min(c0, m - s * g)), s, g
+def _column_norms(x64, order, p, sq, k):
+    """The sorted column norms sq, +inf where a column equals k + 1 rows of
+    lower index.  Such a column ties each of them in every row's distances
+    and loses every tie, so it is no row's neighbour (one of the k + 1 may
+    be the row itself) and need never be a candidate.  The groups of equal
+    rows are found only when two rows adjacent in p are equal, so rows
+    without duplicates pay one pass over p; a group this misses costs time,
+    never exactness."""
+    tie = np.flatnonzero(p[1:] == p[:-1])
+    if not (x64[order[tie]] == x64[order[tie + 1]]).all(axis=1).any():
+        return sq
+    rows = np.lexsort((np.arange(len(x64)), *x64.T))  # equal rows adjacent, by index
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (x64[rows[1:]] != x64[rows[:-1]]).any(axis=1)
+    first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
+    spare = np.zeros(len(rows), dtype=bool)
+    spare[rows[np.arange(len(rows)) - first > k]] = True
+    return np.where(spare[order], np.float32(np.inf), sq)
 
 
-def _distances(rows, at, sq_pad, c0, s, g, k, buf, lo, include_self):
-    """(e, group minima, k-th smallest group minimum) of `rows`: e, (n, s, g)
-    in buf, holds the float32 |b|^2 - 2ab to sorted columns c0 : c0 + s g,
-    +inf at a row's own column unless include_self."""
-    n, width = len(rows), s * g
-    e = np.matmul(rows, at[:, c0:c0 + width], out=buf[:n * width].reshape(n, width))
-    e += sq_pad[c0:c0 + width]
+def _distances(rows, at, sq_col, c0, c1, k, buf, lo, include_self):
+    """(e, each row's k-th smallest e) of `rows`, sorted from lo: e, (n, c1 -
+    c0) in buf, holds the float32 |b|^2 - 2ab to sorted columns c0:c1, +inf
+    at a row's own column unless include_self."""
+    n = len(rows)
+    e = np.matmul(rows, at[:, c0:c1], out=buf[:n * (c1 - c0)].reshape(n, c1 - c0))
+    e += sq_col[c0:c1]
     if not include_self:
         e[np.arange(n), np.arange(lo - c0, lo - c0 + n)] = np.inf
-    e = e.reshape(n, s, g)
-    group_min = e.min(axis=1)
-    return e, group_min, np.partition(group_min, k - 1, axis=1)[:, k - 1]
+    return e, np.partition(e, k - 1, axis=1)[:, k - 1]
 
 
 def _f32_above(x):
@@ -326,28 +328,22 @@ def _f32_above(x):
     return np.nextafter(x.astype(np.float32), np.float32(np.inf))
 
 
-def _pad_rows(r, n, values, fill):
-    """(n, width, ...) array: row i holds, in order, the values whose sorted
-    row id r is i, then `fill` up to the widest row."""
-    counts = np.bincount(r, minlength=n)
-    out = np.full((n, int(counts.max())) + values.shape[1:], fill, dtype=values.dtype)
-    out[r, np.arange(len(r)) - (np.cumsum(counts) - counts)[r]] = values
-    return out
-
-
 def _rerank(x64, rows, hits, k):
-    """The graph's `rows` from their candidates' flat (row, column) ids.
+    """The graph's `rows` from arrays of their candidates' flat ids
+    i * M + j, i counted in `rows` and j an original column.
 
     Distances are the oracle's own float64 ((x_j - x_i) ** 2).sum(); each
-    row's candidates are in index order, so a stable sort breaks ties
-    toward the lower index.  Rows are padded with -1 to the widest
+    row's candidates are sorted into index order, so a stable sort breaks
+    ties toward the lower index.  Rows are padded with -1 to the widest
     candidate list and gathered in steps of about _CHUNK_ELEMS / 16
     float64 values, small enough to stay in cache.
     """
     m, dim = x64.shape
-    r, c = np.divmod(hits, m)
-    cand = _pad_rows(r, len(rows), c, -1)
-    width = cand.shape[1]
+    r, c = np.divmod(np.sort(np.concatenate(hits)), m)
+    counts = np.bincount(r, minlength=len(rows))
+    width = int(counts.max())
+    cand = np.full((len(rows), width), -1)
+    cand[r, np.arange(len(r)) - (np.cumsum(counts) - counts)[r]] = c
     dist = np.empty(cand.shape)
     centres = x64[rows, None, :]
     step = max(1, (_CHUNK_ELEMS >> 4) // (width * max(dim, 1)))
@@ -376,7 +372,7 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
         )
     # one scratch buffer for every block: a fresh one per block is mapped
     # and page-faulted anew
-    buf = np.empty(max(_CHUNK_ELEMS, block_size + _GROUP), dtype=np.float32)
+    buf = np.empty(max(_CHUNK_ELEMS, block_size), dtype=np.float32)
     blocks = []
     for start in range(0, total, block_size):
         blocks.append(_knn_indices(features[start:start + block_size], k,

@@ -145,36 +145,48 @@ def _text_lines(path):
 
 
 def _load_obj(path):
-    verts, faces = [], []
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        key = parts[0]
-        if key == "v":
-            if len(parts) < 4:
-                raise MeshFormatError(f"{path}:{lineno}: malformed vertex")
-            try:
-                xyz = [float(p) for p in parts[1:4]]
-            except ValueError:
-                raise MeshFormatError(
-                    f"{path}:{lineno}: malformed vertex {raw!r}") from None
-            if not all(np.isfinite(xyz)):
-                raise MeshFormatError(f"{path}:{lineno}: non-finite coordinate")
-            verts.append(xyz)
-        elif key == "f":
-            idx = parts[1:]
-            if len(idx) != 3:
-                raise MeshFormatError(
-                    f"{path}:{lineno}: face with {len(idx)} vertices; only triangles supported"
-                )
-            try:
-                faces.append([int(tok.split("/")[0]) - 1 for tok in idx])
-            except ValueError:
-                raise MeshFormatError(
-                    f"{path}:{lineno}: malformed face {raw!r}") from None
-    return TriangleMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
+    verts, vert_lines, faces = [], [], []
+    try:
+        for lineno, raw in enumerate(_text_lines(path), start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            key = parts[0]
+            if key == "v":
+                if len(parts) < 4:
+                    raise MeshFormatError(f"{path}:{lineno}: malformed vertex")
+                try:
+                    verts.append([float(p) for p in parts[1:4]])
+                except ValueError:
+                    raise MeshFormatError(
+                        f"{path}:{lineno}: malformed vertex {raw!r}") from None
+                vert_lines.append(lineno)
+            elif key == "f":
+                idx = parts[1:]
+                if len(idx) != 3:
+                    raise MeshFormatError(
+                        f"{path}:{lineno}: face with {len(idx)} vertices; only triangles supported"
+                    )
+                try:
+                    faces.append([int(tok.split("/")[0]) - 1 for tok in idx])
+                except ValueError:
+                    raise MeshFormatError(
+                        f"{path}:{lineno}: malformed face {raw!r}") from None
+    except MeshFormatError:
+        _finite_vertices(path, verts, vert_lines)  # an earlier line's error wins
+        raise
+    return TriangleMesh(_finite_vertices(path, verts, vert_lines),
                         np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def _finite_vertices(path, verts, lines):
+    """The parsed vertices as a (V, 3) float64 array, checked once:
+    MeshFormatError naming lines[i] of the first non-finite vertex i."""
+    verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
+    bad = ~np.isfinite(verts).all(axis=1)
+    if bad.any():
+        raise MeshFormatError(f"{path}:{lines[bad.argmax()]}: non-finite coordinate")
+    return verts
 
 
 HEADER_FIELDS = {"format": 2, "element": 3, "property": 2}  # fewest words per line
@@ -232,8 +244,7 @@ def _load_ply(path):
         except (ValueError, IndexError):
             raise MeshFormatError(
                 f"{path}:{lineno}: malformed vertex {lines[lineno - 1]!r}") from None
-    if not np.isfinite(verts).all():
-        raise MeshFormatError(f"{path}: non-finite vertex coordinate")
+    _finite_vertices(path, verts, range(body_start + 1, body_start + n_vert + 1))
 
     faces = np.empty((n_face, 3), dtype=np.int64)
     for f in range(n_face):

@@ -194,33 +194,33 @@ def test_offset_integer_grid_ties_match_brute_force(include_self):
 
 def _clustered_by_residue(m, g):
     # column c sits in cluster c % g, clusters 100 apart: each row's k
-    # nearest share its residue mod g, so all but one of the k smallest
-    # group minima lie in other clusters and bound the k-th loosely
+    # nearest share its residue mod g, so a bound from the minima of
+    # groups of strided columns would be loose
     c = np.arange(m)
     return np.stack([(c % g) * 100.0 + (c // g) * 1.5, (c // g) ** 2 * 0.25], axis=1)
 
 
-# name: (features, k, (s, g)) with s strided columns in each of g groups
+# name: (features, k); layouts once chosen to defeat a group-minimum bound,
+# kept as oracle cases: ties, widths near 8 (k + 1), huge values
 ADVERSARIAL = {
-    "all-rows-identical": (np.full((96, 3), 2.5), 6, (8, 12)),
-    "neighbours-share-a-residue": (_clustered_by_residue(96, 12), 5, (8, 12)),
-    "m-just-below-8(k+1)": (np.random.default_rng(21).normal(size=(47, 3)), 5, (7, 7)),
-    "m-at-8(k+1)": (np.random.default_rng(22).normal(size=(48, 3)), 5, (8, 6)),
-    "m-just-above-8(k+1)": (np.random.default_rng(23).normal(size=(49, 3)), 5, (8, 7)),
-    "m-not-a-multiple-of-s": (np.random.default_rng(24).normal(size=(101, 4)), 4, (8, 13)),
+    "all-rows-identical": (np.full((96, 3), 2.5), 6),
+    "neighbours-share-a-residue": (_clustered_by_residue(96, 12), 5),
+    "m-just-below-8(k+1)": (np.random.default_rng(21).normal(size=(47, 3)), 5),
+    "m-at-8(k+1)": (np.random.default_rng(22).normal(size=(48, 3)), 5),
+    "m-just-above-8(k+1)": (np.random.default_rng(23).normal(size=(49, 3)), 5),
+    "m-not-a-multiple-of-s": (np.random.default_rng(24).normal(size=(101, 4)), 4),
     "padding-beside-huge-values": (
-        np.random.default_rng(25).normal(size=(49, 3)) * 2e18, 5, (8, 7)),
+        np.random.default_rng(25).normal(size=(49, 3)) * 2e18, 5),
 }
 
 
 @pytest.mark.parametrize("include_self", [False, True])
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
 def test_group_bound_adversarial_layouts_match_brute_force(case, include_self):
-    feats, k, (s, g) = ADVERSARIAL[case]
+    feats, k = ADVERSARIAL[case]
     m = len(feats)
-    assert (s, g) == (min(knn._GROUP, m // (k + 1)), -(-m // s))
     graph = build_knn_graph(feats, k, include_self)
-    assert graph.indices.max() < m  # never a +inf padding column
+    assert graph.indices.max() < m  # never a column past M
     assert np.array_equal(graph.indices, brute_force_knn(feats, k, include_self))
 
 
@@ -244,6 +244,68 @@ def test_peak_memory_is_bounded_by_the_row_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# tied and clustered rows: exact, in bounded work and memory
+# ---------------------------------------------------------------------------
+
+def _duplicate_groups(seed):
+    # distinct rows beside groups of 2 to 40 copies (some of them on an
+    # integer grid, so distances tie across groups), shuffled
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=(int(rng.integers(50, 300)), 4))]
+    for _ in range(int(rng.integers(1, 8))):
+        row = rng.integers(0, 3, size=4) if rng.random() < 0.5 else rng.normal(size=4)
+        rows.append(np.repeat(row[None].astype(np.float64), int(rng.integers(2, 41)), axis=0))
+    feats = np.concatenate(rows)
+    return feats[rng.permutation(len(feats))]
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("seed", range(40, 50))
+def test_duplicate_groups_match_brute_force(seed, include_self):
+    feats = _duplicate_groups(seed)
+    k = int(np.random.default_rng(seed).integers(1, 13))
+    graph = build_knn_graph(feats, k, include_self)
+    assert np.array_equal(graph.indices, brute_force_knn(feats, k, include_self))
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_equal_rows_rerank_at_most_k_plus_one_candidates(monkeypatch, include_self):
+    m, k = 8000, 12
+    real, widest = knn._rerank, []
+
+    def counting(x64, rows, hits, k):
+        widest.append(np.bincount(np.concatenate(hits) // m, minlength=len(rows)).max())
+        return real(x64, rows, hits, k)
+
+    monkeypatch.setattr(knn, "_rerank", counting)
+    graph = build_knn_graph(np.ones((m, 12)), k, include_self)
+    assert max(widest) <= k + 1
+    # all distances tie: the k lowest ids, the row itself only if allowed
+    ids = np.arange(k + 1)
+    for i in (0, k - 1, k, m - 1):
+        want = ids[:k] if include_self else ids[ids != i][:k]
+        assert graph.indices[i].tolist() == want.tolist()
+    assert np.array_equal(graph.indices[k + 1:], np.broadcast_to(ids[:k], (m - k - 1, k)))
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+def test_tight_cluster_matches_brute_force_in_bounded_memory(include_self):
+    # half the rows 1e-9 apart, 5 units from the rest: every cluster row is
+    # a candidate of every other, so the re-rank budget bounds the memory
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(4000, 12))
+    feats[:2000] = 5.0 / np.sqrt(12) + rng.normal(size=(2000, 12)) * 1e-9
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(feats, 12, include_self)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"{peak / 2**20:.1f} MB"
+    assert np.array_equal(graph.indices, brute_force_knn(feats, 12, include_self))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +427,15 @@ def test_bound_skips_most_distances_on_a_large_arch(large_arch_graphs, monkeypat
     for feats, k, _ in large_arch_graphs:
         products = []
 
-        def counting(rows, at, sq_pad, c0, s, g, *args):
-            products.append(len(rows) * s * g)
-            return real(rows, at, sq_pad, c0, s, g, *args)
+        def counting(rows, at, sq_col, c0, c1, *args):
+            products.append(len(rows) * (c1 - c0))
+            return real(rows, at, sq_col, c0, c1, *args)
 
         monkeypatch.setattr(knn, "_distances", counting)
         build_knn_graph(feats, k)
         m = len(feats)
-        assert sum(products) <= 0.3 * m * m, f"{sum(products) / m**2:.3f} of M^2"
+        assert products, "the product helper was never called"
+        assert sum(products) <= 0.2 * m * m, f"{sum(products) / m**2:.3f} of M^2"
 
 
 # ---------------------------------------------------------------------------

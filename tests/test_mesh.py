@@ -55,8 +55,31 @@ def test_obj_quad_face_error_names_line(tmp_path):
 def test_obj_non_finite_coordinate(tmp_path):
     p = tmp_path / "bad.obj"
     p.write_text("v 0 0 nan\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError) as exc:
         load_mesh(p)
+    assert ":1" in str(exc.value)
+
+
+def test_obj_non_finite_vertex_before_a_malformed_face_is_reported(tmp_path):
+    # the earlier line's error wins, though the vertices are checked at once
+    p = tmp_path / "bad.obj"
+    p.write_text("v 0 0 0\nv 1 inf 0\nv 0 1 0\nf 1 2 3\nf 1 2 x\n")
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(p)
+    assert f"{p}:2: non-finite coordinate" in str(exc.value)
+
+
+def test_ply_non_finite_coordinate_names_its_line(tmp_path):
+    p = tmp_path / "bad.ply"
+    p.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+        "0 0 0\n1 0 0\n0 nan 0\n3 0 1 2\n"
+    )
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(p)
+    assert f"{p}:12: non-finite coordinate" in str(exc.value)
 
 
 def test_obj_slash_indices(tmp_path):
