@@ -27,6 +27,7 @@ from meshseg.mesh import (
     MeshFormatError,
     export_colored_mesh,
     load_mesh,
+    read_lines,
     save_labels,
 )
 from meshseg.model import (
@@ -65,8 +66,7 @@ def _log_rows_before(log_path, epoch):
     """Lines of an existing training log whose epoch field is below `epoch`."""
     if not os.path.exists(log_path):
         return []
-    with open(log_path) as fh:
-        rows = [(line.split("\t", 1)[0], line) for line in fh.read().splitlines()]
+    rows = [(line.split("\t", 1)[0], line) for line in read_lines(log_path, DataError)]
     return [line + "\n" for e, line in rows if e.isdecimal() and int(e) < epoch]
 
 
@@ -101,15 +101,15 @@ def cmd_train(args):
         model, adam = build_variant(model_cfg), None
     # fails before --out is touched
     training.prepare_training_meshes(meshes, train_cfg, model_cfg)
+    # A run cut between an epoch's log row and its checkpoint reruns that
+    # epoch, so on resume only the rows of epochs the checkpoint holds stay.
+    log_path = os.path.join(args.out, "train_log.tsv")
+    kept = _log_rows_before(log_path, adam.state.epoch) if args.resume else []
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
-    log_path = os.path.join(args.out, "train_log.tsv")
     with open(os.path.join(args.out, "resolved.cfg"), "w") as fh:
         fh.write(format_config(model_cfg, train_cfg))
-    # A run cut between an epoch's log row and its checkpoint reruns that
-    # epoch, so on resume only the rows of epochs the checkpoint holds stay.
-    kept = _log_rows_before(log_path, adam.state.epoch) if args.resume else []
     with open(log_path, "w") as log_fh:
         log_fh.write(training.LOG_HEADER + "\n")
         log_fh.writelines(kept)

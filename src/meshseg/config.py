@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
+from meshseg.mesh import read_lines
 from meshseg.model import ModelConfig
 from meshseg.training import TrainConfig
 
@@ -63,11 +64,11 @@ def apply_setting(model_cfg, train_cfg, dotted_key, raw_value):
     raise ConfigKeyError(f"unknown config section {section!r}")
 
 
-def _parse_lines(text, where, model_cfg, train_cfg):
-    """Apply each setting of `text`; an error names `where` plus the line."""
+def _parse_lines(lines, where, model_cfg, train_cfg):
+    """Apply each setting of `lines`; an error names `where` plus the line."""
     model_cfg = model_cfg or ModelConfig()
     train_cfg = train_cfg or TrainConfig()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -82,19 +83,13 @@ def _parse_lines(text, where, model_cfg, train_cfg):
 
 
 def parse_config_text(text, model_cfg=None, train_cfg=None):
-    return _parse_lines(text, "line ", model_cfg, train_cfg)
+    return _parse_lines(text.splitlines(), "line ", model_cfg, train_cfg)
 
 
 def parse_config_file(path, model_cfg=None, train_cfg=None):
     """Settings of a config file; an error names it as `path:line`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ConfigKeyError(f"{path}:{line}: not UTF-8 text") from None
-    return _parse_lines(text, f"{path}:", model_cfg, train_cfg)
+    return _parse_lines(read_lines(path, ConfigKeyError), f"{path}:", model_cfg,
+                        train_cfg)
 
 
 def apply_overrides(model_cfg, train_cfg, overrides):

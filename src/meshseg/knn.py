@@ -103,7 +103,7 @@ class KnnGraph:
         """
         flat = self.indices.reshape(-1)
         order = np.argsort(flat, kind="stable")  # edges grouped by cell, row-major
-        counts = np.bincount(flat, minlength=self.num_cells)
+        counts = self.in_degree
         cells = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
         starts = (np.cumsum(counts) - counts)[cells]
         depth = counts[cells]
@@ -113,15 +113,8 @@ class KnnGraph:
 
     @cached_property
     def in_degree(self):
-        """(M,) number of edges naming each cell, read off the scatter's
-        levels: cell `cells[i]` appears in every level longer than i."""
-        cells, levels = self.scatter
-        depth = np.zeros(len(cells), dtype=np.int64)
-        for ids in levels:
-            depth[:len(ids)] += 1
-        out = np.zeros(self.num_cells, dtype=np.int64)
-        out[cells] = depth
-        return out
+        """(M,) int64 number of edges naming each cell."""
+        return np.bincount(self.indices.reshape(-1), minlength=self.num_cells)
 
     def scatter_sum(self, g):
         """(M, c) sums of the per-edge rows g (M, K, c) onto the cells their

@@ -22,9 +22,9 @@ chunk.  A cell's output depends only on its own row and its neighbours'
 rows, so the chunked result is bit-identical to the whole batch in one
 chunk, and so to the taped eval-mode forward.  Training (batch norm needs
 whole-batch statistics) and taped calls (the backward sums over the whole
-neighbor table) aggregate the whole batch at once.  The graph checks its table when built and the
-feature rows at every edge op, so a chunk's gather is in range by
-construction.
+neighbor table) aggregate the whole batch at once.  The graph checks its
+table when built and the feature rows at every edge op, so a chunk's
+gather is in range by construction.
 """
 
 from __future__ import annotations

@@ -135,19 +135,27 @@ def load_mesh(path, labels_path=None):
         raise MeshFormatError(f"{path}: {exc}") from None
 
 
-def _text_lines(path):
+def read_lines(path, error):
+    """The lines of the UTF-8 text file `path`, as str.splitlines() splits
+    them: every text input is read here.
+
+    A byte that does not decode raises `error`, the caller's exception
+    class, as `path:line: not UTF-8 text`, with lines numbered from 1 as in
+    the returned list.  An OSError passes through.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path) as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MeshFormatError(f"{path}: not a text file ({exc.reason} at byte "
-                              f"{exc.start})") from None
+        return raw.decode().splitlines()
+    except UnicodeDecodeError as exc:  # raw[:exc.start] decodes
+        line = len((raw[:exc.start] + b".").decode().splitlines())
+        raise error(f"{path}:{line}: not UTF-8 text") from None
 
 
 def _load_obj(path):
     verts, vert_lines, faces = [], [], []
     try:
-        for lineno, raw in enumerate(_text_lines(path), start=1):
+        for lineno, raw in enumerate(read_lines(path, MeshFormatError), start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
@@ -193,7 +201,7 @@ HEADER_FIELDS = {"format": 2, "element": 3, "property": 2}  # fewest words per l
 
 
 def _load_ply(path):
-    lines = _text_lines(path)
+    lines = read_lines(path, MeshFormatError)
     if not lines or lines[0].strip() != "ply":
         raise MeshFormatError(f"{path}: missing ply magic")
 
@@ -277,7 +285,7 @@ def save_obj(mesh, path):
 def load_labels(path):
     """One integer class id per cell, whitespace separated, in face order."""
     labels = []
-    for lineno, line in enumerate(_text_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path, MeshFormatError), start=1):
         try:
             labels += [int(tok) for tok in line.split()]
         except ValueError:

@@ -339,35 +339,26 @@ def cross_entropy(logits, labels, reduction="sum"):
 # ---------------------------------------------------------------------------
 
 def _record_table(model, adam=None):
-    """(record name, owner, attribute) of every array a checkpoint holds, in
-    file order; an owner is an object or, for Adam's moments, a dict.
+    """{record name: array} of everything a checkpoint holds, in file order.
 
     Model records come first, so a checkpoint without `adam` is exactly the
-    inference checkpoint.  Optimizer records are `optimizer.counters`
-    ([Adam step, epochs finished]) and one `optimizer.m.<param>` and
-    `optimizer.v.<param>` moment per parameter.
+    inference checkpoint.  Optimizer records are `optimizer.counters`, a
+    fresh float32 [Adam step, epochs finished], and one `optimizer.m.<param>`
+    and `optimizer.v.<param>` moment per parameter.  Every other entry is the
+    live array itself: a parameter's data, a batch norm's running
+    statistics or an Adam moment.
     """
-    table = [(p.name, p.tensor, "data") for p in model.parameters()]
+    table = {p.name: p.tensor.data for p in model.parameters()}
     for name, st in model.bn_states().items():
-        table += [(f"{name}.running_mean", st, "running_mean"),
-                  (f"{name}.running_var", st, "running_var")]
+        table[f"{name}.running_mean"] = st.running_mean
+        table[f"{name}.running_var"] = st.running_var
     if adam is not None:
-        table.append((OPTIMIZER_PREFIX + "counters", adam.state, "counters"))
+        table[OPTIMIZER_PREFIX + "counters"] = np.array(
+            [adam.state.step, adam.state.epoch], dtype=np.float32)
         for moment in ("m", "v"):
-            table += [(f"{OPTIMIZER_PREFIX}{moment}.{p.name}",
-                       getattr(adam.state, moment), p.name) for p in adam.parameters]
+            table.update((f"{OPTIMIZER_PREFIX}{moment}.{p.name}",
+                          getattr(adam.state, moment)[p.name]) for p in adam.parameters)
     return table
-
-
-def _get(owner, attr):
-    return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
-
-
-def _set(owner, attr, value):
-    if isinstance(owner, dict):
-        owner[attr] = value
-    else:
-        setattr(owner, attr, value)
 
 
 def save_checkpoint(model, path, adam=None):
@@ -377,9 +368,11 @@ def save_checkpoint(model, path, adam=None):
     from.  The file is written to `<path>.tmp` and then renamed over `path`,
     so an interrupted write never leaves a damaged checkpoint behind.
     """
-    if adam is not None and max(adam.state.counters) >= COUNTER_LIMIT:
+    records = _record_table(model, adam)
+    counters = records.get(OPTIMIZER_PREFIX + "counters")
+    if counters is not None and counters.max() >= COUNTER_LIMIT:
         raise CheckpointError(
-            f"{path}: optimizer counters {adam.state.counters.tolist()} reach "
+            f"{path}: optimizer counters {counters.tolist()} reach "
             f"{COUNTER_LIMIT}, beyond exact float32 integers")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -387,10 +380,8 @@ def save_checkpoint(model, path, adam=None):
     cfg = model.config.to_json().encode()
     buf.write(struct.pack("<I", len(cfg)))
     buf.write(cfg)
-    records = _record_table(model, adam)
     buf.write(struct.pack("<I", len(records)))
-    for name, owner, attr in records:
-        arr = _get(owner, attr)
+    for name, arr in records.items():
         enc = name.encode()
         buf.write(struct.pack("<H", len(enc)))
         buf.write(enc)
@@ -466,23 +457,26 @@ def restore_state(path, arrays, model, adam=None):
     Every record the pair needs must be present with its exact shape and
     finite values, and no other record may appear, except that optimizer
     records are skipped when no `adam` is given.  `path` only names the
-    file in errors.
+    file in errors.  Nothing changes unless every check passes; then Adam's
+    step and epoch are set from `optimizer.counters`, and every other record
+    is copied into its live array in place.  That is the one write to a
+    Tensor's data after construction, so call it on a model fresh from
+    build_variant, before any forward, as load_model and training.resume do.
     """
     table = _record_table(model, adam)
     if adam is not None and OPTIMIZER_PREFIX + "counters" not in arrays:
         raise CheckpointError(
             f"{path}: no optimizer state; an inference-only checkpoint cannot "
             f"resume training")
-    names = {name for name, _, _ in table}
-    missing = sorted(names - set(arrays))
+    missing = sorted(table.keys() - arrays.keys())
     if missing:
         raise CheckpointError(f"{path}: checkpoint missing arrays: {missing[:3]} ...")
     for name in arrays:
-        if name not in names and (adam is not None or
+        if name not in table and (adam is not None or
                                   not name.startswith(OPTIMIZER_PREFIX)):
             raise CheckpointError(f"{path}: unexpected array {name!r} in checkpoint")
-    for name, owner, attr in table:
-        want = _get(owner, attr).shape
+    for name, live in table.items():
+        want = live.shape
         if arrays[name].shape != want:
             raise CheckpointError(
                 f"{path}: {name}: checkpoint shape {arrays[name].shape} vs model {want}")
@@ -494,8 +488,10 @@ def restore_state(path, arrays, model, adam=None):
             raise CheckpointError(
                 f"{path}: optimizer.counters {counters.tolist()} are not step and "
                 f"epoch counts")
-    for name, owner, attr in table:
-        _set(owner, attr, arrays[name].astype(_get(owner, attr).dtype))
+        adam.state.step, adam.state.epoch = (int(v) for v in counters)
+        del table[OPTIMIZER_PREFIX + "counters"]
+    for name, live in table.items():
+        np.copyto(live, arrays[name])
 
 
 def load_model(path):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from meshseg.mesh import TriangleMesh, save_labels, save_obj
+from meshseg.mesh import TriangleMesh, read_lines, save_labels, save_obj
 from meshseg.model import DataError
 
 
@@ -254,23 +254,22 @@ def read_manifest(path):
     """Manifest entries with mesh/label paths resolved against its directory."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            row = line.split("\t")
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields "
-                                f"(mesh, labels, split, seed), got {len(row)}")
-            mesh_path, labels_path, split, seed = row
-            try:
-                seed = int(seed)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: seed {seed!r} is not an integer") from None
-            entries.append(ManifestEntry(
-                os.path.join(base, mesh_path), os.path.join(base, labels_path),
-                split, seed,
-            ))
+    for lineno, line in enumerate(read_lines(path, DataError), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = line.split("\t")
+        if len(row) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields "
+                            f"(mesh, labels, split, seed), got {len(row)}")
+        mesh_path, labels_path, split, seed = row
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: seed {seed!r} is not an integer") from None
+        entries.append(ManifestEntry(
+            os.path.join(base, mesh_path), os.path.join(base, labels_path),
+            split, seed,
+        ))
     return entries

@@ -67,8 +67,10 @@ class Tensor:
     """N-dimensional array node in the autodiff graph.
 
     `data` is a numpy float32/float64 array and must not be mutated after
-    construction.  `grad` is allocated lazily during backward and has the
-    same shape as `data`.
+    construction, with one exception: model.restore_state copies a
+    checkpoint into the parameters of a model fresh from build_variant,
+    before any forward.  `grad` is allocated lazily during backward and has
+    the same shape as `data`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from meshseg.mesh import build_cell_features, cell_centroid_mean, transform_mesh
+from meshseg.mesh import (build_cell_features, cell_centroid_mean, read_lines,
+                          transform_mesh)
 from meshseg.model import (
     ConfigError,
+    DataError,
     build_variant,
     check_cells,
     check_labels,
@@ -77,15 +79,6 @@ class AdamState:
     step: int = 0
     epoch: int = 0  # epochs finished, i.e. the epoch training resumes at
 
-    @property
-    def counters(self):
-        """[step, epoch]: the checkpoint's `optimizer.counters` record."""
-        return np.array([self.step, self.epoch], dtype=np.float32)
-
-    @counters.setter
-    def counters(self, values):
-        self.step, self.epoch = (int(v) for v in values)
-
 
 class Adam:
     """Standard Adam with bias correction; clears gradients after each step."""
@@ -146,8 +139,6 @@ def augment_mesh(mesh, rng, translation_range, rotation_range):
     translation = rng.uniform(-translation_range, translation_range, size=3)
     angle = rng.uniform(-rotation_range, rotation_range)
     rotation = rotation_y(angle) if angle != 0.0 else None
-    if not np.any(translation) and rotation is None:
-        return transform_mesh(mesh)  # identity copy
     return transform_mesh(
         mesh,
         rotation=rotation,
@@ -177,13 +168,12 @@ def format_log_row(rec):
 
 def parse_log(path):
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("epoch"):
-                continue
-            e, lr, loss, oa = line.split("\t")
-            rows.append(EpochRecord(int(e), float(lr), float(loss), float(oa)))
+    for line in read_lines(path, DataError):
+        line = line.strip()
+        if not line or line.startswith("epoch"):
+            continue
+        e, lr, loss, oa = line.split("\t")
+        rows.append(EpochRecord(int(e), float(lr), float(loss), float(oa)))
     return rows
 
 

@@ -106,13 +106,13 @@ def _random_layer(kind, seed):
     return layer, features, graph
 
 
-def _layer_gradient_error(kind, seed=101):
+def _layer_gradient_error(kind, train, seed=101):
     layer, features, graph = _random_layer(kind, seed)
     tensors = [Tensor(features, requires_grad=True, dtype=np.float64)]
     tensors += [p.tensor for p in layer.parameters()]
 
     def f(feats, *_):
-        return layer.forward(feats, graph, train=False).sum()
+        return layer.forward(feats, graph, train=train).sum()
 
     return gradient_check(f, tensors)
 
@@ -127,10 +127,7 @@ def _random_cell_features(m, seed):
     return np.concatenate([coords, normals.reshape(m, 12)], axis=1)
 
 
-def check_gradient_correctness():
-    att_err = _layer_gradient_error("attention")
-    max_err = _layer_gradient_error("maxpool")
-
+def _end_to_end_gradient_error(train):
     cfg = ModelConfig(num_classes=3, k_neighbors=3, stream_widths=(4, 8, 8),
                       fusion_width=8, head_widths=(8, 4), seed=5).validate()
     model = build_variant(cfg, dtype=np.float64)
@@ -138,15 +135,24 @@ def check_gradient_correctness():
     labels = np.random.default_rng(78).integers(0, 3, size=16)
 
     def f(*_):
-        return cross_entropy(model.forward(feats, train=False), labels)
+        return cross_entropy(model.forward(feats, train=train), labels)
 
-    e2e_err = gradient_check(f, [p.tensor for p in model.parameters()])
-    worst = max(att_err, max_err, e2e_err)
+    return gradient_check(f, [p.tensor for p in model.parameters()])
+
+
+def check_gradient_correctness():
+    """Finite differences against backward for both layers and the whole
+    model, in the folded eval mode and in train mode's batch statistics."""
+    errors = {mode: (_layer_gradient_error("attention", train),
+                     _layer_gradient_error("maxpool", train),
+                     _end_to_end_gradient_error(train))
+              for mode, train in (("eval", False), ("train", True))}
+    worst = max(max(errs) for errs in errors.values())
     return CheckResult(
         "gradient correctness",
         worst <= 1e-4,
-        f"attention {att_err:.2e}, maxpool {max_err:.2e}, "
-        f"end-to-end {e2e_err:.2e} (tolerance 1e-4)",
+        "; ".join(f"{mode}: attention {att:.2e}, maxpool {pool:.2e}, end-to-end {e2e:.2e}"
+                  for mode, (att, pool, e2e) in errors.items()) + " (tolerance 1e-4)",
     )
 
 

@@ -1,11 +1,17 @@
+import io
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshseg import training
 from meshseg.cli import main
@@ -244,6 +250,15 @@ BAD_INPUTS = {
                              "manifest.tsv": ONE_ROW}, EVAL, "m.labels"),
     "manifest-short-row": ({"manifest.tsv": "# header\nm.obj\tm.labels\ttest\n"},
                            EVAL, "manifest.tsv:2"),
+    # a byte that is not UTF-8: a UnicodeDecodeError traceback for the manifest
+    "obj-not-utf8": ({"m.obj": b"v 0 0 0\nv 1 0 \xff\nv 0 1 0\nf 1 2 3\n"}, PREDICT,
+                     "m.obj:2: not UTF-8 text"),
+    "ply-not-utf8": ({"m.ply": PLY_HEADER.format(n=3).encode() + b"0 0 0\n1 0 0\n0 \xff 0\n"
+                      b"3 0 1 2\n"}, PREDICT, "m.ply:12: not UTF-8 text"),
+    "labels-not-utf8": ({"m.obj": TRIANGLE_OBJ, "m.labels": b"0\n\xff\n",
+                         "manifest.tsv": ONE_ROW}, EVAL, "m.labels:2: not UTF-8 text"),
+    "manifest-not-utf8": ({"manifest.tsv": b"# header\nm.obj\tm.labels\ttest\t\xff\n"},
+                          EVAL, "manifest.tsv:2: not UTF-8 text"),
     "synth-no-training-meshes": ({}, ["synth", "--out", "{dir}", "--n-train", "0"],
                                  "n_train"),
     "synth-negative-seed": ({}, ["synth", "--out", "{dir}", "--seed", "-1"], "seed"),
@@ -342,14 +357,74 @@ def run_cli(argv, expected_code, prefix):
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_error_line(case, tiny_checkpoint, edited_checkpoints, tmp_path):
     files, argv, location, *usage = BAD_INPUTS[case]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data.encode() if isinstance(data, str) else data)
     ext = "ply" if "m.ply" in files else "obj"
     argv = [a.format(ckpt=tiny_checkpoint, dir=tmp_path, ext=ext, **edited_checkpoints)
             for a in argv]
     code, prefix = (2, "usage error: ") if usage == [2] else (1, "error: ")
     assert location in run_cli(argv, code, prefix)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)  # nothing written
+
+
+GRID_PLY = (PLY_HEADER.format(n=9).replace("face 1", "face 8")
+            + "".join(f"{i} {j} 0\n" for i in range(3) for j in range(3))
+            + "".join(f"3 {a - 1} {a + 2} {a}\n3 {a} {a + 2} {a + 3}\n" for a in (1, 2, 4, 5)))
+FUZZ_CFG = ("# settings\nmodel.num_classes = 3\nmodel.leaky_slope = 0.2\n"
+            "train.lr0 = 0.001\ntrain.seed = 0\ntrain.augment = false\n")
+# file kind -> (valid files, the one to mutate, the command that reads it); the
+# TINY settings after --config keep every training run small
+FUZZ_CASES = {
+    "obj": ({"m.obj": GRID_OBJ}, "m.obj", PREDICT),
+    "ply": ({"m.ply": GRID_PLY}, "m.ply", PREDICT),
+    "labels": (TRAIN_FILES, "m.labels", EVAL + ["--split", "train"]),
+    "manifest": (TRAIN_FILES, "manifest.tsv", EVAL + ["--split", "train"]),
+    "cfg": ({**TRAIN_FILES, "m.cfg": FUZZ_CFG}, "m.cfg",
+            ["train", "--manifest", "{dir}/manifest.tsv", "--out", "{dir}/run",
+             "--config", "{dir}/m.cfg", *TINY]),
+}
+FUZZ_BYTES = (b"\xff", b"nan", b"1e999", b"\t", b"\n", b"12345678901234567890", b"-", b"0")
+
+
+@st.composite
+def mutated(draw, data):
+    """`data` after one to three edits: truncated, or bytes overwritten,
+    inserted or deleted at a drawn offset."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("truncate", "overwrite", "insert", "delete")))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 4)):]
+        else:
+            token = draw(st.sampled_from(FUZZ_BYTES))
+            data = data[:at] + token + data[at + (len(token) if edit == "overwrite" else 0):]
+    return data
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_CASES))
+def test_mutated_input_fails_with_one_error_line(kind, tiny_checkpoint):
+    files, target, argv = FUZZ_CASES[kind]
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(mutated(files[target].encode()))
+    def run(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_bytes(data if name == target else text.encode())
+            args = [a.format(ckpt=tiny_checkpoint, dir=tmp, ext=target[-3:]) for a in argv]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")  # a warning is a stderr line too
+                code = main(args)  # an exception escaping main fails the case
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 1, 2), lines
+        if code:
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("error: ", "usage error: ")[code - 1]), lines
+
+    run()
 
 
 # --set value -> what the usage error must name; each used to crash or to
@@ -445,6 +520,19 @@ def test_failed_resume_leaves_the_run_as_it_was(dataset, tmp_path):
     four = [s if s != "train.epochs=2" else "train.epochs=4" for s in TINY]
     run_cli(["train", "--manifest", manifest, "--out", out,
              "--resume", out / "model.ckpt", *four, *TOO_FAR], 2, "usage error: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_resume_with_undecodable_log_leaves_the_run_as_it_was(dataset, tmp_path):
+    manifest, out = dataset / "manifest.tsv", tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), *TINY]) == 0
+    log = out / "train_log.tsv"
+    log.write_bytes(log.read_bytes().replace(b"\n1\t", b"\n1\xff\t"))  # epoch 1's row
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    four = [s if s != "train.epochs=2" else "train.epochs=4" for s in TINY]
+    err = run_cli(["train", "--manifest", manifest, "--out", out,
+                   "--resume", out / "model.ckpt", *four], 1, "error: ")
+    assert err == f"error: {log}:3: not UTF-8 text"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

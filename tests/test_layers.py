@@ -66,6 +66,16 @@ def hand_layer(kind, m=4, d=2, k_out=3, k_nbr=2, seed=0):
     return layer, features, graph
 
 
+def train_mode_gradient_error(kind):
+    """gradient_check of a hand layer's summed train-mode output, whose
+    batch norm normalizes with the statistics of every edge."""
+    layer, features, graph = hand_layer(kind, m=8, d=2, k_out=3, k_nbr=3)
+    inputs = [Tensor(features, requires_grad=True, dtype=np.float64)]
+    inputs += [p.tensor for p in layer.parameters()]
+    return gradient_check(lambda feats, *_: layer.forward(feats, graph, train=True).sum(),
+                          inputs)
+
+
 def run_scripted(layer, features, graph, mode):
     bn = (layer.calibrate.bn.gamma.data, layer.calibrate.bn.beta.data,
           layer.calibrate.bn.running_mean, layer.calibrate.bn.running_var,
@@ -151,6 +161,10 @@ def test_attention_gradient_check():
     assert gradient_check(f, inputs) <= 1e-4
 
 
+def test_attention_gradient_check_train_mode():
+    assert train_mode_gradient_error("attention") <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # max-pool layer
 # ---------------------------------------------------------------------------
@@ -194,6 +208,10 @@ def test_maxpool_gradient_check():
                 layer.calibrate.bn.gamma.data, layer.calibrate.bn.beta.data):
         inputs.append(Tensor(arr.copy(), requires_grad=True, dtype=np.float64))
     assert gradient_check(f, inputs) <= 1e-4
+
+
+def test_maxpool_gradient_check_train_mode():
+    assert train_mode_gradient_error("maxpool") <= 1e-4
 
 
 # ---------------------------------------------------------------------------
