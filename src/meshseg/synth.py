@@ -19,6 +19,14 @@ from meshseg.model import DataError
 
 
 MAX_CELLS = 1 << 20  # largest cells_target: 65 times the paper's 16,000-cell meshes
+TOOTH_HEIGHT = 2.4  # model units (mm-scale)
+HEIGHT_JITTER = 0.2  # fractional ranges, uniform
+RADIUS_JITTER = 0.12
+ARCH_HALF_WIDTH = 24.0
+ARCH_CURVATURE = 0.9  # parabola depth / half width
+STRIP_HALF_WIDTH = 5.5
+GUM_BULGE = 0.6
+BUMP_EXPONENT = 3.0  # superellipse profile; higher = steeper rim
 
 
 class GenerationError(ValueError):
@@ -29,15 +37,7 @@ class GenerationError(ValueError):
 class ArchSpec:
     num_teeth: int = 7  # per half-arch; mirrored, so classes = num_teeth + 1
     cells_target: int = 1200
-    tooth_height: float = 2.4  # model units (mm-scale)
     tooth_radius: float = 2.1
-    height_jitter: float = 0.2  # fractional ranges, uniform
-    radius_jitter: float = 0.12
-    arch_half_width: float = 24.0
-    arch_curvature: float = 0.9  # parabola depth / half width
-    strip_half_width: float = 5.5
-    gum_bulge: float = 0.6
-    bump_exponent: float = 3.0  # superellipse profile; higher = steeper rim
     crowding: float = 0.0  # 0..1 grows teeth into the inter-tooth gaps
     seed: int = 0
 
@@ -46,10 +46,10 @@ class ArchSpec:
         return self.num_teeth + 1
 
 
-def _arc_length_table(spec, samples=2048):
+def _arc_length_table(samples=2048):
     # cumulative arc length of the parabola c(t) = (A t, 0, B (1 - t^2))
-    a = spec.arch_half_width
-    b = spec.arch_curvature * a
+    a = ARCH_HALF_WIDTH
+    b = ARCH_CURVATURE * a
     t = np.linspace(-1.0, 1.0, samples)
     speed = np.sqrt(a * a + 4.0 * b * b * t * t)
     u = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * np.diff(t))])
@@ -58,7 +58,7 @@ def _arc_length_table(spec, samples=2048):
 
 def _grid_shape(spec, arc_length):
     quads = max(spec.cells_target // 2, 8)
-    aspect = arc_length / (2.0 * spec.strip_half_width)
+    aspect = arc_length / (2.0 * STRIP_HALF_WIDTH)
     ns = max(int(round(np.sqrt(quads / aspect))), 4)
     nt = max(int(round(quads / ns)), 8)
     return nt + 1, ns + 1
@@ -73,10 +73,8 @@ def _tooth_layout(spec, rng, arc_length):
     packing = slot / 2.0
     radius_base = spec.tooth_radius + spec.crowding * max(0.0, packing - spec.tooth_radius)
     centers = (np.arange(count) + 0.5) * slot
-    radii = radius_base * (1.0 + rng.uniform(-spec.radius_jitter,
-                                             spec.radius_jitter, size=count))
-    heights = spec.tooth_height * (1.0 + rng.uniform(-spec.height_jitter,
-                                                     spec.height_jitter, size=count))
+    radii = radius_base * (1.0 + rng.uniform(-RADIUS_JITTER, RADIUS_JITTER, size=count))
+    heights = TOOTH_HEIGHT * (1.0 + rng.uniform(-HEIGHT_JITTER, HEIGHT_JITTER, size=count))
     # mirrored class layout: T_n ... T_1 | T_1 ... T_n along the arch
     classes = np.concatenate([
         np.arange(spec.num_teeth, 0, -1), np.arange(1, spec.num_teeth + 1)
@@ -88,16 +86,16 @@ def _tooth_layout(spec, rng, arc_length):
                 f"{radii[k] + radii[k + 1]:.2f} > spacing {slot:.2f}); "
                 "reduce crowding, radius, or tooth count"
             )
-    if radii.max() >= spec.strip_half_width:
+    if radii.max() >= STRIP_HALF_WIDTH:
         raise GenerationError("tooth radius exceeds the strip half-width")
     return centers, radii, heights, classes
 
 
-def _height_field(spec, u, s, layout):
+def _height_field(u, s, layout):
     """Strip profile plus tooth bumps at param points (u, s)."""
     centers, radii, heights, _ = layout
-    y = spec.gum_bulge * (1.0 - (s / spec.strip_half_width) ** 2)
-    m = spec.bump_exponent
+    y = GUM_BULGE * (1.0 - (s / STRIP_HALF_WIDTH) ** 2)
+    m = BUMP_EXPONENT
     for ck, rk, hk in zip(centers, radii, heights):
         d2 = ((u - ck) ** 2 + s ** 2) / (rk * rk)
         inside = d2 < 1.0
@@ -135,20 +133,19 @@ def generate(spec):
     """Deterministic labeled arch mesh; cell count within ~10% of target."""
     _check_spec(spec)
     rng = np.random.default_rng(spec.seed)
-    t_tab, u_tab = _arc_length_table(spec)
+    t_tab, u_tab = _arc_length_table()
     arc_length = u_tab[-1]
     nt, ns = _grid_shape(spec, arc_length)
     layout = _tooth_layout(spec, rng, arc_length)
 
-    a = spec.arch_half_width
-    b = spec.arch_curvature * a
+    a = ARCH_HALF_WIDTH
+    b = ARCH_CURVATURE * a
     t = np.linspace(-1.0, 1.0, nt)
-    s = np.linspace(-spec.strip_half_width, spec.strip_half_width, ns)
-    u = np.interp(t, t_tab, u_tab)
+    s = np.linspace(-STRIP_HALF_WIDTH, STRIP_HALF_WIDTH, ns)
 
     tt, ss = np.meshgrid(t, s, indexing="ij")  # (nt, ns)
     uu = np.interp(tt, t_tab, u_tab)
-    y = _height_field(spec, uu, ss, layout)
+    y = _height_field(uu, ss, layout)
 
     # swept frame: curve point + lateral offset along the horizontal normal
     cx, cz = a * tt, b * (1.0 - tt * tt)

@@ -34,8 +34,12 @@ bit-identical to them.
 
 Tensors are immutable once created except for gradient accumulation.
 Backward runs over a tape in reverse topological order; only first-order
-derivatives are supported.  Inside `no_tape()` no op extends the tape, so
-an inference pass keeps nothing alive for a backward that never comes.
+derivatives are supported.  Each op's backward hands its inputs' gradients
+to `_accumulate`, which keeps them only for tensors that require grad.
+`_linear_backward`, the one affine backward for rows and edges, alone
+skips work for a tensor that needs none: its input-gradient product.
+Inside `no_tape()` no op extends the tape, so an inference pass keeps
+nothing alive for a backward that never comes.
 """
 
 from __future__ import annotations
@@ -138,13 +142,16 @@ def _toposort(root):
 
 
 def _accumulate(tensor, grad, owned=False):
-    """Add `grad` into tensor.grad.
+    """Add `grad` into tensor.grad if the tensor requires grad, else keep
+    nothing: the one place that decides which gradients are kept.
 
     An op passes owned=True for a fresh C-contiguous array that nothing else
     references; the first such gradient is taken over as tensor.grad.  Views
     and arrays handed to several inputs are copied, so every .grad has one
     owner and later gradients can be added in place.
     """
+    if not tensor.requires_grad:
+        return
     if tensor.grad is None:
         tensor.grad = grad if owned else grad.copy()
     else:
@@ -231,8 +238,7 @@ def concat_channels(tensors):
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                _accumulate(t, g[..., lo:hi])
+            _accumulate(t, g[..., lo:hi])
 
     return _make(np.concatenate([t.data for t in tensors], axis=-1), tensors, backward)
 
@@ -298,39 +304,31 @@ def _linear(x, w, b, graph=None, diff=False, chunk=None):
     return out
 
 
-def _linear_backward(g, x, w, b):
-    """Accumulate the gradients of affine's tensor inputs; `g` is owned."""
-    if x.requires_grad:
-        _accumulate(x, _matmul(g, w.data.T), owned=True)
-    if w.requires_grad:
-        _accumulate(w, _matmul(x.data.T, g), owned=True)
-    if b.requires_grad:
-        _accumulate(b, g.sum(axis=0), owned=True)
-
-
 def _edge_sums(g, graph):
     """(g_centre, g_cells) of the per-edge gradients g (M, K, c): each centre
     row feeds all K of its edges, each cell the edges naming it."""
     return g.sum(axis=1), graph.scatter_sum(g)
 
 
-def _edge_backward(g_centre, g_cells, x, w, b, diff=False):
-    """Accumulate the gradients of the edge form of _linear's tensor inputs
-    from the (M, out) sums of its edge gradients, see _edge_sums; both are
-    owned.  No product has M * K rows."""
-    top, bottom = _edge_halves(w.data, x.data.shape[1], diff)
+def _linear_backward(x, w, g_centre, g_cells=None, diff=False):
+    """Backward of _linear for input tensor x and weight array w: adds x's
+    gradient into x unless x needs none, and returns the owned (g_w, g_b).
+    The row form takes the owned output gradient g_centre, the edge form the
+    owned sums from _edge_sums, so no product has M * K rows."""
+    edges = g_cells is not None
+    top, bottom = _edge_halves(w, x.data.shape[1], diff) if edges else (w, None)
     if x.requires_grad:
         gx = _matmul(g_centre, top.T)
-        gx += _matmul(g_cells, bottom.T)
+        if edges:
+            gx += _matmul(g_cells, bottom.T)
         _accumulate(x, gx, owned=True)
-    if w.requires_grad:
+    g_w = _matmul(x.data.T, g_centre)
+    if edges:
         g_bottom = _matmul(x.data.T, g_cells)
-        g_top = _matmul(x.data.T, g_centre)
         if diff:
-            g_top -= g_bottom
-        _accumulate(w, np.concatenate([g_top, g_bottom]), owned=True)
-    if b.requires_grad:
-        _accumulate(b, g_centre.sum(axis=0), owned=True)
+            g_w -= g_bottom
+        g_w = np.concatenate([g_w, g_bottom])
+    return g_w, g_centre.sum(axis=0)
 
 
 def affine(x, w, b):
@@ -340,7 +338,8 @@ def affine(x, w, b):
     _check_weights("affine", x.data.shape[1], w, b)
 
     def backward(g):
-        _linear_backward(g, x, w, b)
+        for t, g_t in zip((w, b), _linear_backward(x, w.data, g)):
+            _accumulate(t, g_t, owned=True)
 
     return _make(_linear(x.data, w.data, b.data), (x, w, b), backward)
 
@@ -367,12 +366,13 @@ def attend(x, graph, w, b, values, chunk=None):
 
     def backward(g):
         g = g[:, None, :]
-        if values.requires_grad:
-            _accumulate(values, g * p, owned=True)
+        _accumulate(values, g * p, owned=True)
         gs = g * values.data
         gs -= _product_sum(gs, p)[:, None, :]
         gs *= p
-        _edge_backward(*_edge_sums(gs, graph), x, w, b, diff=True)
+        sums = _edge_sums(gs, graph)
+        for t, g_t in zip((w, b), _linear_backward(x, w.data, *sums, diff=True)):
+            _accumulate(t, g_t, owned=True)
 
     return _make(_product_sum(p, values.data), (x, w, b, values), backward)
 
@@ -398,11 +398,10 @@ def log_softmax_nll(logits, labels, scale):
     nll[picked] = -ls[picked]
 
     def backward(g):
-        if logits.requires_grad:
-            gs = g * scale
-            gx = np.exp(ls) * gs
-            gx[picked] -= gs
-            _accumulate(logits, gx, owned=True)
+        gs = g * scale
+        gx = np.exp(ls) * gs
+        gx[picked] -= gs
+        _accumulate(logits, gx, owned=True)
 
     return _make(nll.sum() * scale, (logits,), backward)
 
@@ -411,8 +410,7 @@ def sum_all(x):
     """Sum of every element, as a scalar tensor."""
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.data.shape))
+        _accumulate(x, np.broadcast_to(g, x.data.shape))
 
     return _make(x.data.sum(), (x,), backward)
 
@@ -559,24 +557,16 @@ def _folded_mlp(x, w, b, state, slope, graph, chunk, pool):
         else:
             gz = _leaky_factor(z < 0, slope)
             gz *= g
-        fold = Tensor(wf, requires_grad=True), Tensor(bf, requires_grad=True)
-        if graph is None:
-            _linear_backward(gz, x, *fold)
-        else:
-            _edge_backward(*_edge_sums(gz, graph), x, *fold)
-        g_wf, g_bf = fold[0].grad, fold[1].grad
+        sums = (gz,) if graph is None else _edge_sums(gz, graph)
+        g_wf, g_bf = _linear_backward(x, wf, *sums)
         scale = gamma.data * inv_std
-        if w.requires_grad:
-            _accumulate(w, g_wf * scale, owned=True)
-        if b.requires_grad:
-            _accumulate(b, g_bf * scale, owned=True)
-        if gamma.requires_grad:
-            g_gamma = np.einsum("ij,ij->j", w.data, g_wf)
-            g_gamma += b_centred * g_bf
-            g_gamma *= inv_std
-            _accumulate(gamma, g_gamma, owned=True)
-        if beta.requires_grad:
-            _accumulate(beta, g_bf, owned=True)
+        _accumulate(w, g_wf * scale, owned=True)
+        _accumulate(b, g_bf * scale, owned=True)
+        g_gamma = np.einsum("ij,ij->j", w.data, g_wf)
+        g_gamma += b_centred * g_bf
+        g_gamma *= inv_std
+        _accumulate(gamma, g_gamma, owned=True)
+        _accumulate(beta, g_bf, owned=True)
 
     return _make(y, (x, w, b, gamma, beta), backward)
 
@@ -635,32 +625,30 @@ def shared_mlp(x, w, b, state, train, slope=0.2, graph=None, chunk=None, pool=Fa
         gflat = gy.reshape(-1, c)
         g_gamma = np.einsum("ij,ij->j", gflat, xhat.reshape(-1, c))
         g_beta = gflat.sum(axis=0)
-        if gamma.requires_grad:
-            _accumulate(gamma, g_gamma, owned=True)
-        if beta.requires_grad:
-            _accumulate(beta, g_beta, owned=True)
+        _accumulate(gamma, g_gamma, owned=True)
+        _accumulate(beta, g_beta, owned=True)
         n = centred.size // c  # rows (edges) behind the batch statistics
         scale = gamma.data * inv_std
         if not pool:
             _subtract_product(gy, xhat, g_gamma / n)
             gy -= g_beta / n
             gy *= scale
-            if graph is None:
-                _linear_backward(gy, x, w, b)
-            else:
-                _edge_backward(*_edge_sums(gy, graph), x, w, b)
-            return
-        # Edge (i, k) gets scale * gy_i where it holds row i's pooled value,
-        # less scale * (xhat_ik * g_gamma + g_beta) / n.  The g_beta term is
-        # equal on every edge, so it is summed in closed form: K times per
-        # centre row, in-degree times per cell.
-        edge = centred * (-(scale * inv_std) * (g_gamma / n))
-        np.add(edge, (gy * scale)[:, None, :], out=edge, where=_first_hits(centred, top))
-        g_centre, g_cells = _edge_sums(edge, graph)
-        shift = scale * (g_beta / n)
-        g_centre -= graph.k * shift
-        g_cells -= graph.in_degree[:, None].astype(shift.dtype) * shift
-        _edge_backward(g_centre, g_cells, x, w, b)
+            sums = (gy,) if graph is None else _edge_sums(gy, graph)
+        else:
+            # Edge (i, k) gets scale * gy_i where it holds row i's pooled
+            # value, less scale * (xhat_ik * g_gamma + g_beta) / n.  The
+            # g_beta term is equal on every edge, so it is summed in closed
+            # form: K times per centre row, in-degree times per cell.
+            edge = centred * (-(scale * inv_std) * (g_gamma / n))
+            np.add(edge, (gy * scale)[:, None, :], out=edge,
+                   where=_first_hits(centred, top))
+            g_centre, g_cells = _edge_sums(edge, graph)
+            shift = scale * (g_beta / n)
+            g_centre -= graph.k * shift
+            g_cells -= graph.in_degree[:, None].astype(shift.dtype) * shift
+            sums = g_centre, g_cells
+        for t, g_t in zip((w, b), _linear_backward(x, w.data, *sums)):
+            _accumulate(t, g_t, owned=True)
 
     return _make(y, (x, w, b, gamma, beta), backward)
 

@@ -167,13 +167,26 @@ def format_log_row(rec):
 
 
 def parse_log(path):
+    """The EpochRecords of a training log, skipping blank lines and the
+    header.  A malformed row raises DataError as `path:line: ...`."""
+    names = LOG_HEADER.split("\t")
     rows = []
-    for line in read_lines(path, DataError):
+    for lineno, line in enumerate(read_lines(path, DataError), start=1):
         line = line.strip()
         if not line or line.startswith("epoch"):
             continue
-        e, lr, loss, oa = line.split("\t")
-        rows.append(EpochRecord(int(e), float(lr), float(loss), float(oa)))
+        fields = line.split("\t")
+        if len(fields) != len(names):
+            raise DataError(f"{path}:{lineno}: expected {len(names)} tab-separated "
+                            f"fields ({', '.join(names)}), got {len(fields)}")
+        values = []
+        for name, kind, text in zip(names, (int, float, float, float), fields):
+            try:
+                values.append(kind(text))
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: {name} {text!r} is not a number") from None
+        rows.append(EpochRecord(*values))
     return rows
 
 

@@ -33,9 +33,9 @@ from meshseg.tensor import (
     _centre,
     _check_edges,
     _check_weights,
-    _edge_backward,
     _edge_sums,
     _linear,
+    _linear_backward,
     _make,
     _matmul,
     concat_channels,
@@ -273,7 +273,9 @@ def edge_affine(x, graph, w, b, diff=False):
     _check_weights("edge_affine", 2 * d, w, b)
 
     def backward(g):
-        _edge_backward(*_edge_sums(g, graph), x, w, b, diff)
+        sums = _edge_sums(g, graph)
+        for t, g_t in zip((w, b), _linear_backward(x, w.data, *sums, diff=diff)):
+            _accumulate(t, g_t, owned=True)
 
     return _make(_linear(x.data, w.data, b.data, graph, diff), (x, w, b), backward)
 

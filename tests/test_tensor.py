@@ -482,6 +482,62 @@ def test_repeated_input_accumulates_in_place_correctly():
     assert x.grad.tolist() == [2.0, 2.0]
 
 
+@pytest.mark.parametrize("op, frozen", [
+    ("concat", {"wide"}),
+    ("affine", {"x"}),
+    ("affine", {"w", "b"}),
+    ("attend", {"values"}),
+    *[(f"mlp-{mode}-{form}", {"gamma", "beta"})
+      for mode in ("train", "eval") for form in ("rows", "edges", "pool")],
+], ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else v)
+def test_an_input_that_needs_no_gradient_gets_none(op, frozen):
+    # _accumulate keeps a gradient only for a tensor that requires grad, so
+    # a frozen input's .grad stays None and every other gradient is bit for
+    # bit that of the run where nothing is frozen
+    rng = np.random.default_rng(60)
+    m, k, d, c = 12, 3, 4, 5
+    graph = KnnGraph(np.array([(np.arange(1, k + 1) + i) % m for i in range(m)]))
+    shapes = {"x": (m, d), "wide": (m, 2), "w": (d, c), "ew": (2 * d, c), "b": (c,),
+              "values": (m, k, c), "gamma": (c,), "beta": (c,)}
+    data = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    running = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+
+    def run(t):
+        if op == "concat":
+            return concat_channels([t["x"], t["wide"]])
+        if op == "affine":
+            return affine(t["x"], t["w"], t["b"])
+        if op == "attend":
+            return attend(t["x"], graph, t["ew"], t["b"], t["values"])
+        _, mode, form = op.split("-")
+        st = BatchNormState(c, dtype=np.float64)
+        st.gamma, st.beta = t["gamma"], t["beta"]
+        st.running_mean, st.running_var = (a.copy() for a in running)
+        if form == "rows":
+            return shared_mlp(t["x"], t["w"], t["b"], st, mode == "train")
+        return shared_mlp(t["x"], t["ew"], t["b"], st, mode == "train",
+                          graph=graph, pool=form == "pool")
+
+    upstream, grads = None, []
+    for freeze in (set(), frozen):
+        t = {name: Tensor(a.copy(), requires_grad=name not in freeze)
+             for name, a in data.items()}
+        out = run(t)
+        if upstream is None:
+            upstream = Tensor(rng.normal(size=out.shape))
+        mul(out, upstream).sum().backward()
+        grads.append({name: v.grad for name, v in t.items()})
+    full, part = grads
+    assert all(full[name] is not None for name in frozen)
+    for name in data:
+        if name in frozen:
+            assert part[name] is None, name
+        elif full[name] is None:
+            assert part[name] is None, name
+        else:
+            assert part[name].tobytes() == full[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # one-node shared MLP against the composed ops
 # ---------------------------------------------------------------------------

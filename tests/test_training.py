@@ -11,6 +11,7 @@ from meshseg.mesh import build_cell_features
 from meshseg.model import (
     CheckpointError,
     ConfigError,
+    DataError,
     ModelConfig,
     build_variant,
     load_checkpoint,
@@ -328,6 +329,19 @@ def test_log_round_trip(tmp_path):
     assert back[0].epoch == records[0].epoch
     assert back[0].lr == pytest.approx(records[0].lr)
     assert back[1].mean_loss == pytest.approx(records[1].mean_loss, abs=1e-6)
+
+
+@pytest.mark.parametrize("row, line, fragment", [
+    ("1\t0.001\t0.5", 3, "expected 4 tab-separated fields (epoch, lr, mean_loss, "
+                         "train_oa), got 3"),
+    ("1\tabc\t0.5\t0.9", 3, "lr 'abc' is not a number"),
+], ids=["three-fields", "lr-not-a-number"])
+def test_parse_log_names_file_and_line_of_a_bad_row(tmp_path, row, line, fragment):
+    path = tmp_path / "log.tsv"
+    path.write_text(f"epoch\tlr\tmean_loss\ttrain_oa\n\n{row}\n0\t0.001\t0.5\t0.9\n")
+    with pytest.raises(DataError) as exc:
+        parse_log(path)
+    assert str(exc.value) == f"{path}:{line}: {fragment}"
 
 
 # ---------------------------------------------------------------------------
