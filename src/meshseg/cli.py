@@ -22,12 +22,11 @@ from meshseg.config import (
 )
 from meshseg.knn import FeatureValueError, GraphConfigError
 from meshseg.mesh import (
-    DEFAULT_PALETTE,
     LabelRangeError,
     MeshFormatError,
+    class_colors,
     export_colored_mesh,
     load_mesh,
-    read_lines,
     save_labels,
 )
 from meshseg.model import (
@@ -60,14 +59,6 @@ def _load_split(manifest_path, split):
     if not entries:
         raise DataError(f"manifest has no {split!r} entries")
     return [load_mesh(e.mesh_path, labels_path=e.labels_path) for e in entries]
-
-
-def _log_rows_before(log_path, epoch):
-    """Lines of an existing training log whose epoch field is below `epoch`."""
-    if not os.path.exists(log_path):
-        return []
-    rows = [(line.split("\t", 1)[0], line) for line in read_lines(log_path, DataError)]
-    return [line + "\n" for e, line in rows if e.isdecimal() and int(e) < epoch]
 
 
 def _resolve_configs(args):
@@ -104,7 +95,8 @@ def cmd_train(args):
     # A run cut between an epoch's log row and its checkpoint reruns that
     # epoch, so on resume only the rows of epochs the checkpoint holds stay.
     log_path = os.path.join(args.out, "train_log.tsv")
-    kept = _log_rows_before(log_path, adam.state.epoch) if args.resume else []
+    kept = [r for r in training.parse_log(log_path) if r.epoch < adam.state.epoch] \
+        if args.resume and os.path.exists(log_path) else []
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
@@ -112,7 +104,7 @@ def cmd_train(args):
         fh.write(format_config(model_cfg, train_cfg))
     with open(log_path, "w") as log_fh:
         log_fh.write(training.LOG_HEADER + "\n")
-        log_fh.writelines(kept)
+        log_fh.writelines(training.format_log_row(r) + "\n" for r in kept)
         records, adam = training.train(model, meshes, train_cfg,
                                        checkpoint_path=ckpt, log_fh=log_fh, adam=adam)
     if not records:  # zero-epoch run still leaves a resumable checkpoint
@@ -140,8 +132,7 @@ def cmd_predict(args):
     model = load_model(args.checkpoint)
     mesh = load_mesh(args.mesh)
     pred = model.predict(training.inference_features(mesh))
-    palette = DEFAULT_PALETTE[:model.config.num_classes]
-    export_colored_mesh(mesh, pred, palette, args.out_ply)
+    export_colored_mesh(mesh, pred, class_colors(model.config.num_classes), args.out_ply)
     if args.out_labels:
         save_labels(pred, args.out_labels)
     print(f"wrote {args.out_ply} ({len(pred)} cells, "

@@ -40,6 +40,19 @@ DEFAULT_PALETTE = (
 )
 
 
+def class_colors(num_classes):
+    """A distinct color for each class id below `num_classes`, at most 4106:
+    DEFAULT_PALETTE, then the 4096 colors whose channels are multiples of 17
+    (none of DEFAULT_PALETTE's), in the scattered order i = 1597 j mod 4096."""
+    if num_classes > len(DEFAULT_PALETTE) + 4096:
+        raise LabelRangeError(f"no {num_classes} distinct colors")
+    extra = []
+    for j in range(num_classes - len(DEFAULT_PALETTE)):
+        i = 1597 * j % 4096  # 1597 is odd, so j < 4096 visits each i once
+        extra.append(((i >> 8) * 17, (i >> 4 & 15) * 17, (i & 15) * 17))
+    return (DEFAULT_PALETTE + tuple(extra))[:num_classes]
+
+
 @dataclass
 class TriangleMesh:
     """Vertex positions, triangular faces, optional per-cell labels."""
@@ -150,6 +163,36 @@ def read_lines(path, error):
     except UnicodeDecodeError as exc:  # raw[:exc.start] decodes
         line = len((raw[:exc.start] + b".").decode().splitlines())
         raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
+def read_table(path, columns, error):
+    """The rows of the tab-separated file `path` as tuples typed by
+    `columns`, a tuple of (name, int | float | str) pairs.
+
+    Blank lines, lines starting with `#` and the header (the names joined
+    by tabs) are skipped.  A row with the wrong field count, or a field its
+    type cannot read, raises `error` as `path:line: ...`.
+    """
+    names = [name for name, _ in columns]
+    header = "\t".join(names)
+    rows = []
+    for lineno, line in enumerate(read_lines(path, error), start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line == header:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(columns):
+            raise error(f"{path}:{lineno}: expected {len(columns)} tab-separated "
+                        f"fields ({', '.join(names)}), got {len(fields)}")
+        row = []
+        for (name, kind), text in zip(columns, fields):
+            try:
+                row.append(kind(text))
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise error(f"{path}:{lineno}: {name} {text!r} is not {what}") from None
+        rows.append(tuple(row))
+    return rows
 
 
 def _load_obj(path):

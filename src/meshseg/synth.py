@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from meshseg.mesh import TriangleMesh, read_lines, save_labels, save_obj
+from meshseg.mesh import TriangleMesh, read_table, save_labels, save_obj
 from meshseg.model import DataError
 
 
@@ -188,6 +188,9 @@ class ManifestEntry:
     seed: int
 
 
+MANIFEST_COLUMNS = (("mesh", str), ("labels", str), ("split", str), ("seed", int))
+
+
 def _derived_seed(seed, split_id, index):
     return int(np.random.SeedSequence([seed, split_id, index]).generate_state(1)[0])
 
@@ -222,7 +225,7 @@ def make_dataset(spec, n_train, n_test, out_dir):
                 entries.append(ManifestEntry(rel_mesh, rel_labels, split, mesh_seed))
         made.append(manifest_path)
         with open(manifest_path, "w") as fh:
-            fh.write("# mesh\tlabels\tsplit\tseed\n")
+            fh.write("# " + "\t".join(name for name, _ in MANIFEST_COLUMNS) + "\n")
             for e in entries:
                 fh.write(f"{e.mesh_path}\t{e.labels_path}\t{e.split}\t{e.seed}\n")
     except BaseException:
@@ -250,23 +253,5 @@ def _make_dirs(path, made):
 def read_manifest(path):
     """Manifest entries with mesh/label paths resolved against its directory."""
     base = os.path.dirname(os.path.abspath(path))
-    entries = []
-    for lineno, line in enumerate(read_lines(path, DataError), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        row = line.split("\t")
-        if len(row) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields "
-                            f"(mesh, labels, split, seed), got {len(row)}")
-        mesh_path, labels_path, split, seed = row
-        try:
-            seed = int(seed)
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: seed {seed!r} is not an integer") from None
-        entries.append(ManifestEntry(
-            os.path.join(base, mesh_path), os.path.join(base, labels_path),
-            split, seed,
-        ))
-    return entries
+    return [ManifestEntry(os.path.join(base, mesh), os.path.join(base, labels), split, seed)
+            for mesh, labels, split, seed in read_table(path, MANIFEST_COLUMNS, DataError)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from meshseg.mesh import (build_cell_features, cell_centroid_mean, read_lines,
+from meshseg.mesh import (build_cell_features, cell_centroid_mean, read_table,
                           transform_mesh)
 from meshseg.model import (
     ConfigError,
@@ -159,7 +159,8 @@ class EpochRecord:
     train_oa: float
 
 
-LOG_HEADER = "epoch\tlr\tmean_loss\ttrain_oa"
+LOG_COLUMNS = (("epoch", int), ("lr", float), ("mean_loss", float), ("train_oa", float))
+LOG_HEADER = "\t".join(name for name, _ in LOG_COLUMNS)
 
 
 def format_log_row(rec):
@@ -167,27 +168,9 @@ def format_log_row(rec):
 
 
 def parse_log(path):
-    """The EpochRecords of a training log, skipping blank lines and the
-    header.  A malformed row raises DataError as `path:line: ...`."""
-    names = LOG_HEADER.split("\t")
-    rows = []
-    for lineno, line in enumerate(read_lines(path, DataError), start=1):
-        line = line.strip()
-        if not line or line.startswith("epoch"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(names):
-            raise DataError(f"{path}:{lineno}: expected {len(names)} tab-separated "
-                            f"fields ({', '.join(names)}), got {len(fields)}")
-        values = []
-        for name, kind, text in zip(names, (int, float, float, float), fields):
-            try:
-                values.append(kind(text))
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: {name} {text!r} is not a number") from None
-        rows.append(EpochRecord(*values))
-    return rows
+    """The EpochRecords of a training log, read by mesh.read_table: a
+    malformed row raises DataError as `path:line: ...`."""
+    return [EpochRecord(*row) for row in read_table(path, LOG_COLUMNS, DataError)]
 
 
 MAX_TRANSLATION_RADII = 4096  # see prepare_training_meshes

@@ -389,26 +389,17 @@ def run_training_benchmarks(variants=("full", "coords-only", "normals-only"),
     return results
 
 
-def load_baseline():
-    if not os.path.exists(BASELINE_PATH):
-        return None
-    with open(BASELINE_PATH) as fh:
-        return json.load(fh)
-
-
 def check_generalization(results):
     oa, miou = results["full"]
-    baseline = load_baseline()
     detail = f"test mIoU {miou:.4f} (gate 0.70), OA {oa:.4f}"
-    passed = miou >= 0.70
-    if baseline is not None:
-        drift = abs(miou - baseline["test_miou"])
-        detail += (f"; frozen baseline {baseline['test_miou']:.4f}, "
-                   f"drift {drift:.4f} (allowed 0.05)")
-        passed = passed and drift <= 0.05
-    else:
-        detail += "; no baseline file recorded yet"
-    return CheckResult("synthetic generalization", passed, detail)
+    if not os.path.exists(BASELINE_PATH):
+        return CheckResult("synthetic generalization", False,
+                           f"{detail}; frozen baseline {BASELINE_PATH} is missing")
+    with open(BASELINE_PATH) as fh:
+        frozen = json.load(fh)["test_miou"]
+    drift = abs(miou - frozen)
+    detail += f"; frozen baseline {frozen:.4f}, drift {drift:.4f} (allowed 0.05)"
+    return CheckResult("synthetic generalization", miou >= 0.70 and drift <= 0.05, detail)
 
 
 def check_ablation_ordering(results):

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import struct
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from meshseg import training
 from meshseg.cli import main
-from meshseg.mesh import DEFAULT_PALETTE, load_labels, load_mesh
+from meshseg.mesh import DEFAULT_PALETTE, class_colors, load_labels, load_mesh
 from meshseg.model import ModelConfig, build_variant, load_checkpoint, save_checkpoint
 
 
@@ -116,6 +117,23 @@ def test_predict_round_trip(trained, dataset, tmp_path):
         [[str(c) for c in palette[k]] for k in labels]
 
 
+def test_predict_colours_every_class_of_a_full_dentition(dataset, tmp_path):
+    # 17 classes, more than DEFAULT_PALETTE's 10; the output bias picks class 12
+    model = build_variant(ModelConfig(num_classes=17, k_neighbors=4, stream_widths=(4, 8),
+                                      fusion_width=16, head_widths=(16, 8)))
+    next(p for p in model.parameters() if p.name == "out.bias").tensor.data[12] = 1e3
+    ckpt, out_ply, out_labels = tmp_path / "m.ckpt", tmp_path / "m.ply", tmp_path / "m.labels"
+    save_checkpoint(model, ckpt)
+    assert main(["predict", "--checkpoint", str(ckpt),
+                 "--mesh", str(dataset / "test" / "arch_000.obj"),
+                 "--out-ply", str(out_ply), "--out-labels", str(out_labels)]) == 0
+    labels = load_labels(out_labels)
+    assert set(labels.tolist()) == {12}
+    colour = " ".join(map(str, class_colors(17)[12]))
+    assert all(line.endswith(" " + colour)
+               for line in out_ply.read_text().splitlines()[-len(labels):])
+
+
 def test_predict_same_inputs_identical(trained, dataset, tmp_path):
     mesh_path = dataset / "test" / "arch_000.obj"
     a, b = tmp_path / "a.ply", tmp_path / "b.ply"
@@ -163,6 +181,7 @@ def test_resume_matches_uninterrupted(dataset, tmp_path):
     assert set(a) == set(b)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+    assert (full / "train_log.tsv").read_bytes() == (half / "train_log.tsv").read_bytes()
 
 
 def test_resume_after_crash_logs_each_epoch_once(dataset, tmp_path, monkeypatch):
@@ -382,6 +401,10 @@ FUZZ_CASES = {
     "cfg": ({**TRAIN_FILES, "m.cfg": FUZZ_CFG}, "m.cfg",
             ["train", "--manifest", "{dir}/manifest.tsv", "--out", "{dir}/run",
              "--config", "{dir}/m.cfg", *TINY]),
+    # the log of the finished `tiny_run`, resumed with no epoch left to train
+    "train_log": ({**TRAIN_FILES, "train_log.tsv": None}, "train_log.tsv",
+                  ["train", "--manifest", "{dir}/manifest.tsv", "--out", "{dir}",
+                   "--resume", "{run}/model.ckpt", *TINY]),
 }
 FUZZ_BYTES = (b"\xff", b"nan", b"1e999", b"\t", b"\n", b"12345678901234567890", b"-", b"0")
 
@@ -403,9 +426,22 @@ def mutated(draw, data):
     return data
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """The --out directory of a finished TINY run on TRAIN_FILES."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    for name, text in TRAIN_FILES.items():
+        (root / name).write_text(text)
+    assert main(["train", "--manifest", str(root / "manifest.tsv"),
+                 "--out", str(root / "run"), *TINY]) == 0
+    return root / "run"
+
+
 @pytest.mark.parametrize("kind", sorted(FUZZ_CASES))
-def test_mutated_input_fails_with_one_error_line(kind, tiny_checkpoint):
+def test_mutated_input_fails_with_one_error_line(kind, tiny_checkpoint, tiny_run):
     files, target, argv = FUZZ_CASES[kind]
+    files = {name: (tiny_run / name).read_text() if text is None else text
+             for name, text in files.items()}
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(mutated(files[target].encode()))
@@ -413,7 +449,8 @@ def test_mutated_input_fails_with_one_error_line(kind, tiny_checkpoint):
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in files.items():
                 Path(tmp, name).write_bytes(data if name == target else text.encode())
-            args = [a.format(ckpt=tiny_checkpoint, dir=tmp, ext=target[-3:]) for a in argv]
+            args = [a.format(ckpt=tiny_checkpoint, dir=tmp, ext=target[-3:], run=tiny_run)
+                    for a in argv]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err, \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")  # a warning is a stderr line too
@@ -536,6 +573,31 @@ def test_resume_with_undecodable_log_leaves_the_run_as_it_was(dataset, tmp_path)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_resume_with_malformed_log_row_leaves_the_run_as_it_was(dataset, tmp_path):
+    manifest, out = dataset / "manifest.tsv", tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), *TINY]) == 0
+    log = out / "train_log.tsv"
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join([*lines[:2], "1\tgarbage"]) + "\n")  # epoch 1's row
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    four = [s if s != "train.epochs=2" else "train.epochs=4" for s in TINY]
+    err = run_cli(["train", "--manifest", manifest, "--out", out,
+                   "--resume", out / "model.ckpt", *four], 1, "error: ")
+    assert err == (f"error: {log}:3: expected 4 tab-separated fields "
+                   f"(epoch, lr, mean_loss, train_oa), got 2")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_resume_into_out_without_log_writes_only_new_epochs(dataset, tmp_path):
+    manifest, first, second = dataset / "manifest.tsv", tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--manifest", str(manifest), "--out", str(first), *TINY]) == 0
+    four = [s if s != "train.epochs=2" else "train.epochs=4" for s in TINY]
+    assert main(["train", "--manifest", str(manifest), "--out", str(second),
+                 "--resume", str(first / "model.ckpt"), *four]) == 0
+    assert [r.epoch for r in training.parse_log(second / "train_log.tsv")] == [2, 3]
+    assert (second / "train_log.tsv").read_text().startswith(training.LOG_HEADER + "\n")
+
+
 def test_zero_epochs_is_valid(dataset, tmp_path):
     code = main(["train", "--manifest", str(dataset / "manifest.tsv"),
                  "--out", str(tmp_path / "run"), *TINY, "--set", "train.epochs=0"])
@@ -651,6 +713,19 @@ def test_verify_catches_broken_softmax(monkeypatch, capsys):
     assert code == 1
     assert any("FAIL" in line and "attention normalization" in line
                for line in out.splitlines())
+
+
+def test_generalization_check_fails_without_its_baseline(monkeypatch, tmp_path):
+    from meshseg import verify
+
+    with open(verify.BASELINE_PATH) as fh:
+        frozen = json.load(fh)["test_miou"]
+    assert verify.check_generalization({"full": (0.95, frozen)}).passed
+    missing = str(tmp_path / "generalization.json")
+    monkeypatch.setattr(verify, "BASELINE_PATH", missing)
+    result = verify.check_generalization({"full": (0.95, frozen)})
+    assert not result.passed
+    assert missing in result.detail
 
 
 def test_out_dir_env_var(dataset, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from meshseg.mesh import (
     MeshFormatError,
     TriangleMesh,
     build_cell_features,
+    class_colors,
     compute_normals,
     export_colored_mesh,
     load_labels,
@@ -257,6 +258,17 @@ def test_export_reimport_recovers_labels(tmp_path):
     face_lines = p.read_text().splitlines()[-28:]
     assert face_lines == [f"3 {a} {b} {c} " + " ".join(map(str, DEFAULT_PALETTE[k]))
                           for (a, b, c), k in zip(mesh.faces, classes)]
+
+
+def test_class_colors_are_distinct_and_start_with_the_default_palette():
+    colors = class_colors(1024)
+    assert colors[:len(DEFAULT_PALETTE)] == DEFAULT_PALETTE
+    assert class_colors(3) == DEFAULT_PALETTE[:3]
+    assert len(set(colors)) == 1024
+    assert all(0 <= v <= 255 for rgb in colors for v in rgb)
+    assert len(set(class_colors(len(DEFAULT_PALETTE) + 4096))) == len(DEFAULT_PALETTE) + 4096
+    with pytest.raises(LabelRangeError):
+        class_colors(len(DEFAULT_PALETTE) + 4097)
 
 
 def test_export_errors():

@@ -10,11 +10,14 @@ from meshseg.model import (
     build_variant,
     cross_entropy,
     load_checkpoint,
+    _record_table,
     load_model,
+    restore_state,
     save_checkpoint,
     variant_config,
 )
 from meshseg.tensor import BN_EPS, Tensor, _toposort, gradient_check
+from meshseg.training import Adam
 from reference import composed_cross_entropy, softmax_axis
 
 
@@ -772,6 +775,8 @@ _CHECKPOINT_DAMAGE = {
     "corrupt-config": _corrupt_config,
     "empty-huge-rank": _empty_shape(200, 1),
     "empty-huge-dims": _empty_shape(8, 2 ** 31),
+    "unsupported-version": lambda data: data[:4] + b"\xff\xff" + data[6:],
+    "trailing-byte": lambda data: data + b"\x00",
 }
 
 
@@ -783,6 +788,41 @@ def test_damaged_checkpoint_raises_checkpoint_error(tmp_path, damage):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)
+
+
+# damage -> (record, its value in the loaded arrays, what the refusal names)
+_RESTORE_REFUSALS = {
+    "extra-record": ("bogus", np.zeros(1, np.float32), "unexpected array 'bogus'"),
+    "fractional-counters": ("optimizer.counters", np.array([1.5, 0], np.float32),
+                            "are not step and epoch counts"),
+    "nan-record": ("out.bias", np.full(5, np.nan, np.float32),  # tiny_config's 5 classes
+                   "non-finite values"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_RESTORE_REFUSALS))
+def test_refused_restore_changes_no_live_array(tmp_path, damage):
+    record, value, fragment = _RESTORE_REFUSALS[damage]
+    model, path = build_variant(tiny_config()), tmp_path / "run.ckpt"
+    adam = Adam(model.parameters())
+    adam.state.step, adam.state.epoch = 3, 1
+    for moments in (adam.state.m, adam.state.v):
+        for m in moments.values():
+            m[...] = 0.5
+    save_checkpoint(model, path, adam)
+    _, arrays = load_checkpoint(path)
+    arrays[record] = value
+    live = build_variant(tiny_config(seed=4))
+    live_adam = Adam(live.parameters())
+    before = {name: arr.copy() for name, arr in _record_table(live, live_adam).items()}
+    with pytest.raises(CheckpointError) as exc:
+        restore_state(path, arrays, live, live_adam)
+    assert str(path) in str(exc.value)
+    assert record in str(exc.value) and fragment in str(exc.value)
+    after = _record_table(live, live_adam)
+    assert after.keys() == before.keys()
+    for name, arr in before.items():
+        assert np.array_equal(after[name], arr), name
 
 
 def test_zero_layer_width_rejected():
