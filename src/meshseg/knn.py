@@ -5,23 +5,22 @@ broken toward the lower index, and is built in bounded memory.  Each block
 is centred on its float64 column mean and cast to float32, so float32
 rounding does not grow with the block's distance from the origin.  Rows
 and columns are sorted by their projection p onto the block's top
-principal axis, and rows are taken in chunks of about _ROWS, in one buffer
-per build_block_knn_graph call.  |p_i - p_j| never exceeds the distance
-between rows i and j, so a column whose projection lies farther from every
-row of a chunk than that row's k-th distance bound is neither a neighbour
-of any of them nor tied with one; the columns left form one contiguous
-run of the sorted order.  This is the bounding test of k-d trees (Friedman,
-Bentley & Finkel 1977) on one axis.  BLAS writes a chunk's float32
-distances |b|^2 - 2ab to a window of sorted columns around its own, and
-one np.partition finds each row's exact k-th value t_i on that window, an
-upper bound of its k-th distance.  Every column within twice the rounding
-bound of t_i is a candidate, and the candidates are ranked by exact
-float64 distances, in one re-rank for as many chunks as keep rows x
-widest candidate list within _RERANK.  Of a group of equal rows only the
-k + 1 of lowest index can be anyone's neighbour, so the others are never
-candidates.  Peak memory is O(_CHUNK_ELEMS + _RERANK + M d) per call,
-never M x M; a chunk that passes _RERANK on its own is re-ranked alone,
-in chunk x M at most.
+principal axis, and rows are taken in chunks of about _ROWS.  |p_i - p_j|
+never exceeds the distance between rows i and j, so a column whose
+projection lies farther from every row of a chunk than that row's k-th
+distance bound is neither a neighbour of any of them nor tied with one;
+the columns left form one contiguous run of the sorted order.  This is the
+bounding test of k-d trees (Friedman, Bentley & Finkel 1977) on one axis.
+BLAS writes a chunk's float32 distances |b|^2 - 2ab to a window of sorted
+columns around its own, and one np.partition finds each row's exact k-th
+value t_i on that window, an upper bound of its k-th distance.  Every
+column within twice the rounding bound of t_i is a candidate, and the
+candidates are ranked by exact float64 distances, in one re-rank for as
+many chunks as keep rows x widest candidate list within _RERANK.  Of a
+group of equal rows only the k + 1 of lowest index can be anyone's
+neighbour, so the others are never candidates.  Peak memory is
+O(_CHUNK_ELEMS + _RERANK + M d) per call, never M x M; a chunk that passes
+_RERANK on its own is re-ranked alone, in chunk x M at most.
 
 Graph construction is non-differentiable structure: neighbor indices are
 computed from raw feature values and gradients never flow through the
@@ -48,7 +47,7 @@ _F32_EPS = float(np.finfo(np.float32).eps)
 _SQ_LIMIT = float(np.finfo(np.float32).max) / 4  # keeps every e_ij finite
 _F32_TINY = float(np.finfo(np.float32).tiny)  # smallest normal float32
 _F64_EPS = float(np.finfo(np.float64).eps)
-_ROWS = 96  # rows per chunk, fewer when a chunk's columns would overflow buf
+_ROWS = 96  # rows per chunk, fewer when it would pass max(_CHUNK_ELEMS, M) distances
 _RERANK = 1 << 14  # rows x widest candidate list per re-rank, unless one chunk has more
 
 
@@ -171,10 +170,9 @@ def build_knn_graph(features, k, include_self=False):
     return build_block_knn_graph(features, len(features), k, include_self)
 
 
-def _knn_indices(features, k, include_self, buf):
-    """The (M, k) table of one build_block_knn_graph block.  `buf`, a flat
-    float32 scratch of at least max(_CHUNK_ELEMS, M) values, holds each
-    row chunk's distances.
+def _knn_indices(features, k, include_self):
+    """The (M, k) table of one build_block_knn_graph block.  A row chunk
+    holds at most max(_CHUNK_ELEMS, M) float32 distances.
 
     Bound.  v is the top eigenvector of the centred block's Gram matrix,
     p = c v the float64 projections of the centred rows c, sorted.  A row
@@ -246,18 +244,19 @@ def _knn_indices(features, k, include_self, buf):
     out = np.empty((m, k), dtype=np.int64)
     start, hits, width = 0, [], 0  # candidates of sorted rows start:lo, widest row
     lo, left, right = 0, k + 1, k + 1
+    cap = max(_CHUNK_ELEMS, m)  # float32 distances per row chunk
     while lo < m:
-        n = max(1, min(_ROWS, m - lo, len(buf) // min(m, _ROWS + left + right)))
+        n = max(1, min(_ROWS, m - lo, cap // min(m, _ROWS + left + right)))
         hi = lo + n
         c0, c1 = max(lo - left, 0), min(hi + right, m)
-        e, kth = _distances(a[lo:hi], at, sq_col, c0, c1, k, buf, lo, include_self)
+        e, kth = _distances(a[lo:hi], at, sq_col, c0, c1, k, lo, include_self)
         reach = scale * np.sqrt(np.maximum(kth + sq[lo:hi] + margin[lo:hi] / 2, 0)) + delta
         need0, need1 = _kept_columns(p, lo, hi, reach)
         left, right = (lo - need0) * 5 // 4 + k + 1, (need1 - hi) * 5 // 4 + k + 1
         if need0 < c0 or need1 > c1:
             c0, c1 = need0, need1
-            hi = min(hi, lo + len(buf) // (c1 - c0))
-            e, kth = _distances(a[lo:hi], at, sq_col, c0, c1, k, buf, lo, include_self)
+            hi = min(hi, lo + cap // (c1 - c0))
+            e, kth = _distances(a[lo:hi], at, sq_col, c0, c1, k, lo, include_self)
         # flatnonzero: several times faster than a 2-d nonzero
         r, col = np.divmod(np.flatnonzero(
             e <= _f32_above(kth + margin[lo:hi])[:, None]), c1 - c0)
@@ -304,12 +303,12 @@ def _column_norms(x64, order, p, sq, k):
     return np.where(spare[order], np.float32(np.inf), sq)
 
 
-def _distances(rows, at, sq_col, c0, c1, k, buf, lo, include_self):
+def _distances(rows, at, sq_col, c0, c1, k, lo, include_self):
     """(e, each row's k-th smallest e) of `rows`, sorted from lo: e, (n, c1 -
-    c0) in buf, holds the float32 |b|^2 - 2ab to sorted columns c0:c1, +inf
-    at a row's own column unless include_self."""
+    c0), holds the float32 |b|^2 - 2ab to sorted columns c0:c1, +inf at a
+    row's own column unless include_self."""
     n = len(rows)
-    e = np.matmul(rows, at[:, c0:c1], out=buf[:n * (c1 - c0)].reshape(n, c1 - c0))
+    e = rows @ at[:, c0:c1]
     e += sq_col[c0:c1]
     if not include_self:
         e[np.arange(n), np.arange(lo - c0, lo - c0 + n)] = np.inf
@@ -363,12 +362,9 @@ def build_block_knn_graph(features, block_size, k, include_self=False):
         raise DimensionError(
             f"{total} rows do not divide into blocks of {block_size}"
         )
-    # one scratch buffer for every block: a fresh one per block is mapped
-    # and page-faulted anew
-    buf = np.empty(max(_CHUNK_ELEMS, block_size), dtype=np.float32)
     blocks = []
     for start in range(0, total, block_size):
         blocks.append(_knn_indices(features[start:start + block_size], k,
-                                   include_self, buf) + start)
+                                   include_self) + start)
     return KnnGraph(np.concatenate(blocks, axis=0))
 

@@ -170,14 +170,16 @@ def read_table(path, columns, error):
     `columns`, a tuple of (name, int | float | str) pairs.
 
     Blank lines, lines starting with `#` and the header (the names joined
-    by tabs) are skipped.  A row with the wrong field count, or a field its
-    type cannot read, raises `error` as `path:line: ...`.
+    by tabs) are skipped.  Only spaces are stripped from a line's ends, so
+    an empty first or last field still counts.  A row with the wrong field
+    count, or a field its type cannot read, raises `error` as
+    `path:line: ...`.
     """
     names = [name for name, _ in columns]
     header = "\t".join(names)
     rows = []
     for lineno, line in enumerate(read_lines(path, error), start=1):
-        line = line.strip()
+        line = line.strip(" ")
         if not line or line.startswith("#") or line == header:
             continue
         fields = line.split("\t")

@@ -30,7 +30,14 @@ Every other per-edge intermediate is formed in row blocks of about _BLOCK
 values through one scratch array per call (`_blocks`), and batch norm
 centres the affine's fresh output in place (`_centre`).  The arithmetic
 and its order are those of the whole-array expressions, so results are
-bit-identical to them.
+bit-identical to them.  Importing this module also sets glibc's trim and
+mmap thresholds to _HEAP_KEEP bytes (`_keep_heap`).  By default glibc gives
+each array above a threshold (128 KiB, rising to at most 32 MiB as such
+arrays are freed) a map of its own and hands freed heap tops back to the
+kernel, so every op page-faulted its per-edge arrays in again.  Now the
+next op reuses the pages the last one freed, and RSS stays at its peak
+between ops.  Both thresholds are set, since setting either one fixes the
+other at 128 KiB.  Where the C library has no mallopt, nothing is set.
 
 Tensors are immutable once created except for gradient accumulation.
 Backward runs over a tape in reverse topological order; only first-order
@@ -45,14 +52,34 @@ nothing alive for a backward that never comes.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 _BLOCK = 1 << 17  # values per row block of an intermediate: 512 KB in float32
+_HEAP_KEEP = 1 << 30  # bytes: glibc's trim and mmap thresholds (_keep_heap)
 
 _taping = True  # False inside no_tape()
+
+
+def _keep_heap():
+    """Keep freed memory in the process: glibc returns no heap top below
+    _HEAP_KEEP bytes to the kernel and serves allocations below it from the
+    heap, not from fresh maps.  Does nothing where the C library has no
+    mallopt or cannot be opened."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, _HEAP_KEEP)  # M_TRIM_THRESHOLD
+    mallopt(-3, _HEAP_KEEP)  # M_MMAP_THRESHOLD
+
+
+_keep_heap()
 
 
 class DimensionError(ValueError):

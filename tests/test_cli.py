@@ -269,6 +269,14 @@ BAD_INPUTS = {
                              "manifest.tsv": ONE_ROW}, EVAL, "m.labels"),
     "manifest-short-row": ({"manifest.tsv": "# header\nm.obj\tm.labels\ttest\n"},
                            EVAL, "manifest.tsv:2"),
+    # an empty first or last field was stripped away with the line's tabs,
+    # so these 5-field rows read as valid 4-field rows
+    "manifest-empty-last-field": ({"manifest.tsv": "a.obj\ta.labels\ttest\t0\t\n"}, EVAL,
+                                  "manifest.tsv:1: expected 4 tab-separated fields "
+                                  "(mesh, labels, split, seed), got 5"),
+    "manifest-empty-first-field": ({"manifest.tsv": "\tb.obj\tb.labels\ttrain\t1\n"}, EVAL,
+                                   "manifest.tsv:1: expected 4 tab-separated fields "
+                                   "(mesh, labels, split, seed), got 5"),
     # a byte that is not UTF-8: a UnicodeDecodeError traceback for the manifest
     "obj-not-utf8": ({"m.obj": b"v 0 0 0\nv 1 0 \xff\nv 0 1 0\nf 1 2 3\n"}, PREDICT,
                      "m.obj:2: not UTF-8 text"),

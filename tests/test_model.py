@@ -1,3 +1,12 @@
+import contextlib
+import ctypes
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,8 +25,11 @@ from meshseg.model import (
     save_checkpoint,
     variant_config,
 )
-from meshseg.tensor import BN_EPS, Tensor, _toposort, gradient_check
-from meshseg.training import Adam
+from meshseg.mesh import build_cell_features
+from meshseg.synth import generate
+from meshseg.tensor import BN_EPS, Tensor, _toposort, gradient_check, no_tape
+from meshseg.training import Adam, inference_features
+from meshseg.verify import desk_arch_spec, desk_model_config, desk_train_config
 from reference import composed_cross_entropy, softmax_axis
 
 
@@ -846,3 +858,135 @@ def test_config_json_round_trip():
     assert back == cfg
     with pytest.raises(ConfigError):
         ModelConfig.from_json('{"not_a_field": 1}')
+
+
+# ---------------------------------------------------------------------------
+# heap reuse: importing meshseg.tensor keeps freed memory in the process
+# ---------------------------------------------------------------------------
+
+def libc_mallopt():
+    """The C library's mallopt(int, int), or None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+needs_mallopt = pytest.mark.skipif(libc_mallopt() is None, reason="libc has no mallopt")
+
+# Minor page faults of each call, in a fresh interpreter so that no earlier
+# test has shaped the heap: three desk predicts of one 3,996-cell arch, and
+# eight desk train steps (forward, loss, backward, Adam) on 4 x 1200 cells.
+FAULT_PROBE = """
+import dataclasses, json, resource
+import numpy as np
+from meshseg import mesh, model, synth, training, verify
+
+def faults(op, calls):
+    counts = []
+    for _ in range(calls):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        op()
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return counts
+
+spec = verify.desk_arch_spec()
+arch = synth.generate(dataclasses.replace(spec, cells_target=4000, seed=3))
+x = training.inference_features(arch)
+net = model.build_variant(verify.desk_model_config())
+predict = faults(lambda: net.predict(x), 3)
+
+tc = verify.desk_train_config()
+meshes = training.prepare_training_meshes(
+    [synth.generate(dataclasses.replace(spec, seed=s)) for s in range(4)], tc)
+feats = [mesh.build_cell_features(m, center=False).as_array() for m in meshes]
+labels = np.concatenate([m.labels for m in meshes])
+net = model.build_variant(verify.desk_model_config())
+adam = training.Adam(net.parameters(), tc.beta1, tc.beta2, tc.eps)
+
+def step():
+    loss = model.cross_entropy(net.forward(feats, train=True), labels, reduction="mean")
+    net.zero_grad()
+    loss.backward()
+    adam.step(tc.lr0)
+
+print(json.dumps({"predict": predict, "train": faults(step, 8)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def op_faults():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@needs_mallopt
+def test_warm_predict_takes_almost_no_page_faults(op_faults):
+    # without the heap settings every call faulted 6-7k pages back in
+    assert op_faults["predict"][2] < 100, op_faults["predict"]
+
+
+@needs_mallopt
+def test_warm_train_steps_take_almost_no_page_faults(op_faults):
+    # without them each warm step faulted 2.6k-5.5k pages (0-13k in other
+    # runs), so four consecutive steps are summed; with them a step's
+    # heap still grows now and then, by up to about 1.7k pages
+    assert sum(op_faults["train"][4:]) < 4000, op_faults["train"]
+
+
+@contextlib.contextmanager
+def poisoned_heap():
+    """Fill freed heap memory with garbage while the block runs: first
+    arrays of the sizes a step uses are filled with NaN and freed, so the
+    next allocations get those pages back holding NaN.  Where libc has
+    mallopt, M_PERTURB (-6) then also fills every block malloc hands out
+    with 0x7f bytes, memory that the same run freed earlier included."""
+    arrays = [np.full((mb << 20) // 4, np.nan, np.float32) for mb in (16, 32, 48, 64)]
+    del arrays
+    mallopt = libc_mallopt()
+    if mallopt is None:
+        yield
+        return
+    mallopt(-6, 0x80)  # blocks handed out are filled with 0x80 ^ 0xff
+    try:
+        yield
+    finally:
+        mallopt(-6, 0)
+
+
+def desk_step_and_predict_bytes():
+    """Every output of one desk train step (logits, loss, each gradient,
+    the batch-norm statistics after it) and of one eval pass over a
+    3,996-cell arch (no-tape logits and predict's labels), as bytes."""
+    spec = desk_arch_spec()
+    meshes = [generate(dataclasses.replace(spec, seed=s)) for s in (11, 12)]
+    feats = [build_cell_features(m, center=False).as_array() for m in meshes]
+    labels = np.concatenate([m.labels for m in meshes])
+    net = build_variant(desk_model_config())
+    logits = net.forward(feats, train=True)
+    loss = cross_entropy(logits, labels, reduction="mean")
+    loss.backward()
+    out = [logits.data, loss.data] + [p.tensor.grad for p in net.parameters()]
+    for st in net.bn_states().values():
+        out += [st.running_mean, st.running_var]
+    x = inference_features(generate(dataclasses.replace(spec, cells_target=4000, seed=3)))
+    with no_tape():
+        out.append(net.forward(x).data)
+    out.append(net.predict(x))
+    return [a.tobytes() for a in out]
+
+
+def test_recycled_memory_does_not_reach_any_output():
+    # freed heap pages now come back holding old data, not zeros, so a
+    # read of uninitialised scratch would show here
+    want = desk_step_and_predict_bytes()
+    with poisoned_heap():
+        got = desk_step_and_predict_bytes()
+    assert got == want
