@@ -11,7 +11,7 @@ print(f"one arch, {mesh.num_cells} cells, 5 classes")
 config = ModelConfig(num_classes=5, k_neighbors=8, stream_widths=(8, 16, 32),
                      fusion_width=64, head_widths=(64, 32), seed=0).validate()
 model = build_variant(config)
-print(f"model: {model.num_parameters()} parameters")
+print(f"model: {sum(p.tensor.data.size for p in model.parameters())} parameters")
 
 train_cfg = TrainConfig(epochs=120, batch_size=1, lr0=1e-3, decay_every=100,
                         augment=False, seed=0)

@@ -37,6 +37,7 @@ from meshseg.model import (
     build_variant,
     check_cells,
     load_model,
+    replace_file,
     save_checkpoint,
     variant_config,
 )
@@ -100,11 +101,12 @@ def cmd_train(args):
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
-    with open(os.path.join(args.out, "resolved.cfg"), "w") as fh:
-        fh.write(format_config(model_cfg, train_cfg))
-    with open(log_path, "w") as log_fh:
-        log_fh.write(training.LOG_HEADER + "\n")
-        log_fh.writelines(training.format_log_row(r) + "\n" for r in kept)
+    # a kill before the first new row leaves the kept rows in place
+    replace_file(os.path.join(args.out, "resolved.cfg"),
+                 format_config(model_cfg, train_cfg).encode())
+    rows = [training.LOG_HEADER, *map(training.format_log_row, kept)]
+    replace_file(log_path, "".join(row + "\n" for row in rows).encode())
+    with open(log_path, "a") as log_fh:
         records, adam = training.train(model, meshes, train_cfg,
                                        checkpoint_path=ckpt, log_fh=log_fh, adam=adam)
     if not records:  # zero-epoch run still leaves a resumable checkpoint

@@ -64,11 +64,11 @@ def apply_setting(model_cfg, train_cfg, dotted_key, raw_value):
     raise ConfigKeyError(f"unknown config section {section!r}")
 
 
-def _parse_lines(lines, where, model_cfg, train_cfg):
-    """Apply each setting of `lines`; an error names `where` plus the line."""
+def parse_config_file(path, model_cfg=None, train_cfg=None):
+    """Settings of a config file; an error names it as `path:line`."""
     model_cfg = model_cfg or ModelConfig()
     train_cfg = train_cfg or TrainConfig()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, ConfigKeyError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -78,18 +78,8 @@ def _parse_lines(lines, where, model_cfg, train_cfg):
             key, value = (part.strip() for part in line.split("=", 1))
             model_cfg, train_cfg = apply_setting(model_cfg, train_cfg, key, value)
         except ConfigKeyError as exc:
-            raise ConfigKeyError(f"{where}{lineno}: {exc}") from None
+            raise ConfigKeyError(f"{path}:{lineno}: {exc}") from None
     return model_cfg, train_cfg
-
-
-def parse_config_text(text, model_cfg=None, train_cfg=None):
-    return _parse_lines(text.splitlines(), "line ", model_cfg, train_cfg)
-
-
-def parse_config_file(path, model_cfg=None, train_cfg=None):
-    """Settings of a config file; an error names it as `path:line`."""
-    return _parse_lines(read_lines(path, ConfigKeyError), f"{path}:", model_cfg,
-                        train_cfg)
 
 
 def apply_overrides(model_cfg, train_cfg, overrides):
@@ -103,7 +93,7 @@ def apply_overrides(model_cfg, train_cfg, overrides):
 
 
 def format_config(model_cfg, train_cfg):
-    """Fully resolved settings, re-parseable by parse_config_text."""
+    """Fully resolved settings, re-parseable by parse_config_file."""
 
     def fmt(value):
         if isinstance(value, tuple):

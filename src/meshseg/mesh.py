@@ -1,7 +1,7 @@
 """Triangle meshes: parsing, normals, per-cell features, labeled export.
 
 Cells are triangular faces; cell index equals face order in the source
-file so label files (one integer per line) stay aligned through load,
+file so label files (one integer per cell) stay aligned through load,
 rigid transforms and export.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,16 +129,10 @@ def load_mesh(path, labels_path=None):
     there is one, the line.
     """
     path = str(path)
-    if path.endswith(".obj"):
-        reader = _load_obj
-    elif path.endswith(".ply"):
-        reader = _load_ply
-    else:
+    reader = {".obj": _load_obj, ".ply": _load_ply}.get(path[-4:])
+    if reader is None:
         raise MeshFormatError(f"unsupported mesh extension: {path}")
-    try:
-        mesh = reader(path)
-    except OverflowError:
-        raise MeshFormatError(f"{path}: a vertex index does not fit int64") from None
+    mesh = reader(path)
     if mesh.num_cells == 0:
         raise MeshFormatError(f"{path}: mesh has no faces")
     if labels_path is not None:
@@ -198,48 +193,67 @@ def read_table(path, columns, error):
 
 
 def _load_obj(path):
-    verts, vert_lines, faces = [], [], []
-    try:
-        for lineno, raw in enumerate(read_lines(path, MeshFormatError), start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
+    lines = read_lines(path, MeshFormatError)
+    split = [line.split() for line in lines]
+    verts, faces = ([i for i, parts in enumerate(split) if parts[:1] == [key]] for key in "vf")
+    return TriangleMesh(*_numbers(path, lines, split, (verts, (1, 2, 3), _OBJ_VERTEX),
+                                  (faces, (1, 2, 3), _OBJ_FACE)))
+
+
+# A kind of line: how its fields convert, the range of their values, its exact
+# number of fields (None: any with the picked columns), and the messages of the
+# _CHECKS it can fail: its number of fields, a field's text, a field's value.
+_CHECKS = (IndexError, ValueError, OverflowError)
+_FINITE, _INT64 = (-np.finfo(float).max, np.finfo(float).max), (-2 ** 63, 2 ** 63 - 1)
+_BAD_VERTEX, _BAD_FACE = "malformed vertex {line!r}", "malformed face {line!r}"
+_OBJ_VERTEX = (float, _FINITE, None, "malformed vertex", _BAD_VERTEX, "non-finite coordinate")
+_OBJ_FACE = (lambda token: int(token.split("/")[0]) - 1, _INT64, 4,  # v, v/vt or v//vn
+             "face with {n} vertices; only triangles supported", _BAD_FACE,
+             "a vertex index does not fit int64")
+_PLY_VERTEX = (float, _FINITE, None, _BAD_VERTEX, _BAD_VERTEX, "non-finite coordinate")
+_PLY_COUNT = (int, (3, 3), None, _BAD_FACE, _BAD_FACE,
+              "face with {values[0]} vertices; only triangles supported")
+_PLY_FACE = (int, _INT64, None, _BAD_FACE, _BAD_FACE, _BAD_FACE)
+_LABELS = (int, _INT64, None, None, "malformed label line {line!r}",
+           "a label does not fit int64")
+
+
+def _numbers(path, lines, split, *groups):
+    """One array per (line indices, columns, kind) group: the fields in
+    `columns` (None: all) of those lines of `split`, the split `lines`, read
+    as `kind` says, as float64 or int64 with one row per line for `columns`.
+
+    The first bad line in file order (a tie goes to the earlier group) raises
+    MeshFormatError as `path:line: <message>`, where a message may name the
+    {line}, its number {n} of fields after the first and its {values}.
+    """
+    arrays, errors = [], []
+    for rank, (indices, columns, (convert, (low, high), count, *messages)) in enumerate(groups):
+        # all lines at once; if that fails, one at a time to find the bad one
+        for batch in chain([indices], ([i] for i in indices)):
+            rows, values = [split[i] for i in batch], []
+            try:
+                if count is not None and set(map(len, rows)) - {count}:
+                    raise IndexError
+                fields = [t for parts in rows for t in parts] if columns is None else \
+                    [parts[c] for parts in rows for c in columns]
+                values = list(map(convert, fields))
+                array = np.array(values, np.float64 if convert is float else np.int64)
+                if not ((array >= low) & (array <= high)).all():
+                    raise OverflowError
+            except _CHECKS as exc:
+                if batch is not indices:
+                    message = messages[_CHECKS.index(type(exc))].format(
+                        line=lines[batch[0]], n=len(rows[0]) - 1, values=values)
+                    errors.append((batch[0], rank, f"{path}:{batch[0] + 1}: {message}"))
+                    break
                 continue
-            key = parts[0]
-            if key == "v":
-                if len(parts) < 4:
-                    raise MeshFormatError(f"{path}:{lineno}: malformed vertex")
-                try:
-                    verts.append([float(p) for p in parts[1:4]])
-                except ValueError:
-                    raise MeshFormatError(
-                        f"{path}:{lineno}: malformed vertex {raw!r}") from None
-                vert_lines.append(lineno)
-            elif key == "f":
-                idx = parts[1:]
-                if len(idx) != 3:
-                    raise MeshFormatError(
-                        f"{path}:{lineno}: face with {len(idx)} vertices; only triangles supported"
-                    )
-                try:
-                    faces.append([int(tok.split("/")[0]) - 1 for tok in idx])
-                except ValueError:
-                    raise MeshFormatError(
-                        f"{path}:{lineno}: malformed face {raw!r}") from None
-    except MeshFormatError:
-        _finite_vertices(path, verts, vert_lines)  # an earlier line's error wins
-        raise
-    return TriangleMesh(_finite_vertices(path, verts, vert_lines),
-                        np.array(faces, dtype=np.int64).reshape(-1, 3))
-
-
-def _finite_vertices(path, verts, lines):
-    """The parsed vertices as a (V, 3) float64 array, checked once:
-    MeshFormatError naming lines[i] of the first non-finite vertex i."""
-    verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
-    bad = ~np.isfinite(verts).all(axis=1)
-    if bad.any():
-        raise MeshFormatError(f"{path}:{lines[bad.argmax()]}: non-finite coordinate")
-    return verts
+            if batch is indices:
+                arrays.append(array if columns is None else array.reshape(-1, len(columns)))
+                break
+    if errors:
+        raise MeshFormatError(min(errors)[2])
+    return arrays
 
 
 HEADER_FIELDS = {"format": 2, "element": 3, "property": 2}  # fewest words per line
@@ -288,32 +302,11 @@ def _load_ply(path):
     except ValueError:
         raise MeshFormatError(f"{path}: vertex element lacks x/y/z properties")
 
-    verts = np.empty((n_vert, 3), dtype=np.float64)
-    for v in range(n_vert):
-        lineno = body_start + v + 1
-        parts = lines[lineno - 1].split()
-        try:
-            verts[v] = [float(parts[xi]), float(parts[yi]), float(parts[zi])]
-        except (ValueError, IndexError):
-            raise MeshFormatError(
-                f"{path}:{lineno}: malformed vertex {lines[lineno - 1]!r}") from None
-    _finite_vertices(path, verts, range(body_start + 1, body_start + n_vert + 1))
-
-    faces = np.empty((n_face, 3), dtype=np.int64)
-    for f in range(n_face):
-        lineno = body_start + n_vert + f + 1
-        parts = lines[lineno - 1].split()
-        try:
-            count = int(parts[0])
-            if count == 3:
-                faces[f] = [int(parts[1]), int(parts[2]), int(parts[3])]
-        except (ValueError, IndexError, OverflowError):
-            raise MeshFormatError(
-                f"{path}:{lineno}: malformed face {lines[lineno - 1]!r}") from None
-        if count != 3:
-            raise MeshFormatError(
-                f"{path}:{lineno}: face with {count} vertices; only triangles supported"
-            )
+    body = range(body_start, body_start + n_vert + n_face)
+    verts, _, faces = _numbers(path, lines, [line.split() for line in lines],
+                               (body[:n_vert], (xi, yi, zi), _PLY_VERTEX),
+                               (body[n_vert:], (0,), _PLY_COUNT),
+                               (body[n_vert:], (1, 2, 3), _PLY_FACE))
     return TriangleMesh(verts, faces)
 
 
@@ -328,18 +321,10 @@ def save_obj(mesh, path):
 
 
 def load_labels(path):
-    """One integer class id per cell, whitespace separated, in face order."""
-    labels = []
-    for lineno, line in enumerate(read_lines(path, MeshFormatError), start=1):
-        try:
-            labels += [int(tok) for tok in line.split()]
-        except ValueError:
-            raise MeshFormatError(
-                f"{path}:{lineno}: malformed label line {line!r}") from None
-    try:
-        return np.array(labels, dtype=np.int64)
-    except OverflowError:
-        raise MeshFormatError(f"{path}: a label does not fit int64") from None
+    """Integer class ids, whitespace separated, one per cell in face order."""
+    lines = read_lines(path, MeshFormatError)
+    return _numbers(path, lines, [line.split() for line in lines],
+                    (range(len(lines)), None, _LABELS))[0]
 
 
 def save_labels(labels, path):

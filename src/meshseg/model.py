@@ -203,9 +203,6 @@ class TwoStreamNet:
         for p in self.parameters():
             p.tensor.grad = None
 
-    def num_parameters(self):
-        return sum(p.tensor.data.size for p in self.parameters())
-
     # -- forward -----------------------------------------------------------
 
     def _as_batch(self, features):
@@ -389,9 +386,15 @@ def save_checkpoint(model, path, adam=None):
         for d in arr.shape:
             buf.write(struct.pack("<I", d))
         buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    replace_file(path, buf.getvalue())
+
+
+def replace_file(path, data):
+    """Write the bytes `data` to `<path>.tmp`, then rename it over `path`, so
+    a kill at any point leaves either the old file or the new one whole."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -206,6 +206,25 @@ def test_resume_after_crash_logs_each_epoch_once(dataset, tmp_path, monkeypatch)
     assert (out / "train_log.tsv").read_text().startswith(training.LOG_HEADER + "\n")
 
 
+def test_resume_killed_in_its_first_step_keeps_the_log(dataset, tmp_path):
+    # the killed run is a fresh interpreter that dies in its first Adam step
+    # with no exception, so no buffer is flushed on the way out
+    manifest, full, run = str(dataset / "manifest.tsv"), tmp_path / "full", tmp_path / "run"
+    epochs = [[s if s != "train.epochs=2" else f"train.epochs={n}" for s in TINY] for n in (3, 6)]
+    resume = ["train", "--manifest", manifest, "--out", str(run), "--resume",
+              str(run / "model.ckpt")]
+    assert main(["train", "--manifest", manifest, "--out", str(full), *epochs[0]]) == 0
+    assert main(["train", "--manifest", manifest, "--out", str(run), *TINY]) == 0
+    killed = ("import os, sys\nfrom meshseg import cli, training\n"
+              "training.Adam.step = lambda self, lr: os._exit(9)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", killed, *resume, *epochs[1]],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 9, proc.stderr
+    assert main([*resume, *epochs[0]]) == 0
+    assert (run / "train_log.tsv").read_bytes() == (full / "train_log.tsv").read_bytes()
+
+
 def test_removed_fixed_augmentation_key_is_a_usage_error(dataset, tmp_path, capsys):
     cfg = tmp_path / "resolved.cfg"
     cfg.write_text("train.augment = true\ntrain.fixed_augmentation = true\n")
@@ -256,17 +275,22 @@ TRAIN = ["train", "--manifest", "{dir}/manifest.tsv", "--out", "{dir}/run",
 BAD_INPUTS = {
     "obj-face-index": ({"m.obj": VERTICES + "f 1 2 x\n"}, PREDICT, "m.obj:4"),
     "obj-face-index-beyond-int64": ({"m.obj": VERTICES + "f 1 2 99999999999999999999\n"},
-                                    PREDICT, "m.obj"),
+                                    PREDICT, "m.obj:4: a vertex index does not fit int64"),
     "obj-vertex-coordinate": ({"m.obj": "v 0 0 zz\n" + TRIANGLE_OBJ}, PREDICT, "m.obj:1"),
     "obj-without-faces": ({"m.obj": VERTICES}, PREDICT, "m.obj"),
     "ply-body-short": ({"m.ply": PLY_HEADER.format(n=3) + "0 0 0\n1 0 0\n"},
                        PREDICT, "m.ply:11"),
     "ply-vertex-count": ({"m.ply": PLY_HEADER.format(n="abc") + "0 0 0\n"},
                          PREDICT, "m.ply:3"),
+    # the malformed line 12 was named, though line 10 comes first
+    "ply-non-finite-before-malformed-vertex": (
+        {"m.ply": PLY_HEADER.format(n=3) + "0 nan 0\n1 0 0\n0 x 0\n3 0 1 2\n"},
+        PREDICT, "m.ply:10: non-finite coordinate"),
     "labels-not-integer": ({"m.obj": TRIANGLE_OBJ, "m.labels": "0\nx\n",
                             "manifest.tsv": ONE_ROW}, EVAL, "m.labels:2"),
     "labels-beyond-int64": ({"m.obj": TRIANGLE_OBJ, "m.labels": "99999999999999999999\n",
-                             "manifest.tsv": ONE_ROW}, EVAL, "m.labels"),
+                             "manifest.tsv": ONE_ROW}, EVAL,
+                            "m.labels:1: a label does not fit int64"),
     "manifest-short-row": ({"manifest.tsv": "# header\nm.obj\tm.labels\ttest\n"},
                            EVAL, "manifest.tsv:2"),
     # an empty first or last field was stripped away with the line's tabs,
@@ -366,14 +390,18 @@ def edited_checkpoints(tmp_path_factory):
     return paths
 
 
+def src_env():
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(argv, expected_code, prefix):
     """Run the CLI in a fresh interpreter; returns its one stderr line after
     checking the exit code, the `prefix` and that no traceback was printed."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "meshseg.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
     err = proc.stderr.strip().splitlines()
     assert "Traceback" not in proc.stderr
     assert proc.returncode == expected_code, proc.stderr

@@ -17,6 +17,7 @@ from meshseg.mesh import (
     save_obj,
     transform_mesh,
 )
+from meshseg.synth import ArchSpec, generate
 
 
 def single_triangle():
@@ -107,6 +108,21 @@ def test_labels_round_trip(tmp_path):
     p = tmp_path / "x.labels"
     save_labels(np.array([0, 3, 1, 2]), p)
     assert load_labels(p).tolist() == [0, 3, 1, 2]
+
+
+def test_synth_arch_reads_back_from_obj_labels_and_coloured_ply(tmp_path):
+    mesh = generate(ArchSpec(num_teeth=3, cells_target=300, seed=2))
+    save_obj(mesh, tmp_path / "a.obj")
+    save_labels(mesh.labels, tmp_path / "a.labels")
+    export_colored_mesh(mesh, mesh.labels, class_colors(int(mesh.labels.max()) + 1),
+                        tmp_path / "a.ply")
+    obj = load_mesh(tmp_path / "a.obj", tmp_path / "a.labels")
+    ply = load_mesh(tmp_path / "a.ply")
+    for back in (obj, ply):
+        assert back.vertices.dtype == np.float64 and back.faces.dtype == np.int64
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.faces, mesh.faces)
+    assert obj.labels.dtype == np.int64 and np.array_equal(obj.labels, mesh.labels)
 
 
 def test_ply_quad_face_error(tmp_path):

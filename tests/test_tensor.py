@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -114,24 +115,46 @@ def top_level_names(node):
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
+def public_definitions(tree):
+    """(name, node) for each public module-level name of a module and each
+    public method of its classes; node is the statement that defines it."""
+    for stmt in tree.body:
+        yield from ((name, stmt) for name in top_level_names(stmt) if not name.startswith("_"))
+        if isinstance(stmt, ast.ClassDef):
+            yield from ((node.name, node) for node in stmt.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+
+
+def named(node):
+    """How many times each name appears as a name or an attribute in `node`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unused_public_names(modules=None):
+    """`module: name` for each public name or method of the src/ `modules`
+    (None: all) that no src/ code names outside its own definition."""
+    src = Path(meshseg.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = sum(map(named, trees.values()), Counter())
+    return [f"{module}: {name}" for module in modules or trees
+            for name, node in public_definitions(trees[module])
+            if used[name] == named(node)[name]]
+
+
 def test_every_public_tensor_name_has_a_src_caller():
     # an op that only tests call belongs in tests/reference.py
-    src = Path(meshseg.__file__).parent
-    tensor = ast.parse((src / "tensor.py").read_text())
-    public = {n for stmt in tensor.body for n in top_level_names(stmt)
-              if not n.startswith("_")}
-    used = set()
-    for path in sorted(src.glob("*.py")):
-        tree = tensor if path.name == "tensor.py" else ast.parse(path.read_text())
-        for stmt in tree.body:
-            own = top_level_names(stmt) if tree is tensor else set()
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else \
-                    node.attr if isinstance(node, ast.Attribute) else None
-                if name is not None and name not in own:
-                    used.add(name)
+    tensor = ast.parse(Path(tensor_mod.__file__).read_text())
+    public = {name for name, _ in public_definitions(tensor)}
     assert "shared_mlp" in public and "Tensor" in public
-    assert not public - used, f"tensor.py names no src/ code uses: {sorted(public - used)}"
+    unused = unused_public_names(["tensor.py"])
+    assert not unused, f"tensor.py names no src/ code uses: {unused}"
+
+
+def test_every_public_src_name_has_a_src_caller():
+    # a name only tests, demos or the benchmark call is dead weight in src/
+    unused = unused_public_names()
+    assert not unused, f"public src/ names no src/ code uses: {unused}"
 
 
 def test_every_public_reference_name_has_a_test_caller():
@@ -142,11 +165,7 @@ def test_every_public_reference_name_has_a_test_caller():
               if not n.startswith("_")}
     used = set()
     for path in sorted(tests.glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used.update(named(ast.parse(path.read_text())))
     assert "folded_mlp" in public and "mul" in public
     assert not public - used, f"reference.py names no test uses: {sorted(public - used)}"
 
