@@ -27,7 +27,9 @@ from meshseg.mesh import (
     class_colors,
     export_colored_mesh,
     load_mesh,
+    replace_file,
     save_labels,
+    write_lines,
 )
 from meshseg.model import (
     CheckpointError,
@@ -37,7 +39,6 @@ from meshseg.model import (
     build_variant,
     check_cells,
     load_model,
-    replace_file,
     save_checkpoint,
     variant_config,
 )
@@ -63,11 +64,9 @@ def _load_split(manifest_path, split):
 
 
 def _resolve_configs(args):
-    model_cfg, train_cfg = ModelConfig(), TrainConfig()
-    if getattr(args, "config", None):
-        model_cfg, train_cfg = parse_config_file(args.config, model_cfg, train_cfg)
-    model_cfg, train_cfg = apply_overrides(model_cfg, train_cfg,
-                                           getattr(args, "set", None))
+    model_cfg, train_cfg = parse_config_file(args.config) if args.config \
+        else (ModelConfig(), TrainConfig())
+    model_cfg, train_cfg = apply_overrides(model_cfg, train_cfg, args.set)
     return model_cfg.validate(), train_cfg.validate()
 
 
@@ -104,8 +103,7 @@ def cmd_train(args):
     # a kill before the first new row leaves the kept rows in place
     replace_file(os.path.join(args.out, "resolved.cfg"),
                  format_config(model_cfg, train_cfg).encode())
-    rows = [training.LOG_HEADER, *map(training.format_log_row, kept)]
-    replace_file(log_path, "".join(row + "\n" for row in rows).encode())
+    write_lines(log_path, [training.LOG_HEADER, *map(training.format_log_row, kept)])
     with open(log_path, "a") as log_fh:
         records, adam = training.train(model, meshes, train_cfg,
                                        checkpoint_path=ckpt, log_fh=log_fh, adam=adam)
@@ -125,8 +123,7 @@ def cmd_eval(args):
     report = evaluation.format_report(result)
     print(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report + "\n")
+        write_lines(args.out, [report])
     return 0
 
 
@@ -163,10 +160,8 @@ def cmd_ablate(args):
         print(f"trained {name}: OA {result.oa:.4f} mIoU {result.miou:.4f}")
 
     table_path = os.path.join(args.out, "ablation.tsv")
-    with open(table_path, "w") as fh:
-        fh.write("variant\toa\tmiou\n")
-        for name, oa, miou in rows:
-            fh.write(f"{name}\t{oa:.6f}\t{miou:.6f}\n")
+    write_lines(table_path, ["variant\toa\tmiou",
+                             *(f"{name}\t{oa:.6f}\t{miou:.6f}" for name, oa, miou in rows)])
     print(f"\nvariant\tOA\tmIoU")
     for name, oa, miou in rows:
         print(f"{name}\t{oa:.4f}\t{miou:.4f}")

@@ -64,10 +64,9 @@ def apply_setting(model_cfg, train_cfg, dotted_key, raw_value):
     raise ConfigKeyError(f"unknown config section {section!r}")
 
 
-def parse_config_file(path, model_cfg=None, train_cfg=None):
-    """Settings of a config file; an error names it as `path:line`."""
-    model_cfg = model_cfg or ModelConfig()
-    train_cfg = train_cfg or TrainConfig()
+def parse_config_file(path):
+    """The default config pair with a file's settings applied; errors name `path:line`."""
+    model_cfg, train_cfg = ModelConfig(), TrainConfig()
     for lineno, line in enumerate(read_lines(path, ConfigKeyError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -7,6 +7,7 @@ rigid transforms and export.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -76,19 +77,24 @@ class TriangleMesh:
     def num_cells(self):
         return self.faces.shape[0]
 
-    def validate(self):
+    def validate(self, face_at=lambda i: f"face {i}"):
+        """Self, after checking shapes, values and labels; the first face that
+        references a vertex outside [0, V) or repeats one is named by
+        `face_at(index)` (a loader passes its `path:line`)."""
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshFormatError(f"vertices must be (V, 3), got {self.vertices.shape}")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshFormatError(f"faces must be (M, 3), got {self.faces.shape}")
         if not np.isfinite(self.vertices).all():
             raise MeshFormatError("non-finite vertex coordinate")
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= self.num_vertices):
-            raise MeshFormatError("face references a vertex outside [0, V)")
-        if self.faces.size:
-            a, b, c = self.faces.T
-            if ((a == b) | (b == c) | (a == c)).any():
-                raise MeshFormatError("face repeats a vertex")
+        f = self.faces
+        outside = ((f < 0) | (f >= self.num_vertices)).any(axis=1)
+        bad = np.flatnonzero(outside | (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2])
+                             | (f[:, 0] == f[:, 2]))
+        if bad.size:
+            what = f"references a vertex outside [0, {self.num_vertices})" \
+                if outside[bad[0]] else "repeats a vertex"
+            raise MeshFormatError(f"{face_at(bad[0])}: face {what}")
         if self.labels is not None and len(self.labels) != self.num_cells:
             raise MeshFormatError(
                 f"{len(self.labels)} labels for {self.num_cells} cells"
@@ -132,15 +138,17 @@ def load_mesh(path, labels_path=None):
     reader = {".obj": _load_obj, ".ply": _load_ply}.get(path[-4:])
     if reader is None:
         raise MeshFormatError(f"unsupported mesh extension: {path}")
-    mesh = reader(path)
+    mesh, face_lines = reader(path)
     if mesh.num_cells == 0:
         raise MeshFormatError(f"{path}: mesh has no faces")
+    mesh.validate(lambda i: f"{path}:{face_lines[i] + 1}")
     if labels_path is not None:
-        mesh.labels = load_labels(labels_path)
-    try:
-        return mesh.validate()
-    except MeshFormatError as exc:
-        raise MeshFormatError(f"{path}: {exc}") from None
+        labels = load_labels(labels_path)
+        if len(labels) != mesh.num_cells:
+            raise MeshFormatError(f"{labels_path}: {len(labels)} labels for the "
+                                  f"{mesh.num_cells} cells of {path}")
+        mesh.labels = labels
+    return mesh
 
 
 def read_lines(path, error):
@@ -158,6 +166,31 @@ def read_lines(path, error):
     except UnicodeDecodeError as exc:  # raw[:exc.start] decodes
         line = len((raw[:exc.start] + b".").decode().splitlines())
         raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
+def replace_file(path, data):
+    """Write the bytes `data` to `path` whole, as `<path>.tmp` renamed over it,
+    so a kill leaves the old file or the new one.  A symlink's target is
+    replaced; any other path that is not a regular file is written in place."""
+    path = os.path.realpath(path) if os.path.islink(path) else path
+    if os.path.lexists(path) and not os.path.isfile(path):  # a directory, FIFO or device
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or rename leaves no temp file
+        os.remove(tmp)
+        raise
+
+
+def write_lines(path, lines):
+    """Write each str of `lines`, then a newline, to `path` through replace_file."""
+    replace_file(path, "".join(f"{line}\n" for line in lines).encode())
 
 
 def read_table(path, columns, error):
@@ -197,7 +230,7 @@ def _load_obj(path):
     split = [line.split() for line in lines]
     verts, faces = ([i for i, parts in enumerate(split) if parts[:1] == [key]] for key in "vf")
     return TriangleMesh(*_numbers(path, lines, split, (verts, (1, 2, 3), _OBJ_VERTEX),
-                                  (faces, (1, 2, 3), _OBJ_FACE)))
+                                  (faces, (1, 2, 3), _OBJ_FACE))), faces
 
 
 # A kind of line: how its fields convert, the range of their values, its exact
@@ -307,17 +340,15 @@ def _load_ply(path):
                                (body[:n_vert], (xi, yi, zi), _PLY_VERTEX),
                                (body[n_vert:], (0,), _PLY_COUNT),
                                (body[n_vert:], (1, 2, 3), _PLY_FACE))
-    return TriangleMesh(verts, faces)
+    return TriangleMesh(verts, faces), body[n_vert:]
 
 
 def save_obj(mesh, path):
     """Write vertices and faces as ascii obj (floats keep full precision)."""
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            # python float repr is the shortest exact round-trip form
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+    # float repr is the shortest exact round-trip form; tolist() rows format faster
+    write_lines(path, chain((f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
+                             for v in mesh.vertices.tolist()),
+                            (f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}" for f in mesh.faces.tolist())))
 
 
 def load_labels(path):
@@ -328,9 +359,7 @@ def load_labels(path):
 
 
 def save_labels(labels, path):
-    with open(path, "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+    write_lines(path, (f"{int(v)}" for v in labels))
 
 
 def export_colored_mesh(mesh, per_cell_class, palette, path):
@@ -347,19 +376,15 @@ def export_colored_mesh(mesh, per_cell_class, palette, path):
         raise LabelRangeError(
             f"class {per_cell_class.max()} outside palette of {len(palette)} entries"
         )
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {mesh.num_vertices}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {mesh.num_cells}\n")
-        fh.write("property list uchar int vertex_indices\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f, c in zip(mesh.faces, per_cell_class):
-            r, g, b = palette[c]
-            fh.write(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}\n")
+    header = ("ply\nformat ascii 1.0", f"element vertex {mesh.num_vertices}",
+              "property float x\nproperty float y\nproperty float z",
+              f"element face {mesh.num_cells}", "property list uchar int vertex_indices",
+              "property uchar red\nproperty uchar green\nproperty uchar blue", "end_header")
+    colours = (palette[c] for c in per_cell_class.tolist())
+    write_lines(path, chain(header, (f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
+                                     for v in mesh.vertices.tolist()),
+                            (f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}"
+                             for f, (r, g, b) in zip(mesh.faces.tolist(), colours))))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +394,8 @@ def export_colored_mesh(mesh, per_cell_class, palette, path):
 def compute_normals(mesh):
     """Unit face normals (CCW cross product) and area-weighted vertex normals.
 
-    Zero-area faces get a sentinel +z normal and a DegenerateFaceWarning.
+    Zero-area faces get a sentinel +z normal; a call that finds any warns
+    once, with their count and the first one, as a DegenerateFaceWarning.
     """
     v = mesh.vertices
     f = mesh.faces
@@ -379,10 +405,9 @@ def compute_normals(mesh):
     norms = np.linalg.norm(cross, axis=1)
     degenerate = norms < 1e-12
     if degenerate.any():
-        for i in np.nonzero(degenerate)[0]:
-            warnings.warn(
-                f"face {i} has zero area; using +z normal", DegenerateFaceWarning
-            )
+        bad = np.flatnonzero(degenerate)
+        warnings.warn(f"{len(bad)} face{'s have' if len(bad) > 1 else ' has'} zero area "
+                      f"(first: face {bad[0]}); using +z normals", DegenerateFaceWarning)
     safe = np.where(degenerate, 1.0, norms)
     face_normals = cross / safe[:, None]
     face_normals[degenerate] = (0.0, 0.0, 1.0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from meshseg.knn import build_block_knn_graph
 from meshseg.layers import AGGREGATIONS, SharedMLP, _init_affine
+from meshseg.mesh import replace_file
 from meshseg.tensor import (
     DimensionError,
     Parameter,
@@ -362,8 +362,8 @@ def save_checkpoint(model, path, adam=None):
     """Versioned binary container: config plus every named array, float32 LE.
 
     With `adam` the file also holds the optimizer state training resumes
-    from.  The file is written to `<path>.tmp` and then renamed over `path`,
-    so an interrupted write never leaves a damaged checkpoint behind.
+    from.  It is written whole by replace_file, so an interrupted write
+    never leaves a damaged checkpoint behind.
     """
     records = _record_table(model, adam)
     counters = records.get(OPTIMIZER_PREFIX + "counters")
@@ -387,15 +387,6 @@ def save_checkpoint(model, path, adam=None):
             buf.write(struct.pack("<I", d))
         buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     replace_file(path, buf.getvalue())
-
-
-def replace_file(path, data):
-    """Write the bytes `data` to `<path>.tmp`, then rename it over `path`, so
-    a kill at any point leaves either the old file or the new one whole."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

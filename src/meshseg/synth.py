@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from meshseg.mesh import TriangleMesh, read_table, save_labels, save_obj
+from meshseg.mesh import TriangleMesh, read_table, save_labels, save_obj, write_lines
 from meshseg.model import DataError
 
 
@@ -224,10 +224,9 @@ def make_dataset(spec, n_train, n_test, out_dir):
                 save_labels(mesh.labels, labels_path)
                 entries.append(ManifestEntry(rel_mesh, rel_labels, split, mesh_seed))
         made.append(manifest_path)
-        with open(manifest_path, "w") as fh:
-            fh.write("# " + "\t".join(name for name, _ in MANIFEST_COLUMNS) + "\n")
-            for e in entries:
-                fh.write(f"{e.mesh_path}\t{e.labels_path}\t{e.split}\t{e.seed}\n")
+        write_lines(manifest_path, ["# " + "\t".join(name for name, _ in MANIFEST_COLUMNS),
+                                    *(f"{e.mesh_path}\t{e.labels_path}\t{e.split}\t{e.seed}"
+                                      for e in entries)])
     except BaseException:
         for path in reversed(made):
             if os.path.isdir(path):

@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshseg import training
+from meshseg import cli, training
 from meshseg.cli import main
 from meshseg.mesh import DEFAULT_PALETTE, class_colors, load_labels, load_mesh
 from meshseg.model import ModelConfig, build_variant, load_checkpoint, save_checkpoint
+from test_mesh import forked
 
 
 TINY = [
@@ -225,6 +228,137 @@ def test_resume_killed_in_its_first_step_keeps_the_log(dataset, tmp_path):
     assert (run / "train_log.tsv").read_bytes() == (full / "train_log.tsv").read_bytes()
 
 
+def test_failed_rename_keeps_the_old_file_and_no_temp_file(dataset, tmp_path, monkeypatch,
+                                                            capsys):
+    ckpt, model = tmp_path / "m.ckpt", tiny_model()
+    save_checkpoint(model, ckpt)
+    old = ckpt.read_bytes()
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device", dst)
+
+    monkeypatch.setattr(os, "replace", no_space)
+    model.parameters()[0].tensor.data += 1.0
+    with pytest.raises(OSError):
+        save_checkpoint(model, ckpt)
+    assert ckpt.read_bytes() == old and os.listdir(tmp_path) == ["m.ckpt"]
+    assert main(["predict", "--checkpoint", str(ckpt), "--mesh",
+                 str(dataset / "test" / "arch_000.obj"), "--out-ply",
+                 str(tmp_path / "out.ply")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "out.ply" in err[0]
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def killed_at(argv, stop):
+    """The exit code of main(argv) in a forked child that calls os._exit(9)
+    at its file event number `stop`: events are just before and just after
+    each os.replace and each train-log row write (a row is flushed as it is
+    written)."""
+    def run():
+        events = itertools.count(1)
+
+        def event():
+            if next(events) == stop:
+                os._exit(9)
+
+        def replace(src, dst, real=os.replace):
+            event()
+            real(src, dst)
+            event()
+
+        class Log:  # the train log, which cmd_train opens for append
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                event()
+                self.fh.write(text)
+
+            def flush(self):
+                self.fh.flush()
+                event()
+
+        os.replace = replace
+        cli.open = lambda path, mode: Log(open(path, mode))
+        return main(argv)
+
+    return forked(run)
+
+
+KILL_SYNTH = ["synth", "--out", "{dir}/data", "--n-train", "2", "--n-test", "1",
+              "--teeth", "2", "--cells", "200", "--seed", "5"]
+KILL_TRAIN = ["train", "--manifest", "{data}/manifest.tsv", "--out", "{dir}/run", *TINY]
+# run -> (its commands, each run after the ones before it; the directory they write)
+KILL_RUNS = {
+    "synth": ([KILL_SYNTH], "data"),
+    "train-then-resume": ([KILL_TRAIN, [*KILL_TRAIN, "--resume", "{dir}/run/model.ckpt",
+                                        "--set", "train.epochs=3"]], "run"),
+    "ablate": ([["ablate", "--manifest", "{data}/manifest.tsv", "--out", "{dir}/ablation",
+                 "--variants", "full,coords-only", *TINY]], "ablation"),
+}
+
+
+@pytest.fixture(scope="module")
+def kill_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kill")
+    assert main([a.format(dir=root) for a in KILL_SYNTH]) == 0
+    return root / "data"
+
+
+def file_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("run", sorted(KILL_RUNS))
+def test_run_killed_at_any_file_event_reruns_to_the_uninterrupted_outputs(
+        run, kill_data, tmp_path, capsys):
+    # after each kill the command is run again, a train from its checkpoint
+    # if one was written, then the commands after it; a rerun may instead
+    # refuse with one error line (synth, once its manifest is in place)
+    commands, out = KILL_RUNS[run]
+
+    def argv_in(directory, argv):
+        return [a.format(dir=directory, data=kill_data) for a in argv]
+
+    for argv in commands:
+        assert main(argv_in(tmp_path / "whole", argv)) == 0
+    expected = file_bytes(tmp_path / "whole" / out)
+    for i, argv in enumerate(commands):
+        start = tmp_path / f"start{i}"
+        start.mkdir()
+        for before in commands[:i]:
+            assert main(argv_in(start, before)) == 0
+        for stop in itertools.count(1):
+            work = tmp_path / f"killed{i}-{stop}"
+            shutil.copytree(start, work)
+            code = killed_at(argv_in(work, argv), stop)
+            if code == 0:  # the command has fewer events than `stop`
+                break
+            assert code == 9, (i, stop)
+            rerun = argv_in(work, argv)
+            ckpt = work / out / "model.ckpt"
+            if argv[0] == "train" and "--resume" not in argv and ckpt.exists():
+                rerun += ["--resume", str(ckpt)]
+            capsys.readouterr()
+            code = main(rerun)
+            err = capsys.readouterr().err.splitlines()
+            assert code == 0 or (code == 1 and len(err) == 1 and err[0].startswith("error: ")), \
+                (i, stop, err)
+            for after in commands[i + 1:]:
+                assert main(argv_in(work, after)) == 0
+            assert file_bytes(work / out) == expected, (i, stop)
+            shutil.rmtree(work)
+        assert stop > 2, (i, stop)  # at least one os.replace was killed on both sides
+
+
 def test_removed_fixed_augmentation_key_is_a_usage_error(dataset, tmp_path, capsys):
     cfg = tmp_path / "resolved.cfg"
     cfg.write_text("train.augment = true\ntrain.fixed_augmentation = true\n")
@@ -286,6 +420,18 @@ BAD_INPUTS = {
     "ply-non-finite-before-malformed-vertex": (
         {"m.ply": PLY_HEADER.format(n=3) + "0 nan 0\n1 0 0\n0 x 0\n3 0 1 2\n"},
         PREDICT, "m.ply:10: non-finite coordinate"),
+    # these three were named by file only, with a literal V for the vertex count
+    "obj-face-outside-vertices": ({"m.obj": VERTICES + "f 1 2 4\n"}, PREDICT,
+                                  "m.obj:4: face references a vertex outside [0, 3)"),
+    "ply-face-outside-vertices": ({"m.ply": PLY_HEADER.format(n=3) + "0 0 0\n1 0 0\n0 1 0\n"
+                                   "3 0 1 3\n"}, PREDICT,
+                                  "m.ply:13: face references a vertex outside [0, 3)"),
+    "obj-face-repeats-vertex": ({"m.obj": VERTICES + "f 1 1 3\n"}, PREDICT,
+                                "m.obj:4: face repeats a vertex"),
+    # the mismatch was blamed on the mesh file
+    "labels-count-mismatch": ({"m.obj": TRIANGLE_OBJ, "m.labels": "0\n1\n",
+                               "manifest.tsv": ONE_ROW}, EVAL,
+                              "m.labels: 2 labels for the 1 cells of "),
     "labels-not-integer": ({"m.obj": TRIANGLE_OBJ, "m.labels": "0\nx\n",
                             "manifest.tsv": ONE_ROW}, EVAL, "m.labels:2"),
     "labels-beyond-int64": ({"m.obj": TRIANGLE_OBJ, "m.labels": "99999999999999999999\n",

@@ -1,3 +1,8 @@
+import os
+import stat
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from meshseg.mesh import (
     export_colored_mesh,
     load_labels,
     load_mesh,
+    replace_file,
     save_labels,
     save_obj,
     transform_mesh,
@@ -187,6 +193,21 @@ def test_zero_area_face_warns_and_substitutes():
     assert np.allclose(fn[0], [0, 0, 1])
 
 
+def test_degenerate_faces_give_one_warning():
+    # four collinear vertices make faces 1, 2 and 4 zero-area
+    mesh = TriangleMesh(
+        vertices=np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0], [0.0, 1, 0]]),
+        faces=np.array([[0, 1, 4], [0, 1, 2], [1, 2, 3], [1, 2, 4], [0, 2, 3]]),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn, _ = compute_normals(mesh)
+    assert [str(w.message) for w in caught] == \
+        ["3 faces have zero area (first: face 1); using +z normals"]
+    assert [w.category for w in caught] == [DegenerateFaceWarning]
+    assert np.allclose(fn[[1, 2, 4]], [0, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -293,3 +314,76 @@ def test_export_errors():
         export_colored_mesh(mesh, [0], [], "/tmp/never.ply")
     with pytest.raises(LabelRangeError):
         export_colored_mesh(mesh, [3], [(1, 2, 3)], "/tmp/never.ply")
+
+
+# ---------------------------------------------------------------------------
+# writing: every output goes through replace_file
+# ---------------------------------------------------------------------------
+
+def forked(fn):
+    """The exit code of a forked child that runs fn(); the child ends with
+    os._exit, so it never returns into the test run or flushes its buffers."""
+    pid = os.fork()
+    if pid == 0:
+        code = 3  # fn raised
+        try:
+            code = fn() or 0
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def test_replace_file_renames_a_whole_new_file_over_the_path(tmp_path):
+    path = tmp_path / "out.labels"
+    replace_file(path, b"0\n")  # missing path
+    old = os.stat(path)
+    save_labels([1, 2], path)  # regular file
+    assert path.read_bytes() == b"1\n2\n"
+    assert os.stat(path).st_ino != old.st_ino  # a new file, not the old one truncated
+    assert os.listdir(tmp_path) == ["out.labels"]
+
+
+def test_replace_file_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "real.labels", tmp_path / "link.labels"
+    target.write_text("7\n")
+    link.symlink_to(target)
+    save_labels([1, 2], link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"1\n2\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.labels", "real.labels"]
+
+
+def test_replace_file_writes_a_fifo_in_place(tmp_path):
+    fifo, got = tmp_path / "pipe", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save_labels([3, 4], fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [b"3\n4\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_replace_file_refuses_a_directory_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError, match="Is a directory"):
+        save_labels([1], target)
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
+
+
+@pytest.mark.parametrize("old", [None, b"5\n6\n"])
+def test_writer_killed_mid_write_leaves_the_old_file(tmp_path, old):
+    path = tmp_path / "out.labels"
+    if old is not None:
+        path.write_bytes(old)
+
+    def ids_then_killed():
+        for i in range(20):
+            if i == 10:
+                os._exit(9)
+            yield i
+
+    assert forked(lambda: save_labels(ids_then_killed(), path)) == 9
+    assert (path.read_bytes() if path.exists() else None) == old
